@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cjt.constancy import PiPoint, jordan_at, restrict_to_point, sweep_points
+from cjt.constancy import PiPoint, level_types, restrict_to_point, sweep_points
 from cjt.exactalg import nullspace_array, rank_array, rref_array
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
@@ -115,6 +115,11 @@ def l_xi(classes: list[CocycleClass], max_e: int = 1) -> ModuleRep:
     surjective).  The kernel dimension is one less than the sum of the
     shift dimensions.
     """
+    return _l_xi_result(classes, max_e).kernel
+
+
+def _l_xi_result(classes: list[CocycleClass], max_e: int = 1) -> KernelResult:
+    """l_xi with the whole KernelResult: the map and its hypothesis report."""
     if not classes:
         raise ValueError("need at least one cocycle class")
     if all(c.carrier.is_zero() for c in classes):
@@ -130,7 +135,7 @@ def l_xi(classes: list[CocycleClass], max_e: int = 1) -> ModuleRep:
         )
     if not validate(result.kernel).ok:
         raise AssertionError("kernel module failed validation")
-    return result.kernel
+    return result
 
 
 @dataclass
@@ -161,8 +166,8 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
     local_ok = True
     types = []
     for e in range(1, max_e + 1):
-        for q in sweep_points(m.field, m.r, e):
-            st = stable(jordan_at(m, q))
+        for q, t in level_types(m, e):
+            st = stable(t)
             types.append((q, st))
             if st not in allowed:
                 local_ok = False

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from cjt.carlson import endotrivial_check, kernel_of_hom_matrix, l_xi
+from cjt.carlson import _l_xi_result, endotrivial_check
 from cjt.constancy import (
     PiPoint,
     check_constant,
     gamma_locus,
     generic_type,
     jordan_at,
-    pi_support,
 )
 from cjt.exactalg import make_field
 from cjt.jordan import from_nilpotent
@@ -123,7 +121,7 @@ def _cmd_gamma(args) -> tuple[dict, int]:
             {"point": q.serialize(), "type": str(locus.observed[q])}
             for q in locus.points
         ],
-        "support": [q.serialize() for q in pi_support(m, args.ext)],
+        "support": [q.serialize() for q in locus.support],
     }
     return payload, 0
 
@@ -161,18 +159,11 @@ def _cmd_carlson(args) -> tuple[dict, int]:
         factor_generator(field, args.rank, i % args.rank, d)
         for i, d in enumerate(degrees)
     ]
-    module = l_xi(classes, max_e=args.max_ext)
-    sources = [c.carrier.source for c in classes]
-    result = kernel_of_hom_matrix(
-        [[c.carrier for c in classes]],
-        sources,
-        [classes[0].carrier.target],
-        max_e=args.max_ext,
-    )
+    result = _l_xi_result(classes, max_e=args.max_ext)
     from cjt.serialize import cocycle_to_json
 
     payload = {
-        "module": module_to_json(module),
+        "module": module_to_json(result.kernel),
         "classes": [cocycle_to_json(c) for c in classes],
         "hypothesis": {
             "holds_everywhere": result.report.holds_everywhere,
@@ -239,13 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact Jordan-type computations for modules over modular group algebras.",
     )
     ap.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("CJT_JOBS", "1")),
-        help="sweep parallelism hint; output is independent of it",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("jordan", help="Jordan type of a module at a point")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from cjt.exactalg import Field, Matrix, make_field
-from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent
+from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
 from cjt.modrep import ModuleRep
 from cjt.polymat import HomPoly, PolyMatrix, bivariate_minor_gcd, generic_rank, projective_points
 
@@ -31,7 +31,13 @@ __all__ = [
     "gamma_locus",
     "pi_support",
     "sweep_points",
+    "level_types",
+    "STACK_CELLS",
 ]
+
+# Matrix entries (points x dim x dim) per stack handed to the batched
+# Jordan-type kernel; bounds the kernel's working memory during a sweep.
+STACK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,10 @@ def sweep_points(
     if not dedup or e == 1:
         return [PiPoint(field, pt) for pt in projective_points(field, r)]
     if r * np.log2(float(field.q)) >= 62:
-        return _sweep_points_scalar(field, r, e)
+        raise ValueError(
+            f"cannot sweep GF({field.p}^{e}) with r = {r}: {field.q}^{r} coordinate "
+            "tuples are too many to enumerate (point keys need q^r < 2^62)"
+        )
     from cjt.polymat import _point_blocks
 
     order_index = np.zeros(field.q, dtype=np.int64)
@@ -176,28 +185,22 @@ def sweep_points(
     return out
 
 
-def _sweep_points_scalar(field: Field, r: int, e: int) -> list[PiPoint]:
-    order_index = np.zeros(field.q, dtype=np.int64)
-    order_index[field.ordered_codes()] = np.arange(field.q)
+def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
+    """Jordan type at every sweep point of extension level e, in sweep order.
 
-    def key(pt):
-        return tuple(int(order_index[c]) for c in pt)
-
-    divisors = [d for d in range(1, e) if e % d == 0]
-    out = []
-    for pt in projective_points(field, r):
-        if any(all(field.in_subfield(c, d) for c in pt) for d in divisors):
-            continue
-        orbit_pt = pt
-        minimal = True
-        for _ in range(e - 1):
-            orbit_pt = tuple(int(field.frobenius(np.int64(c))) for c in orbit_pt)
-            if key(orbit_pt) < key(pt):
-                minimal = False
-                break
-        if minimal:
-            out.append(PiPoint(field, pt))
-    return out
+    Each point's matrix comes from ``evaluate``; the matrices are typed in
+    stacks of at most STACK_CELLS entries by the batched kernel
+    ``jordan_types``, which falls back to one matrix at a time above
+    ``jordan.BATCH_DIM_CUTOFF``.
+    """
+    points = sweep_points(m.field, m.r, e)
+    field = make_field(m.p, e)
+    per_stack = max(1, STACK_CELLS // max(1, m.dim * m.dim))
+    types: list[JordanType] = []
+    for i in range(0, len(points), per_stack):
+        stack = np.stack([evaluate(m, q).array for q in points[i : i + per_stack]])
+        types += jordan_types(field, stack, m.p)
+    return list(zip(points, types))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +282,13 @@ class CjtReport:
 
 @dataclass
 class GammaLocus:
+    """Points of one level below the generic type, with their types, and
+    the support: the points where the module is not projective."""
+
     points: list[PiPoint]
     generic: JordanType
     observed: dict[PiPoint, JordanType] = dc_field(default_factory=dict)
-
-
-def _sweep_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
-    return [(q, jordan_at(m, q)) for q in sweep_points(m.field, m.r, e)]
+    support: list[PiPoint] = dc_field(default_factory=list)
 
 
 def _dominance_max(types: list[JordanType]) -> JordanType:
@@ -369,7 +372,7 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     limit = max_e if witness_level is None else max(max_e, witness_level)
     for e in range(1, limit + 1):
         extensions.append(e)
-        for q, t in _sweep_types(m, e):
+        for q, t in level_types(m, e):
             per_point.append((q, t))
             observed.setdefault(t, q)
         if len(observed) > 1:
@@ -388,12 +391,13 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
 
 
 def gamma_locus(m: ModuleRep, e: int) -> GammaLocus:
-    """Rational points of the given extension whose type is below generic."""
+    """Rational points of the given extension whose type is below generic,
+    and the support at that level, from one sweep."""
     gen = generic_type(m)
+    typed = level_types(m, e)
     points = []
     observed = {}
-    for q in sweep_points(m.field, m.r, e):
-        t = jordan_at(m, q)
+    for q, t in typed:
         if t != gen:
             cmp = dominance_compare(gen, t)
             if cmp == Dominance.LESS:
@@ -402,14 +406,14 @@ def gamma_locus(m: ModuleRep, e: int) -> GammaLocus:
                 )
             points.append(q)
             observed[q] = t
-    return GammaLocus(points, gen, observed)
+    return GammaLocus(points, gen, observed, _support(typed))
 
 
 def pi_support(m: ModuleRep, e: int) -> list[PiPoint]:
     """Points where the restricted module is not projective."""
-    out = []
-    for q in sweep_points(m.field, m.r, e):
-        t = jordan_at(m, q)
-        if any(t.counts[i] for i in range(m.p - 1)):
-            out.append(q)
-    return out
+    return _support(level_types(m, e))
+
+
+def _support(typed: list[tuple[PiPoint, JordanType]]) -> list[PiPoint]:
+    """Points whose type has a block smaller than p."""
+    return [q for q, t in typed if any(t.counts[:-1])]

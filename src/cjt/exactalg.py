@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+# Largest field order for which GF(p^e), e >= 2, builds q x q code tables for
+# add and mul (two int64 tables, 8 MiB each at the cap).  Bigger fields use
+# digit loops and discrete logs instead.
+TABLE_CAP = 1024
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p) (coefficient tuples, low degree first)
 # ---------------------------------------------------------------------------
@@ -139,8 +145,9 @@ class Field:
     This object doubles as the arithmetic kernel: all ``add``/``mul``/...
     methods accept numpy arrays of element codes (broadcasting like numpy)
     and are the only arithmetic the linear algebra layer uses.  Values are
-    immutable; the discrete-log tables are a lazily built, idempotent
-    cache, so sharing a field across workers stays safe.
+    immutable; the discrete-log tables and, for e >= 2 and q <= TABLE_CAP,
+    the add/mul/neg code tables are a lazily built, idempotent cache, so
+    sharing a field across workers stays safe.
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
@@ -164,6 +171,7 @@ class Field:
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
         self._red: np.ndarray | None = None
+        self._code_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -217,6 +225,25 @@ class Field:
             self._build_tables()
         return self._exp, self._log  # type: ignore[return-value]
 
+    def _arith_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Flattened q x q add and mul tables and the length-q neg table.
+
+        Only for e >= 2 and q <= TABLE_CAP; ``None`` otherwise, and the
+        caller falls back to digit loops and discrete logs.  Built on first
+        use from those same fallbacks, so both paths give equal codes.
+        """
+        if self.e == 1 or self.q > TABLE_CAP:
+            return None
+        if self._code_tables is None:
+            codes = np.arange(self.q, dtype=np.int64)
+            a, b = codes[:, None], codes[None, :]
+            self._code_tables = (
+                self._digit_add(a, b).ravel(),
+                self._log_mul(a, b).ravel(),
+                self._digit_neg(codes),
+            )
+        return self._code_tables
+
     def _code_to_poly(self, code: int) -> tuple[int, ...]:
         p, out = self.p, []
         while code:
@@ -234,6 +261,36 @@ class Field:
     def add(self, a, b):
         if self.e == 1:
             return (np.asarray(a) + np.asarray(b)) % self.p
+        tables = self._arith_tables()
+        if tables is not None:
+            return tables[0][np.asarray(a) * self.q + np.asarray(b)]
+        return self._digit_add(a, b)
+
+    def neg(self, a):
+        if self.e == 1:
+            return (-np.asarray(a)) % self.p
+        tables = self._arith_tables()
+        if tables is not None:
+            return tables[2][np.asarray(a)]
+        return self._digit_neg(a)
+
+    def sub(self, a, b):
+        if self.e == 1:
+            return (np.asarray(a) - np.asarray(b)) % self.p
+        tables = self._arith_tables()
+        if tables is not None:
+            return tables[0][np.asarray(a) * self.q + tables[2][np.asarray(b)]]
+        return self._digit_add(a, self._digit_neg(b))
+
+    def mul(self, a, b):
+        if self.e == 1:
+            return (np.asarray(a) * np.asarray(b)) % self.p
+        tables = self._arith_tables()
+        if tables is not None:
+            return tables[1][np.asarray(a) * self.q + np.asarray(b)]
+        return self._log_mul(a, b)
+
+    def _digit_add(self, a, b):
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         out = np.zeros(a.shape, dtype=np.int64)
         x, y = a.copy(), b.copy()
@@ -243,9 +300,7 @@ class Field:
             y //= self.p
         return out
 
-    def neg(self, a):
-        if self.e == 1:
-            return (-np.asarray(a)) % self.p
+    def _digit_neg(self, a):
         a = np.asarray(a)
         out = np.zeros(a.shape, dtype=np.int64)
         x = a.copy()
@@ -254,12 +309,7 @@ class Field:
             x //= self.p
         return out
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self.e == 1:
-            return (np.asarray(a) * np.asarray(b)) % self.p
+    def _log_mul(self, a, b):
         exp, log = self._tables()
         a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         out = np.zeros(a.shape, dtype=np.int64)
@@ -327,13 +377,6 @@ class Field:
         out[m] = exp[(log[a[m]] * self.p) % (self.q - 1)]
         return out
 
-    def in_subfield(self, code: int, d: int) -> bool:
-        """Whether the element lies in the subfield GF(p^d) (d must divide e)."""
-        x = np.int64(code)
-        for _ in range(d):
-            x = self.frobenius(x)
-        return int(x) == code
-
     # -- matrix kernels ------------------------------------------------------
     def _planes(self, a: np.ndarray) -> list[np.ndarray]:
         out = []
@@ -350,10 +393,11 @@ class Field:
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Matrix product; stacks (..., m, k) @ (..., k, n) multiply slice by slice."""
         if self.e == 1:
             # go through BLAS: with entries below p the accumulated dot
             # products stay far below 2^53, so float64 arithmetic is exact
-            if a.shape[1] * (self.p - 1) ** 2 < (1 << 53):
+            if a.shape[-1] * (self.p - 1) ** 2 < (1 << 53):
                 prod = (a % self.p).astype(np.float64) @ (b % self.p).astype(np.float64)
                 return prod.astype(np.int64) % self.p
             return (a @ b) % self.p
@@ -677,7 +721,8 @@ def _kernel_from_echelon(
     structure on free coordinates) deterministic.
     """
     k = len(piv_cols)
-    free = [c for c in range(ncols) if c not in set(piv_cols)]
+    pivots = set(piv_cols)
+    free = [c for c in range(ncols) if c not in pivots]
     nf = len(free)
     basis = np.zeros((ncols, nf), dtype=np.int64)
     if nf == 0:

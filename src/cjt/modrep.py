@@ -28,7 +28,7 @@ from cjt.exactalg import (
     rref_array,
     solve_linear,
 )
-from cjt.jordan import from_nilpotent
+from cjt.jordan import jordan_types
 
 __all__ = [
     "Convention",
@@ -412,7 +412,8 @@ def quotient_module(m: ModuleRep, subspace: np.ndarray) -> Quotient:
     """Quotient of m by an invariant subspace (columns)."""
     f = m.field
     rows, piv = rref_array(f, subspace.T)
-    free = [j for j in range(m.dim) if j not in set(piv)]
+    pivots = set(piv)
+    free = [j for j in range(m.dim) if j not in pivots]
     proj = np.zeros((len(free), m.dim), dtype=np.int64)
     proj[np.arange(len(free)), free] = 1
     if piv:
@@ -516,7 +517,8 @@ def split_free(m: ModuleRep) -> SplitResult:
         raise AssertionError("theta-independent vectors failed to generate freely")
     # extend the free basis to the whole space by standard vectors
     reduced, piv_rows = rref_array(f, free_cols.T)
-    complement = [j for j in range(m.dim) if j not in set(piv_rows)]
+    pivots = set(piv_rows)
+    complement = [j for j in range(m.dim) if j not in pivots]
     g = np.zeros((m.dim, m.dim), dtype=np.int64)
     g[:, : t * count] = free_cols
     for k, j in enumerate(complement):
@@ -590,7 +592,8 @@ def _cover_kernel(m: ModuleRep) -> CoverData:
     count = _monomial_count(p, r)
     rad, _ = column_space(f, np.hstack(m.gens))
     _, rad_piv = rref_array(f, rad.T)
-    lift_idx = [j for j in range(m.dim) if j not in set(rad_piv)]
+    rad_pivots = set(rad_piv)
+    lift_idx = [j for j in range(m.dim) if j not in rad_pivots]
     d = len(lift_idx)
     vectors = np.zeros((m.dim, d), dtype=np.int64)
     vectors[lift_idx, np.arange(d)] = 1
@@ -601,7 +604,8 @@ def _cover_kernel(m: ModuleRep) -> CoverData:
         raise AssertionError("cover map is not surjective")
     kernel = _kernel_from_echelon(f, work, piv, cover.shape[1])
     # the nullspace basis carries an identity block on the free columns
-    kernel_piv_rows = [j for j in range(cover.shape[1]) if j not in set(piv)]
+    pivots = set(piv)
+    kernel_piv_rows = [j for j in range(cover.shape[1]) if j not in pivots]
     gens = []
     for i in range(r):
         shifted = _apply_free_generator(f, p, r, d, i, kernel)
@@ -762,14 +766,14 @@ def _rational_type_signature(m: ModuleRep):
     """Jordan types at all normalized rational linear points, for fast
     non-isomorphism detection."""
     f = m.field
-    sig = []
+    mats = []
     for coords in _normalized_tuples(f.p, m.r):
         mat = np.zeros((m.dim, m.dim), dtype=np.int64)
         for c, a in zip(coords, m.gens):
             if c:
                 mat = f.add(mat, f.mul(np.int64(c), a))
-        sig.append(from_nilpotent(Matrix(f, mat), m.p))
-    return sig
+        mats.append(mat)
+    return jordan_types(f, np.stack(mats), m.p)
 
 
 def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:

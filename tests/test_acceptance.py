@@ -13,6 +13,7 @@ from cjt.constancy import (
     gamma_locus,
     generic_type,
     jordan_at,
+    level_types,
     pi_support,
     sweep_points,
 )
@@ -278,8 +279,7 @@ def test_criterion_12_semicontinuity_over_zoo():
         for m in mods:
             gen = generic_type(m)
             for e in (1, 2):
-                for q in sweep_points(f, m.r, e):
-                    t = jordan_at(m, q)
+                for q, t in level_types(m, e):
                     assert dominance_compare(gen, t) in (
                         Dominance.GREATER,
                         Dominance.EQUAL,

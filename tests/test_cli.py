@@ -197,6 +197,53 @@ class TestOtherCommands:
         assert first == second
 
 
+class TestOptions:
+    def test_cjt_jobs_environment_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("CJT_JOBS", "auto")
+        code, out = run(capsys, ["zoo", "--p", "3", "--name", "W"])
+        assert code == 0 and out["dim"] == 13
+
+    @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        assert execute([flag, "2", "zoo", "--p", "3", "--name", "W"]) == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestSingleSweeps:
+    def test_carlson_builds_the_kernel_once(self, capsys, monkeypatch):
+        from cjt import carlson
+
+        calls = []
+        original = carlson.kernel_of_hom_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(carlson, "kernel_of_hom_matrix", counted)
+        code, out = run(capsys, ["carlson", "--p", "3", "--rank", "2", "--degrees", "2,2"])
+        assert code == 0 and out["module"]["dim"] == 19
+        assert len(calls) == 1
+
+    def test_gamma_sweeps_its_level_once(self, capsys, monkeypatch, w7_file):
+        from cjt import constancy
+
+        levels = []
+        original = constancy.level_types
+
+        def counted(m, e):
+            levels.append(e)
+            return original(m, e)
+
+        monkeypatch.setattr(constancy, "level_types", counted)
+        code, out = run(capsys, ["gamma", "--module", w7_file, "--ext", "2"])
+        assert code == 0 and levels == [2]
+        f = make_field(7, 1)
+        from cjt.constancy import pi_support
+
+        assert out["support"] == [q.serialize() for q in pi_support(w_module(f), 2)]
+
+
 class TestJordanTypeJson:
     def test_roundtrip(self):
         from cjt.jordan import JordanType

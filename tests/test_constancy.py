@@ -282,6 +282,12 @@ class TestSweepPoints:
         # into 3 Frobenius pairs
         assert len(pts) == 3
 
+    def test_unsweepable_level_is_rejected(self):
+        # 9^20 coordinate tuples: no point key fits in 62 bits
+        f = make_field(3, 1)
+        with pytest.raises(ValueError, match="cannot sweep GF\\(3\\^2\\) with r = 20"):
+            sweep_points(f, 20, 2)
+
     def test_tail_probe_at_maximal_points_keeps_type(self):
         # at points of maximal type, higher-order representative terms do
         # not move the observed type (50 seeded tails per point)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cjt.exactalg import (
+    TABLE_CAP,
     Field,
     Matrix,
+    _poly_mod,
+    _poly_mul,
     make_field,
     nullspace,
     rank,
@@ -168,6 +173,74 @@ class TestFieldArithmetic:
         f = make_field(3, 2)
         order = [tuple(f.serialize_code(int(c))) for c in f.ordered_codes()]
         assert order == sorted(order)
+
+
+# (p, e) with q = p^e <= TABLE_CAP, whose e >= 2 arithmetic is table-driven
+TABLED = [(2, 2), (2, 3), (2, 5), (2, 10), (3, 2), (3, 3), (3, 6), (5, 2), (5, 3), (7, 2), (7, 3), (31, 2)]
+
+
+def _poly(field, code):
+    return field._code_to_poly(int(code))
+
+
+class TestTableArithmetic:
+    """Table lookups for e >= 2 against the polynomial definitions."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(pe=st.sampled_from(TABLED), data=st.data())
+    def test_tables_match_polynomial_arithmetic(self, pe, data):
+        p, e = pe
+        f = make_field(p, e)
+        assert f.q <= TABLE_CAP and f._arith_tables() is not None
+        codes = st.integers(0, f.q - 1)
+        a, b = data.draw(codes), data.draw(codes)
+        pa, pb = _poly(f, a), _poly(f, b)
+        prod = _poly_mod(_poly_mul(pa, pb, p), f.modulus, p)
+        assert int(f.mul(a, b)) == f._poly_to_code(prod)
+        width = max(len(pa), len(pb))
+        pa, pb = pa + (0,) * (width - len(pa)), pb + (0,) * (width - len(pb))
+        assert int(f.add(a, b)) == f._poly_to_code([(x + y) % p for x, y in zip(pa, pb)])
+        assert int(f.neg(a)) == f._poly_to_code([(-x) % p for x in pa])
+        assert int(f.sub(a, b)) == f._poly_to_code([(x - y) % p for x, y in zip(pa, pb)])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(pe=st.sampled_from(TABLED), seed=st.integers(0, 2**32 - 1))
+    def test_field_laws(self, pe, seed):
+        f = make_field(*pe)
+        a, b, c = np.random.default_rng(seed).integers(0, f.q, (3, 64))
+        zero, one = np.zeros_like(a), np.ones_like(a)
+        assert np.array_equal(f.add(a, b), f.add(b, a))
+        assert np.array_equal(f.mul(a, b), f.mul(b, a))
+        assert np.array_equal(f.add(f.add(a, b), c), f.add(a, f.add(b, c)))
+        assert np.array_equal(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)))
+        assert np.array_equal(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)))
+        assert np.array_equal(f.add(a, zero), a) and np.array_equal(f.mul(a, one), a)
+        assert not np.any(f.add(a, f.neg(a)))
+        assert np.array_equal(f.sub(a, b), f.add(a, f.neg(b)))
+        nz = a[a != 0]
+        assert np.all(f.mul(nz, f.inv(nz)) == 1)
+
+    @pytest.mark.parametrize("p,e", [(37, 2), (11, 3)])
+    def test_fields_above_the_cap_agree_with_polynomials(self, p, e):
+        f = make_field(p, e)
+        assert f.q > TABLE_CAP and f._arith_tables() is None
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, f.q, (2, 50))
+        for x, y, s, m in zip(a, b, f.add(a, b), f.mul(a, b)):
+            prod = _poly_mod(_poly_mul(_poly(f, x), _poly(f, y), p), f.modulus, p)
+            assert int(m) == f._poly_to_code(prod)
+            px, py = _poly(f, x) + (0,) * e, _poly(f, y) + (0,) * e
+            assert int(s) == f._poly_to_code([(u + v) % p for u, v in zip(px[:e], py[:e])])
+        assert not np.any(f.add(a, f.neg(a)))
+        assert np.array_equal(f.sub(a, b), f.add(a, f.neg(b)))
+
+    def test_stacked_matmul_multiplies_slice_by_slice(self):
+        for f in (make_field(5, 1), make_field(3, 2)):
+            rng = np.random.default_rng(2)
+            a = rng.integers(0, f.q, (4, 3, 5))
+            b = rng.integers(0, f.q, (4, 5, 2))
+            got = f.matmul(a, b)
+            assert all(np.array_equal(got[i], f.matmul(a[i], b[i])) for i in range(4))
 
 
 def J(field, n):

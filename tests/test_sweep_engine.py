@@ -1,0 +1,124 @@
+"""The batched sweep engine against per-point typing.
+
+``constancy.level_types`` and the kernel ``jordan.jordan_types`` must give
+exactly the Jordan types that ``jordan_at`` (one ``from_nilpotent`` per
+point) gives, on either side of ``jordan.BATCH_DIM_CUTOFF``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cjt import jordan
+from cjt.constancy import (
+    PiPoint,
+    evaluate,
+    gamma_locus,
+    jordan_at,
+    level_types,
+    pi_support,
+    sweep_points,
+)
+from cjt.exactalg import Matrix, make_field
+from cjt.jordan import BATCH_DIM_CUTOFF, JordanType, from_nilpotent, jordan_types
+from cjt.modrep import omega_n, trivial_module
+from cjt.zoo import random_module, w_module
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# levels with more points than this are checked on a sample of their points
+LEVEL_LIMIT = 150
+
+
+def _module(p, r, dim, seed):
+    f = make_field(p, 1)
+    if dim == 0:
+        return trivial_module(f, r, 0)
+    return random_module(f, r, dim, seed)
+
+
+def _level_size(p, r, e):
+    q = p**e
+    return (q**r - 1) // (q - 1)
+
+
+def _random_points(field, r, count, rng):
+    """Normalized points over the field: first nonzero coordinate 1."""
+    out = []
+    for _ in range(count):
+        coords = [int(c) for c in rng.integers(0, field.q, r)]
+        lead = int(rng.integers(0, r))
+        coords[:lead] = [0] * lead
+        coords[lead] = 1
+        out.append(PiPoint(field, tuple(coords)))
+    return out
+
+
+@SEEDED
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    r=st.integers(1, 4),
+    e=st.integers(1, 3),
+    dim=st.one_of(
+        st.sampled_from([0, 1, BATCH_DIM_CUTOFF, BATCH_DIM_CUTOFF + 1]),
+        st.integers(2, 24),
+    ),
+    seed=st.integers(0, 10_000),
+)
+def test_engine_matches_per_point_types(p, r, e, dim, seed):
+    m = _module(p, r, dim, seed)
+    if _level_size(p, r, e) <= LEVEL_LIMIT:
+        typed = level_types(m, e)
+        assert [q for q, _ in typed] == sweep_points(m.field, r, e)
+        assert [t for _, t in typed] == [jordan_at(m, q) for q, _ in typed]
+    else:
+        points = _random_points(make_field(p, e), r, 12, np.random.default_rng(seed))
+        stack = np.stack([evaluate(m, q).array for q in points])
+        got = jordan_types(make_field(p, e), stack, p)
+        assert got == [jordan_at(m, q) for q in points]
+
+
+def test_stacked_elimination_above_the_cutoff(monkeypatch):
+    # force the stacked kernel on matrices the sweeps type one by one
+    monkeypatch.setattr(jordan, "BATCH_DIM_CUTOFF", 10**6)
+    f3 = make_field(3, 1)
+    cases = [
+        (omega_n(trivial_module(f3, 3, 1), -1), 1),  # dim 26
+        (omega_n(trivial_module(f3, 2, 1), 2), 2),
+        (random_module(make_field(5, 1), 3, 48, 7), 1),
+        (random_module(f3, 2, 40, 3), 2),
+    ]
+    for m, e in cases:
+        points = sweep_points(m.field, m.r, e)
+        field = make_field(m.p, e)
+        stack = np.stack([evaluate(m, q).array for q in points])
+        got = jordan_types(field, stack, m.p)
+        assert got == [from_nilpotent(evaluate(m, q), m.p) for q in points]
+
+
+def test_kernel_checks_like_from_nilpotent():
+    f = make_field(5, 2)
+    with pytest.raises(ValueError, match="not nilpotent"):
+        jordan_types(f, np.eye(3, dtype=np.int64)[None], 5)
+    with pytest.raises(ValueError, match="square"):
+        jordan_types(f, np.zeros((2, 3, 4), dtype=np.int64), 5)
+    assert jordan_types(f, np.zeros((0, 3, 3), dtype=np.int64), 5) == []
+    zero = JordanType(5, (0,) * 5)
+    assert jordan_types(f, np.zeros((2, 0, 0), dtype=np.int64), 5) == [zero, zero]
+
+
+def test_kernel_mixes_types_in_one_stack():
+    f = make_field(7, 1)
+    m = w_module(f)
+    points = sweep_points(f, 2, 1)
+    stack = np.stack([evaluate(m, q).array for q in points])
+    types = jordan_types(f, stack, 7)
+    assert len(set(types)) == 2
+    assert types == [from_nilpotent(Matrix(f, a), 7) for a in stack]
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (7, 1), (7, 2)])
+def test_gamma_locus_support_is_pi_support(p, e):
+    m = w_module(make_field(p, 1))
+    assert gamma_locus(m, e).support == pi_support(m, e)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from cjt.exactalg import Field, Matrix, make_field
+from cjt.exactalg import STACK_CELLS, Field, Matrix, make_field
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
 from cjt.modrep import ModuleRep
-from cjt.polymat import HomPoly, PolyMatrix, bivariate_minor_gcd, generic_rank, projective_points
+from cjt.polymat import HomPoly, PolyMatrix, _orbit_blocks, bivariate_minor_gcd, generic_rank
 
 __all__ = [
     "PiPoint",
@@ -34,10 +34,6 @@ __all__ = [
     "level_types",
     "STACK_CELLS",
 ]
-
-# Matrix entries (points x dim x dim) per stack handed to the batched
-# Jordan-type kernel; bounds the kernel's working memory during a sweep.
-STACK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -136,62 +132,29 @@ def restrict_to_point(m: ModuleRep, q: PiPoint) -> ModuleRep:
 # point sweeps
 # ---------------------------------------------------------------------------
 
-def sweep_points(
-    m_field: Field, r: int, e: int, dedup: bool = True
-) -> list[PiPoint]:
+def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
     """Normalized linear points over GF(p^e) in sweep order.
 
-    With dedup (the default), points whose coordinates all lie in a proper
-    subfield are skipped (they already appeared at a lower level), and only
-    the first representative of each Frobenius orbit is kept; conjugate
-    points have equal Jordan types on any module defined over the prime
-    field.
+    Points whose coordinates all lie in a proper subfield are skipped (they
+    already appeared at a lower level), and only the first representative
+    of each Frobenius orbit is kept; conjugate points have equal Jordan
+    types on any module defined over the prime field.
     """
     field = make_field(m_field.p, e)
-    if not dedup or e == 1:
-        return [PiPoint(field, pt) for pt in projective_points(field, r)]
-    if r * np.log2(float(field.q)) >= 62:
-        raise ValueError(
-            f"cannot sweep GF({field.p}^{e}) with r = {r}: {field.q}^{r} coordinate "
-            "tuples are too many to enumerate (point keys need q^r < 2^62)"
-        )
-    from cjt.polymat import _point_blocks
-
-    order_index = np.zeros(field.q, dtype=np.int64)
-    order_index[field.ordered_codes()] = np.arange(field.q)
-    weights = field.q ** np.arange(r - 1, -1, -1, dtype=np.int64)
-
-    def encode(arr: np.ndarray) -> np.ndarray:
-        return order_index[arr] @ weights
-
-    divisors = [d for d in range(1, e) if e % d == 0]
-    out = []
-    for block in _point_blocks(field, r):
-        keep = np.ones(block.shape[0], dtype=bool)
-        for d in divisors:
-            x = block
-            for _ in range(d):
-                x = field.frobenius(x)
-            keep &= ~np.all(x == block, axis=1)
-        # Frobenius preserves normalization (fixes 0 and 1), so orbit members
-        # are themselves sweep points; keep the orbit minimum only
-        base_key = encode(block)
-        x = block
-        for _ in range(e - 1):
-            x = field.frobenius(x)
-            keep &= encode(x) >= base_key
-        for coords in block[keep]:
-            out.append(PiPoint(field, tuple(int(c) for c in coords)))
-    return out
+    return [
+        PiPoint(field, tuple(coords))
+        for block in _orbit_blocks(field, r)
+        for coords in block.tolist()
+    ]
 
 
 def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     """Jordan type at every sweep point of extension level e, in sweep order.
 
     Each point's matrix comes from ``evaluate``; the matrices are typed in
-    stacks of at most STACK_CELLS entries by the batched kernel
+    stacks of at most ``STACK_CELLS`` entries by the batched kernel
     ``jordan_types``, which falls back to one matrix at a time above
-    ``jordan.BATCH_DIM_CUTOFF``.
+    ``BATCH_DIM_CUTOFF``.
     """
     points = sweep_points(m.field, m.r, e)
     field = make_field(m.p, e)
@@ -228,30 +191,38 @@ def pencil(m: ModuleRep) -> PolyMatrix:
     return PolyMatrix(p, r, entries)
 
 
+def _pencil_ranks(m: ModuleRep):
+    """(P^j, generic rank of P^j) for the pencil P and j = 1, 2, ...,
+    p - 1, stopping after the first power of rank zero: the later powers
+    vanish too."""
+    pen = pencil(m)
+    power = pen
+    for j in range(1, m.p):
+        if j > 1:
+            power = power.matmul(pen)
+        rho = generic_rank(power)
+        yield power, rho
+        if rho == 0:
+            return
+
+
+def _type_from_ranks(m: ModuleRep, ranks: list[int]) -> JordanType:
+    """Jordan type whose j-th power has rank ranks[j - 1] (zero past the list)."""
+    p = m.p
+    ranks = [m.dim] + ranks + [0] * (p + 1 - len(ranks))
+    counts = [ranks[j - 1] - 2 * ranks[j] + ranks[j + 1] for j in range(1, p + 1)]
+    jt = JordanType(p, tuple(counts))
+    if jt.dim != m.dim:
+        raise AssertionError("generic ranks are not the power ranks of a nilpotent matrix")
+    return jt
+
+
 def generic_type(m: ModuleRep) -> JordanType:
     """Jordan type at the generic point of the pencil, over the rational
     function field; dominates every rational specialization."""
     if m.dim == 0:
         return JordanType(m.p, (0,) * m.p)
-    p = m.p
-    pen = pencil(m)
-    ranks = [m.dim]
-    power = pen
-    for j in range(1, p):
-        if ranks[-1] == 0:
-            ranks.append(0)
-            continue
-        if j > 1:
-            power = power.matmul(pen)
-        ranks.append(generic_rank(power))
-    ranks.extend([0, 0])  # nilpotency forces rank zero at powers p and above
-    counts = []
-    for j in range(1, p + 1):
-        counts.append(ranks[j - 1] - 2 * ranks[j] + ranks[j + 1])
-    jt = JordanType(p, tuple(counts))
-    if jt.dim != m.dim:
-        raise AssertionError("generic ranks are not the power ranks of a nilpotent matrix")
-    return jt
+    return _type_from_ranks(m, [rho for _, rho in _pencil_ranks(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +317,17 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     exact_known_nonconstant = False
     witness_level = None
     if exact and m.r == 2 and m.field.is_prime_field and m.dim > 0:
-        pen = pencil(m)
-        power = pen
-        all_constant = True
-        for j in range(1, m.p):
-            if j > 1:
-                power = power.matmul(pen)
-            rho = generic_rank(power)
+        ranks = []
+        for power, rho in _pencil_ranks(m):
+            ranks.append(rho)
             if rho == 0:
                 continue
             g = bivariate_minor_gcd(power, rho)
             if not (not g.is_zero and g.degree == 0):
-                all_constant = False
                 lvl = _min_witness_extension(g)
                 witness_level = lvl if witness_level is None else min(witness_level, lvl)
-        if all_constant:
-            return CjtReport("CONSTANT_EXACT", generic_type(m), [], "RANK2_GCD", [])
+        if witness_level is None:
+            return CjtReport("CONSTANT_EXACT", _type_from_ranks(m, ranks), [], "RANK2_GCD", [])
         exact_known_nonconstant = True
 
     observed: dict[JordanType, PiPoint] = {}

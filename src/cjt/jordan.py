@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from cjt.exactalg import Field, Matrix, _echelonize
+from cjt.exactalg import BATCH_DIM_CUTOFF, Field, Matrix, _echelonize, stack_ranks
 
 __all__ = [
     "JordanType",
@@ -25,15 +25,6 @@ __all__ = [
     "jordan_types",
     "BATCH_DIM_CUTOFF",
 ]
-
-# Stacks of matrices above this size are typed one matrix at a time by
-# from_nilpotent.  Eliminating a whole stack pays a few numpy calls per
-# column for all slices at once, which wins while matrices are small; the
-# per-matrix image chain shrinks with the ranks and wins on larger ones.
-# Measured crossover, level sweeps in stacks of constancy.STACK_CELLS
-# entries: stacked/per-matrix time 0.84 at dim 32, 1.0-1.4 at dim 40 and
-# 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2).
-BATCH_DIM_CUTOFF = 32
 
 
 class Dominance(Enum):
@@ -140,7 +131,7 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     runs over every slice at once; a slice leaves the stack once its power
     is zero.  Like from_nilpotent, raises ValueError when some A^p != 0.
     Matrices larger than BATCH_DIM_CUTOFF go through from_nilpotent one by
-    one.
+    one, whose image chain shrinks with the ranks.
     """
     stack = np.asarray(stack, dtype=np.int64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
@@ -162,7 +153,7 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
             if np.any(power):
                 raise ValueError(f"matrix is not nilpotent of order <= {p}")
             break
-        r = _stack_ranks(field, power)
+        r = stack_ranks(field, power)
         ranks[live, j] = r
         live, power = live[r > 0], power[r > 0]
         if live.size == 0:
@@ -173,48 +164,6 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     distinct, which = np.unique(counts, axis=0, return_inverse=True)
     types = [JordanType(p, tuple(row)) for row in distinct.tolist()]
     return [types[i] for i in which.ravel().tolist()]
-
-
-def _stack_ranks(field: Field, a: np.ndarray) -> np.ndarray:
-    """Rank of every slice of a (points, n, n) stack.
-
-    Column by column, each slice takes its first nonzero row at or below
-    its current rank as pivot and clears the rows below it.  Rows above a
-    slice's rank are finished and are not kept up to date, and only rows
-    with a nonzero entry under some pivot are touched.
-    """
-    a = a.copy()
-    count, n, _ = a.shape
-    rank = np.zeros(count, dtype=np.int64)
-    rows = np.arange(n)
-    for c in range(n):
-        col = a[:, :, c]
-        cand = (col != 0) & (rows >= rank[:, None])
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        idx = np.nonzero(has)[0]
-        r = rank[idx]
-        rank[idx] += 1
-        if c + 1 == n:
-            break
-        piv = cand[idx].argmax(axis=1)
-        # the pivot row leaves the open rows; row r takes its place
-        at = np.arange(idx.size)
-        prow = a[idx, piv, c + 1 :]
-        a[idx, piv, c + 1 :] = a[idx, r, c + 1 :]
-        factors = col[idx]
-        factors[at, piv] = factors[at, r]
-        factors[rows[None, :] <= r[:, None]] = 0
-        touched = np.flatnonzero(factors.any(axis=0))
-        if touched.size == 0:
-            continue
-        # row i -= (a[i, c] / pivot) * pivot row, for the open rows i > r
-        scale = field.neg(field.pow_array(col[idx, piv], field.q - 2))
-        factors = field.mul(factors[:, touched], scale[:, None])
-        block = (idx[:, None], touched[None, :], slice(c + 1, None))
-        a[block] = field.add(a[block], field.mul(factors[:, :, None], prow[:, None, :]))
-    return rank
 
 
 def dominance_compare(a: JordanType, b: JordanType) -> Dominance:

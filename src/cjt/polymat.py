@@ -1,10 +1,9 @@
 """Matrices of homogeneous polynomials over GF(p).
 
-Provides generic rank over the rational function field (fraction-free
-Bareiss elimination), the gcd of all k x k minors for two variables (the
-k-th determinantal divisor, assembled from both affine charts), and a
-sweep of projective space over growing field extensions for common zeros
-of minors.
+Provides generic rank over the rational function field (certified point
+evaluation), the gcd of all k x k minors for two variables (the k-th
+determinantal divisor, assembled from both affine charts), and a sweep of
+projective space over growing field extensions for common zeros of minors.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cjt.exactalg import Field, _echelonize, make_field
+from cjt.exactalg import STACK_CELLS, Field, make_field, stack_ranks
 
 __all__ = [
     "HomPoly",
@@ -174,27 +173,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.p, self.nvars, out)
 
-    def power(self, n: int) -> "PolyMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if n == 0:
-            raise ValueError("power must be >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = out.matmul(self)
-        return out
-
-    def column_degrees(self) -> list[int | None]:
-        """Per-column common degree of the nonzero entries (None if the
-        column is zero); raises if a column mixes degrees."""
-        out: list[int | None] = []
-        for j in range(self.cols):
-            degs = {self.entries[i][j].degree for i in range(self.rows)} - {None}
-            if len(degs) > 1:
-                raise ValueError(f"column {j} mixes degrees {sorted(degs)}")
-            out.append(degs.pop() if degs else None)
-        return out
-
     def evaluate(self, field: Field, coords: Sequence[int]) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.int64)
         for i in range(self.rows):
@@ -292,119 +270,6 @@ def _uni_matrix(m: PolyMatrix, chart: int) -> list[list[np.ndarray]]:
     return [[_dehomogenize(q, chart) for q in row] for row in m.entries]
 
 
-# ---------------------------------------------------------------------------
-# generic rank by fraction-free elimination
-# ---------------------------------------------------------------------------
-
-def _bareiss_rank_uni(mat: list[list[np.ndarray]], p: int) -> int:
-    """Fraction-free elimination over GF(p)[s]; pivots scan columns left to
-    right, taking the first nonzero entry below the current row."""
-    if not mat or not mat[0]:
-        return 0
-    rows, cols = len(mat), len(mat[0])
-    m = [[e.copy() for e in row] for row in mat]
-    prev = np.ones(1, dtype=np.int64)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv_row = next((i for i in range(r, rows) if not _u_is_zero(m[i][c])), None)
-        if piv_row is None:
-            continue
-        if piv_row != r:
-            m[r], m[piv_row] = m[piv_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, rows):
-            if all(_u_is_zero(m[i][j]) for j in range(c, cols)):
-                continue
-            head = m[i][c]
-            for j in range(c + 1, cols):
-                num = _u_sub(_u_mul(piv, m[i][j], p), _u_mul(head, m[r][j], p), p)
-                m[i][j] = _u_div_exact(num, prev, p) if prev.size > 1 or prev[0] != 1 else num
-            m[i][c] = np.zeros(0, dtype=np.int64)
-        prev = piv
-        r += 1
-    return r
-
-
-def _dict_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = (out.get(e, 0) + c1 * c2) % p
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _dict_sub(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        v = (out.get(e, 0) - c) % p
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple:
-    return (sum(e), e)
-
-
-def _dict_div_exact(a: dict, b: dict, p: int) -> dict:
-    """Exact multivariate division (graded-lex leading terms)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_b = max(b, key=_grlex_key)
-    inv_lb = pow(b[lead_b], p - 2, p)
-    rem = dict(a)
-    quo: dict = {}
-    while rem:
-        lead_r = max(rem, key=_grlex_key)
-        diff = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(d < 0 for d in diff):
-            raise ArithmeticError("inexact polynomial division in fraction-free step")
-        c = (rem[lead_r] * inv_lb) % p
-        quo[diff] = c
-        rem = _dict_sub(rem, _dict_mul({diff: c}, b, p), p)
-    return quo
-
-
-def _bareiss_rank_dict(mat: list[list[dict]], p: int) -> int:
-    if not mat or not mat[0]:
-        return 0
-    rows, cols = len(mat), len(mat[0])
-    m = [[dict(e) for e in row] for row in mat]
-    prev: dict = {(0,) * 0: 1}  # placeholder; replaced by real pivot below
-    prev_is_one = True
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv_row is None:
-            continue
-        if piv_row != r:
-            m[r], m[piv_row] = m[piv_row], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, rows):
-            if not any(m[i][j] for j in range(c, cols)):
-                continue
-            head = m[i][c]
-            for j in range(c + 1, cols):
-                num = _dict_sub(_dict_mul(piv, m[i][j], p), _dict_mul(head, m[r][j], p), p)
-                m[i][j] = num if prev_is_one else (_dict_div_exact(num, prev, p) if num else {})
-            m[i][c] = {}
-        prev = piv
-        prev_is_one = False
-        r += 1
-    return r
-
-
 def _uniform_profile(m: PolyMatrix) -> bool:
     """True when nonzero entries share one degree per row or per column, so
     that every minor is homogeneous and dehomogenizing is rank-safe."""
@@ -420,18 +285,102 @@ def _uniform_profile(m: PolyMatrix) -> bool:
     return rowwise or colwise
 
 
-def generic_rank(m: PolyMatrix) -> int:
-    """Rank over the rational function field GF(p)(x_1..x_nvars).
+def _homogenized(m: PolyMatrix, top: int) -> PolyMatrix:
+    """The matrix with a new first variable x0 padding every entry to the
+    top degree.  Setting x0 = 1 recovers the matrix, and every minor is
+    homogeneous, so the rank over the function field is unchanged."""
+    nvars = m.nvars + 1
+    return PolyMatrix(m.p, nvars, [
+        [HomPoly(m.p, nvars, {(top - q.degree,) + e: c for e, c in q.terms.items()}) for q in row]
+        for row in m.entries
+    ])
 
-    Fraction-free (Bareiss) elimination keeps every intermediate entry a
-    polynomial; equals the maximal rank attained by evaluation at points of
-    arbitrary extensions.
+
+def _coefficient_form(m: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent vectors (terms x nvars) and GF(p) coefficients (terms x
+    rows*cols) of the distinct monomials of the entries."""
+    index: dict[tuple[int, ...], int] = {}
+    terms, cells, coefs = [], [], []
+    for i, row in enumerate(m.entries):
+        for j, q in enumerate(row):
+            for exps, c in q.terms.items():
+                terms.append(index.setdefault(exps, len(index)))
+                cells.append(i * m.cols + j)
+                coefs.append(c)
+    coef = np.zeros((len(index), m.rows * m.cols), dtype=np.int64)
+    coef[terms, cells] = coefs
+    return np.array(list(index), dtype=np.int64).reshape(len(index), m.nvars), coef
+
+
+def _evaluate_stack(field: Field, form: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
+    """The matrix, given by its coefficient form, at each of a block of
+    points: a (points, rows * cols) array of codes."""
+    exps, coef = form
+    powers = []
+    for j in range(exps.shape[1]):
+        chain = [np.ones(points.shape[0], dtype=np.int64)]
+        for _ in range(int(exps[:, j].max(initial=0))):
+            chain.append(field.mul(chain[-1], points[:, j]))
+        powers.append(chain)
+    monomials = np.empty((points.shape[0], exps.shape[0]), dtype=np.int64)
+    for k, row in enumerate(exps.tolist()):
+        val = powers[0][row[0]]
+        for j in range(1, len(row)):
+            if row[j]:
+                val = field.mul(val, powers[j][row[j]])
+        monomials[:, k] = val
+    return field.matmul(monomials, coef)
+
+
+def _stacked_ranks(m: PolyMatrix, form, field: Field, blocks):
+    """(points, ranks) of the matrix over the field, for each block of
+    points cut into stacks of at most STACK_CELLS entries."""
+    per_stack = max(1, STACK_CELLS // (m.rows * m.cols))
+    for block in blocks:
+        for i in range(0, block.shape[0], per_stack):
+            points = block[i : i + per_stack]
+            values = _evaluate_stack(field, form, points).reshape(-1, m.rows, m.cols)
+            yield points, stack_ranks(field, values)
+
+
+def generic_rank(m: PolyMatrix) -> int:
+    """Rank over the rational function field GF(p)(x_1..x_nvars), by
+    certified point evaluation.
+
+    Let rho be the largest rank seen at the points swept so far and D the
+    top entry degree.  Once p^e > (rho + 1) D, the Frobenius-orbit
+    representatives of P^(nvars-1)(GF(p^d)) are swept for every d | e.  A
+    nonzero (rho + 1)-minor is homogeneous of degree below p^e, so on the
+    chart x_1 = 1 it is a polynomial of degree below p^e in each variable
+    and does not vanish on all of GF(p^e)^(nvars-1); conjugate points have
+    equal ranks, as the coefficients lie in GF(p).  So if no swept point
+    has rank above rho, rho is the generic rank; otherwise rho grows and the
+    sweep goes on.  It stops early at full rank.  Unless the degrees are
+    uniform along rows or along columns, the matrix is homogenized first.
     """
-    if m.rows == 0 or m.cols == 0:
+    full = min(m.rows, m.cols)
+    if full == 0:
         return 0
-    if m.nvars <= 2 and _uniform_profile(m):
-        return _bareiss_rank_uni(_uni_matrix(m, 0), m.p)
-    return _bareiss_rank_dict([[dict(q.terms) for q in row] for row in m.entries], m.p)
+    degree = max((q.degree for row in m.entries for q in row if not q.is_zero), default=0)
+    if m.nvars == 0 or not _uniform_profile(m):
+        # P^(-1) has no points: a matrix of constants gets a variable too
+        m = _homogenized(m, degree)
+    form = _coefficient_form(m)
+    best = 0
+    swept: set[int] = set()
+    while True:
+        e = 1
+        while m.p**e <= (best + 1) * degree:
+            e += 1
+        todo = [d for d in range(1, e + 1) if e % d == 0 and d not in swept]
+        if not todo:
+            return best
+        field = make_field(m.p, todo[0])
+        for _, ranks in _stacked_ranks(m, form, field, _orbit_blocks(field, m.nvars)):
+            best = max(best, int(ranks.max()))
+            if best == full:
+                return full
+        swept.add(todo[0])
 
 
 # ---------------------------------------------------------------------------
@@ -622,41 +571,6 @@ class CommonZeroNotFound:
     extensions_tested: list[int]
 
 
-def _minor_polys(m: PolyMatrix, k: int) -> list[HomPoly]:
-    """All k x k minor determinants, expanded symbolically (small k)."""
-    out = []
-    for rsel in combinations(range(m.rows), k):
-        for csel in combinations(range(m.cols), k):
-            det = HomPoly.zero(m.p, m.nvars)
-            from itertools import permutations
-
-            for perm in permutations(range(k)):
-                inv = sum(
-                    1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-                )
-                term = HomPoly(m.p, m.nvars, {(0,) * m.nvars: (-1) ** inv % m.p})
-                for i in range(k):
-                    term = term.mul(m.entries[rsel[i]][csel[perm[i]]])
-                    if term.is_zero:
-                        break
-                det = det.add(term) if not term.is_zero else det
-            out.append(det)
-    return out
-
-
-def _eval_poly_block(field: Field, q: HomPoly, coords: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of a polynomial at a block of points (N x nvars)."""
-    n = coords.shape[0]
-    acc = np.zeros(n, dtype=np.int64)
-    for exps, coef in q.terms.items():
-        val = np.full(n, coef % field.p, dtype=np.int64)
-        for j, a in enumerate(exps):
-            if a:
-                val = field.mul(val, field.pow_array(coords[:, j], a))
-        acc = field.add(acc, val)
-    return acc
-
-
 def _point_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
     """Sweep-ordered normalized points in numpy blocks."""
     ordered = np.asarray(field.ordered_codes(), dtype=np.int64)
@@ -676,35 +590,61 @@ def _point_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
             yield block
 
 
+def _orbit_blocks(field: Field, nvars: int):
+    """Sweep-ordered normalized points of P^(nvars-1) defined over the field
+    and over no proper subfield, one per Frobenius orbit (its first point
+    in sweep order), in numpy blocks.
+
+    Frobenius fixes 0 and 1, so it maps normalized points to normalized
+    points; a matrix with coefficients in GF(p) has conjugate values, with
+    equal ranks and Jordan types, at conjugate points.
+    """
+    if field.e == 1:
+        yield from _point_blocks(field, nvars)
+        return
+    if nvars * np.log2(float(field.q)) >= 62:
+        raise ValueError(
+            f"cannot sweep GF({field.p}^{field.e}) with r = {nvars}: {field.q}^{nvars} coordinate "
+            "tuples are too many to enumerate (point keys need q^r < 2^62)"
+        )
+    order_index = np.zeros(field.q, dtype=np.int64)
+    order_index[field.ordered_codes()] = np.arange(field.q)
+    weights = field.q ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    divisors = [d for d in range(1, field.e) if field.e % d == 0]
+    for block in _point_blocks(field, nvars):
+        keep = np.ones(block.shape[0], dtype=bool)
+        for d in divisors:
+            x = block
+            for _ in range(d):
+                x = field.frobenius(x)
+            keep &= ~np.all(x == block, axis=1)
+        base_key = order_index[block] @ weights
+        x = block
+        for _ in range(field.e - 1):
+            x = field.frobenius(x)
+            keep &= order_index[x] @ weights >= base_key
+        if keep.any():
+            yield block[keep]
+
+
 def common_zero_search(
     m: PolyMatrix, k: int, max_e: int
 ) -> CommonZeroWitness | CommonZeroNotFound:
     """First projective point (sweep order, extensions ascending) where all
-    k x k minors vanish, i.e. where the evaluated matrix has rank < k."""
+    k x k minors vanish, i.e. where the evaluated matrix has rank < k.
+    Requires a row- or column-uniform degree profile, so that minors are
+    homogeneous and their zeros are projective points."""
     if max_e < 1:
         raise ValueError("max_e must be >= 1")
     if k < 1 or k > min(m.rows, m.cols):
         raise ValueError(f"minor size {k} out of range")
-    minors = _minor_polys(m, k) if k <= 3 else None
+    if not _uniform_profile(m):
+        raise ValueError("degree profile must be row- or column-uniform")
+    form = _coefficient_form(m)
     for e in range(1, max_e + 1):
         field = make_field(m.p, e)
-        if minors is not None:
-            for block in _point_blocks(field, m.nvars):
-                vanish = np.ones(block.shape[0], dtype=bool)
-                for q in minors:
-                    if not np.any(vanish):
-                        break
-                    if q.is_zero:
-                        continue
-                    vanish &= _eval_poly_block(field, q, block) == 0
-                hits = np.nonzero(vanish)[0]
-                if hits.size:
-                    coords = tuple(int(c) for c in block[hits[0]])
-                    return CommonZeroWitness(coords, e, field)
-        else:
-            for coords in projective_points(field, m.nvars):
-                val = m.evaluate(field, coords)
-                work = val.copy()
-                if len(_echelonize(field, work, work.shape[1])) < k:
-                    return CommonZeroWitness(coords, e, field)
+        for points, ranks in _stacked_ranks(m, form, field, _point_blocks(field, m.nvars)):
+            hits = np.flatnonzero(ranks < k)
+            if hits.size:
+                return CommonZeroWitness(tuple(int(c) for c in points[hits[0]]), e, field)
     return CommonZeroNotFound(list(range(1, max_e + 1)))

@@ -1,13 +1,14 @@
 """Cross-validation between independent code paths.
 
 Each test pits two genuinely different computations of the same quantity
-against each other: symbolic vs dehomogenized elimination, minor scans vs
-Smith reduction, shift towers against their inverses, splittings against
+against each other: point evaluation vs fraction-free elimination, minor
+scans vs Smith reduction, shift towers against their inverses, splittings against
 isomorphism search.
 """
 
 import numpy as np
 import pytest
+from bareiss_oracle import bareiss_rank
 
 from cjt.constancy import PiPoint, jordan_at, sweep_points
 from cjt.exactalg import make_field, rank_array
@@ -42,11 +43,8 @@ def jt(p, blocks):
 
 
 class TestEliminationPathsAgree:
-    def test_generic_rank_dict_vs_univariate(self):
-        # uniform bivariate matrices may take either elimination path;
-        # force both and compare
-        from cjt.polymat import _bareiss_rank_dict, _bareiss_rank_uni
-
+    def test_generic_rank_vs_bareiss_oracle(self):
+        # certified point evaluation against fraction-free elimination
         p = 3
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -63,9 +61,7 @@ class TestEliminationPathsAgree:
                     row.append(HomPoly(p, 2, terms))
                 entries.append(row)
             m = PolyMatrix(p, 2, entries)
-            uni = _bareiss_rank_uni(_uni_matrix(m, 0), p)
-            dic = _bareiss_rank_dict([[dict(q.terms) for q in row] for row in m.entries], p)
-            assert uni == dic
+            assert generic_rank(m) == bareiss_rank(m)
 
     def test_minor_scan_vs_smith_reduction(self):
         p = 5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cjt import constancy
 from cjt.constancy import (
     PiPoint,
     check_constant,
@@ -14,6 +15,7 @@ from cjt.constancy import (
 from cjt.exactalg import make_field
 from cjt.jordan import Dominance, JordanType, dominance_compare
 from cjt.modrep import ModuleRep, free_module, tensor, trivial_module
+from cjt.polymat import generic_rank
 from cjt.zoo import ke_mod_i2, truncated_module, v_module, w_module
 
 
@@ -194,6 +196,30 @@ class TestCheckConstant:
                 constant_swept = swept.verdict == "CONSTANT_ON_TESTED"
                 assert constant_exact == constant_swept
                 assert exact.type == swept.type
+
+    def test_exact_path_reuses_the_generic_ranks(self, monkeypatch):
+        # one generic rank per pencil power up to the first power of rank
+        # zero, in generic_type and in the exact path alike, and the exact
+        # path reports the type generic_type gives
+        calls = []
+
+        def counted(power):
+            calls.append(power)
+            return generic_rank(power)
+
+        monkeypatch.setattr(constancy, "generic_rank", counted)
+        for p in (3, 5, 7):
+            f = make_field(p, 1)
+            for m in (w_module(f), ke_mod_i2(f, 2), v_module(f, 3), truncated_module(f, 2, 1, 4)):
+                calls.clear()
+                gen = generic_type(m)
+                powers = next((j for j in range(1, p) if gen.power_rank(j) == 0), p - 1)
+                assert len(calls) == powers
+                calls.clear()
+                rep = check_constant(m, exact=True)
+                assert len(calls) == powers
+                if rep.verdict == "CONSTANT_EXACT":
+                    assert rep.type == gen
 
 
 class TestGammaAndSupport:

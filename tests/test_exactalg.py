@@ -100,7 +100,9 @@ class TestMakeField:
     def test_gf25_modulus_matches_exhaustive_search(self):
         assert make_field(5, 2).modulus == brute_force_smallest_irreducible(5, 2)
 
-    @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (3, 3), (7, 2)])
+    @pytest.mark.parametrize(
+        "p,e", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 3), (7, 2), (7, 3)]
+    )
     def test_small_moduli_match_exhaustive_search(self, p, e):
         assert make_field(p, e).modulus == brute_force_smallest_irreducible(p, e)
 

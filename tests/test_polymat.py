@@ -220,6 +220,14 @@ class TestCommonZeroSearch:
         assert isinstance(res2, CommonZeroNotFound)
         assert res2.extensions_tested == [1, 2]
 
+    def test_mixed_degree_profile_rejected(self):
+        # minors of mixed degree are not homogeneous: no projective zero locus
+        p = 3
+        x, y = var(p, 2, 0), var(p, 2, 1)
+        m = PolyMatrix(p, 2, [[x, y.mul(y)], [y.mul(y), x]])
+        with pytest.raises(ValueError, match="uniform"):
+            common_zero_search(m, 2, max_e=1)
+
     def test_max_e_validation(self):
         p = 3
         m = PolyMatrix(p, 2, [[var(p, 2, 0)]])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cjt import jordan
+from cjt import exactalg, jordan
 from cjt.constancy import (
     PiPoint,
     evaluate,
@@ -82,6 +82,7 @@ def test_engine_matches_per_point_types(p, r, e, dim, seed):
 def test_stacked_elimination_above_the_cutoff(monkeypatch):
     # force the stacked kernel on matrices the sweeps type one by one
     monkeypatch.setattr(jordan, "BATCH_DIM_CUTOFF", 10**6)
+    monkeypatch.setattr(exactalg, "BATCH_DIM_CUTOFF", 10**6)
     f3 = make_field(3, 1)
     cases = [
         (omega_n(trivial_module(f3, 3, 1), -1), 1),  # dim 26

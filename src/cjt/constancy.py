@@ -174,32 +174,36 @@ def pencil(m: ModuleRep) -> PolyMatrix:
     """The symbolic linear combination of generators as a PolyMatrix."""
     if not m.field.is_prime_field:
         raise ValueError("pencils are formed over the prime field")
-    p, r = m.p, m.r
-    entries = []
-    for i in range(m.dim):
-        row = []
-        for j in range(m.dim):
-            terms = {}
-            for k in range(r):
-                c = int(m.gens[k][i, j])
-                if c:
-                    exps = [0] * r
-                    exps[k] = 1
-                    terms[tuple(exps)] = c
-            row.append(HomPoly(p, r, terms))
-        entries.append(row)
-    return PolyMatrix(p, r, entries)
+    return PolyMatrix.from_coefficients(m.p, _unit_exponents(m.r), np.stack(m.gens))
+
+
+def _unit_exponents(r: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == k) for i in range(r)) for k in range(r)]
 
 
 def _pencil_ranks(m: ModuleRep):
     """(P^j, generic rank of P^j) for the pencil P and j = 1, 2, ...,
     p - 1, stopping after the first power of rank zero: the later powers
-    vanish too."""
-    pen = pencil(m)
-    power = pen
+    vanish too.
+
+    P^j is kept as coefficient matrices C_j[a], one per monomial x^a of
+    degree j, and P^j = P^(j-1) P gives C_j[a] = sum_k C_(j-1)[a - e_k] A_k:
+    one stacked matmul per generator A_k.
+    """
+    power = pencil(m)
+    exps, stack = _unit_exponents(m.r), np.stack(m.gens)
     for j in range(1, m.p):
         if j > 1:
-            power = power.matmul(pen)
+            index: dict[tuple[int, ...], int] = {}
+            targets = [
+                [index.setdefault(a[:k] + (a[k] + 1,) + a[k + 1 :], len(index)) for a in exps]
+                for k in range(m.r)
+            ]
+            grown = np.zeros((len(index),) + stack.shape[1:], dtype=np.int64)
+            for k, gen in enumerate(m.gens):
+                grown[targets[k]] += m.field.matmul(stack, gen)
+            exps, stack = list(index), grown % m.p
+            power = PolyMatrix.from_coefficients(m.p, exps, stack)
         rho = generic_rank(power)
         yield power, rho
         if rho == 0:

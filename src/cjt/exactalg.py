@@ -3,14 +3,16 @@
 Elements of GF(p^e) are stored as integer *codes* in [0, p^e): the base-p
 digits of a code are the coordinates of the element in the power basis of
 the modulus polynomial (low degree first).  All matrix kernels below are
-vectorized over numpy int64 arrays of codes; nothing is ever floating
-point, so every comparison in this package is exact equality.
+vectorized over numpy int64 arrays of codes; matrix products pass through
+float64 only in sums that stay exact integers below 2^53, so every
+comparison in this package is exact equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +27,24 @@ __all__ = [
     "solve_linear",
     "nullspace",
 ]
+
+
+# Supported characteristics: p <= MAX_P, the largest p with (p - 1)^2 < 2^53,
+# so that a product of two elements of GF(p) is exact in float64 and matrix
+# products can go through BLAS.  Element codes are int64, so q = p^e < 2^63.
+_EXACT = 1 << 53
+MAX_P = isqrt(_EXACT - 1) + 1
+
+
+def _check_range(p: int, e: int) -> None:
+    if p > MAX_P:
+        raise ValueError(f"p = {p} is above the supported bound {MAX_P} ((p - 1)^2 must stay below 2^53)")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if e < 1:
+        raise ValueError(f"extension degree e = {e} must be >= 1")
+    if p**e >= 1 << 63:
+        raise ValueError(f"GF({p}^{e}) is too large: element codes need q = p^e < 2^63")
 
 
 # Largest field order for which GF(p^e), e >= 2, builds q x q code tables for
@@ -165,10 +185,7 @@ class Field:
     """
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError(f"extension degree e = {e} must be >= 1")
+        _check_range(p, e)
         modulus = tuple(int(c) % p for c in modulus)
         if e == 1:
             if modulus != (0, 1):
@@ -227,12 +244,16 @@ class Field:
             val = _poly_mod(_poly_mul(val, gp, p), self.modulus, p)
         self._exp = exp
         self._log = log
-        # reduction rows: coefficients of x^m mod modulus for m in [e, 2e-2]
-        red = np.zeros((2 * e - 1, e), dtype=np.int64)
-        for m in range(2 * e - 1):
-            r = _poly_mod((0,) * m + (1,), self.modulus, p)
-            red[m, : len(r)] = r
-        self._red = red
+
+    def _reduction_rows(self) -> np.ndarray:
+        """Coefficients of x^m mod the modulus, one row per m in [0, 2e - 2]."""
+        if self._red is None:
+            red = np.zeros((2 * self.e - 1, self.e), dtype=np.int64)
+            for m in range(2 * self.e - 1):
+                r = _poly_mod((0,) * m + (1,), self.modulus, self.p)
+                red[m, : len(r)] = r
+            self._red = red
+        return self._red
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self._exp is None:
@@ -406,29 +427,46 @@ class Field:
             out = out * self.p + planes[k] % self.p
         return out
 
+    def _exact_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x @ y mod p for float64 arrays of entries in [0, p), through BLAS.
+
+        A dot product of length k is exact in float64 while k (p - 1)^2 <
+        2^53; a longer inner dimension is cut into chunks that stay below
+        that, reduced mod p one by one.
+        """
+        step = (_EXACT - 1) // (self.p - 1) ** 2
+        inner = x.shape[-1]
+        if inner <= step:
+            return (x @ y).astype(np.int64) % self.p
+        out = 0
+        for s in range(0, inner, step):
+            out = (out + (x[..., s : s + step] @ y[..., s : s + step, :]).astype(np.int64)) % self.p
+        return out
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product; stacks (..., m, k) @ (..., k, n) multiply slice by slice."""
+        """Matrix product; stacks (..., m, k) @ (..., k, n) multiply slice by slice.
+
+        Exact for every supported p: see ``_exact_product``.  Over GF(p^e)
+        the up to e products of digit planes that land on one power of x
+        share a float64 sum while e k (p - 1)^2 < 2^53, else each is reduced
+        on its own.
+        """
         if self.e == 1:
-            # go through BLAS: with entries below p the accumulated dot
-            # products stay far below 2^53, so float64 arithmetic is exact
-            if a.shape[-1] * (self.p - 1) ** 2 < (1 << 53):
-                prod = (a % self.p).astype(np.float64) @ (b % self.p).astype(np.float64)
-                return prod.astype(np.int64) % self.p
-            return (a @ b) % self.p
-        if self._red is None:
-            self._build_tables()
+            return self._exact_product((a % self.p).astype(np.float64), (b % self.p).astype(np.float64))
+        red = self._reduction_rows()
         ap = [x.astype(np.float64) for x in self._planes(a)]
         bp = [x.astype(np.float64) for x in self._planes(b)]
+        fused = self.e * a.shape[-1] * (self.p - 1) ** 2 < _EXACT
         acc = [None] * (2 * self.e - 1)
         for k in range(self.e):
             for l in range(self.e):
-                prod = ap[k] @ bp[l]
+                prod = ap[k] @ bp[l] if fused else self._exact_product(ap[k], bp[l])
                 m = k + l
                 acc[m] = prod if acc[m] is None else acc[m] + prod
         acc = [x.astype(np.int64) % self.p for x in acc]
         planes = [acc[k] for k in range(self.e)]
         for m in range(self.e, 2 * self.e - 1):
-            row = self._red[m]  # type: ignore[index]
+            row = red[m]
             for k in range(self.e):
                 if row[k]:
                     planes[k] = planes[k] + int(row[k]) * acc[m]
@@ -437,8 +475,7 @@ class Field:
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
             return np.kron(a, b) % self.p
-        if self._red is None:
-            self._build_tables()
+        red = self._reduction_rows()
         ap, bp = self._planes(a), self._planes(b)
         acc = [None] * (2 * self.e - 1)
         for k in range(self.e):
@@ -449,7 +486,7 @@ class Field:
         acc = [x % self.p for x in acc]
         planes = [acc[k] for k in range(self.e)]
         for m in range(self.e, 2 * self.e - 1):
-            row = self._red[m]  # type: ignore[index]
+            row = red[m]
             for k in range(self.e):
                 if row[k]:
                     planes[k] = planes[k] + int(row[k]) * acc[m]
@@ -504,10 +541,7 @@ def make_field(p: int, e: int) -> Field:
     Coefficient lists are compared low-degree-first, so the chosen modulus
     is deterministic across runs and serialized data stays portable.
     """
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if e < 1:
-        raise ValueError(f"extension degree e = {e} must be >= 1")
+    _check_range(p, e)
     if e == 1:
         return Field(p, 1, (0, 1))
     # candidates (c_0, ..., c_{e-1}, 1) in lexicographic order on the low-first

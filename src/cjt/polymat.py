@@ -2,19 +2,20 @@
 
 Provides generic rank over the rational function field (certified point
 evaluation), the gcd of all k x k minors for two variables (the k-th
-determinantal divisor, assembled from both affine charts), and a sweep of
-projective space over growing field extensions for common zeros of minors.
+determinantal divisor, from a Smith reduction of numpy coefficient
+tensors), and a sweep of projective space over growing field extensions
+for common zeros of minors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from cjt.exactalg import STACK_CELLS, Field, make_field, stack_ranks
+from cjt.exactalg import STACK_CELLS, Field, make_field, rank_array, stack_ranks
 
 __all__ = [
     "HomPoly",
@@ -26,11 +27,6 @@ __all__ = [
     "CommonZeroNotFound",
     "projective_points",
 ]
-
-# full minor enumeration is attempted below this count; beyond it the
-# determinantal divisor comes from the Smith form instead
-_MINOR_SCAN_CAP = 2000
-
 
 class HomPoly:
     """Homogeneous polynomial: nonzero coefficients indexed by exponent
@@ -157,21 +153,19 @@ class PolyMatrix:
         z = HomPoly.zero(p, nvars)
         return cls(p, nvars, [[z] * cols for _ in range(rows)])
 
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = HomPoly.zero(self.p, self.nvars)
-                for k in range(self.cols):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc.add(a.mul(b))
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.p, self.nvars, out)
+    @classmethod
+    def from_coefficients(cls, p: int, exps: Sequence[tuple[int, ...]], stack: np.ndarray) -> "PolyMatrix":
+        """The matrix sum_a x^exps[a] stack[a] from a (monomials, rows, cols)
+        stack of GF(p) coefficient matrices; the exponent vectors are
+        distinct and share one total degree."""
+        _, rows, cols = stack.shape
+        nvars = len(exps[0])
+        terms: list[list[dict]] = [[{} for _ in range(cols)] for _ in range(rows)]
+        stack = stack % p
+        mono, ii, jj = np.nonzero(stack)
+        for a, i, j, c in zip(mono.tolist(), ii.tolist(), jj.tolist(), stack[mono, ii, jj].tolist()):
+            terms[i][j][exps[a]] = c
+        return cls(p, nvars, [[HomPoly(p, nvars, t) for t in row] for row in terms])
 
     def evaluate(self, field: Field, coords: Sequence[int]) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.int64)
@@ -181,93 +175,6 @@ class PolyMatrix:
                 if not q.is_zero:
                     out[i, j] = q.eval(field, coords)
         return out
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers (numpy coefficient arrays, low degree first)
-# ---------------------------------------------------------------------------
-
-def _u_trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    if nz.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return a[: nz[-1] + 1]
-
-def _u_is_zero(a: np.ndarray) -> bool:
-    return a.size == 0
-
-def _u_deg(a: np.ndarray) -> int:
-    return a.size - 1
-
-def _u_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if _u_is_zero(a) or _u_is_zero(b):
-        return np.zeros(0, dtype=np.int64)
-    return np.convolve(a, b) % p
-
-def _u_sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    n = max(a.size, b.size)
-    out = np.zeros(n, dtype=np.int64)
-    out[: a.size] = a
-    out[: b.size] = (out[: b.size] - b) % p
-    return _u_trim(out)
-
-def _u_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    if _u_is_zero(b):
-        raise ZeroDivisionError("polynomial division by zero")
-    r = a.copy() % p
-    db = _u_deg(b)
-    inv_lead = pow(int(b[-1]), p - 2, p)
-    if _u_deg(r) < db:
-        return np.zeros(0, dtype=np.int64), _u_trim(r)
-    quo = np.zeros(_u_deg(r) - db + 1, dtype=np.int64)
-    for k in range(quo.size - 1, -1, -1):
-        top = r[k + db] % p
-        if top:
-            q = (top * inv_lead) % p
-            quo[k] = q
-            r[k : k + db + 1] = (r[k : k + db + 1] - q * b) % p
-    return quo, _u_trim(r)
-
-def _u_div_exact(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    quo, rem = _u_divmod(a, b, p)
-    if not _u_is_zero(rem):
-        raise ArithmeticError("inexact polynomial division in fraction-free step")
-    return quo
-
-def _u_monic(a: np.ndarray, p: int) -> np.ndarray:
-    if _u_is_zero(a):
-        return a
-    return (a * pow(int(a[-1]), p - 2, p)) % p
-
-def _u_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a, b = _u_trim(a % p), _u_trim(b % p)
-    while not _u_is_zero(b):
-        _, r = _u_divmod(a, b, p)
-        a, b = b, r
-    return _u_monic(a, p)
-
-def _u_valuation(a: np.ndarray) -> int:
-    """Order of vanishing at 0 (degree of the poly for the zero input)."""
-    nz = np.nonzero(a)[0]
-    return int(nz[0]) if nz.size else 0
-
-
-def _dehomogenize(q: HomPoly, chart: int) -> np.ndarray:
-    """One- or two-variable HomPoly as a univariate array: chart 0 keeps x1
-    as the variable (setting x2 = 1), chart 1 the other way round."""
-    if q.is_zero:
-        return np.zeros(0, dtype=np.int64)
-    out = np.zeros(q.degree + 1, dtype=np.int64)
-    for exps, c in q.terms.items():
-        if len(exps) == 1:
-            out[exps[0] if chart == 0 else q.degree - exps[0]] = c
-        else:
-            out[exps[chart]] = c
-    return _u_trim(out)
-
-
-def _uni_matrix(m: PolyMatrix, chart: int) -> list[list[np.ndarray]]:
-    return [[_dehomogenize(q, chart) for q in row] for row in m.entries]
 
 
 def _uniform_profile(m: PolyMatrix) -> bool:
@@ -348,15 +255,17 @@ def generic_rank(m: PolyMatrix) -> int:
     certified point evaluation.
 
     Let rho be the largest rank seen at the points swept so far and D the
-    top entry degree.  Once p^e > (rho + 1) D, the Frobenius-orbit
-    representatives of P^(nvars-1)(GF(p^d)) are swept for every d | e.  A
-    nonzero (rho + 1)-minor is homogeneous of degree below p^e, so on the
-    chart x_1 = 1 it is a polynomial of degree below p^e in each variable
-    and does not vanish on all of GF(p^e)^(nvars-1); conjugate points have
-    equal ranks, as the coefficients lie in GF(p).  So if no swept point
-    has rank above rho, rho is the generic rank; otherwise rho grows and the
-    sweep goes on.  It stops early at full rank.  Unless the degrees are
-    uniform along rows or along columns, the matrix is homogenized first.
+    top entry degree.  Once p^e >= (rho + 1) D, the Frobenius-orbit
+    representatives of P^(nvars-1)(GF(p^d)) are swept for every d | e, so
+    every point of P^(nvars-1)(GF(q)), q = p^e, has been seen up to
+    conjugacy; conjugate points have equal ranks, as the coefficients lie
+    in GF(p).  A nonzero (rho + 1)-minor is a form of degree d <= q, and by
+    Serre's bound such a form vanishes at no more than d q^(n-1) + q^(n-2)
+    + ... + 1 of the q^n + q^(n-1) + ... + 1 points of P^n(GF(q)), n =
+    nvars - 1: not at all of them.  So if no swept point has rank above
+    rho, rho is the generic rank; otherwise rho grows and the sweep goes
+    on.  It stops early at full rank.  Unless the degrees are uniform along
+    rows or along columns, the matrix is homogenized first.
     """
     full = min(m.rows, m.cols)
     if full == 0:
@@ -370,7 +279,7 @@ def generic_rank(m: PolyMatrix) -> int:
     swept: set[int] = set()
     while True:
         e = 1
-        while m.p**e <= (best + 1) * degree:
+        while m.p**e < (best + 1) * degree:
             e += 1
         todo = [d for d in range(1, e + 1) if e % d == 0 and d not in swept]
         if not todo:
@@ -387,132 +296,137 @@ def generic_rank(m: PolyMatrix) -> int:
 # gcd of all k x k minors, two variables
 # ---------------------------------------------------------------------------
 
-def _uni_minor_det(mat: list[list[np.ndarray]], rows: tuple[int, ...], cols: tuple[int, ...], p: int) -> np.ndarray:
-    """Determinant of a square submatrix by fraction-free elimination."""
-    k = len(rows)
-    sub = [[mat[i][j].copy() for j in cols] for i in rows]
-    prev = np.ones(1, dtype=np.int64)
-    sign = 1
-    for t in range(k):
-        piv_row = next((i for i in range(t, k) if not _u_is_zero(sub[i][t])), None)
-        if piv_row is None:
-            return np.zeros(0, dtype=np.int64)
-        if piv_row != t:
-            sub[t], sub[piv_row] = sub[piv_row], sub[t]
-            sign = -sign
-        piv = sub[t][t]
-        for i in range(t + 1, k):
-            head = sub[i][t]
-            for j in range(t + 1, k):
-                num = _u_sub(_u_mul(piv, sub[i][j], p), _u_mul(head, sub[t][j], p), p)
-                sub[i][j] = _u_div_exact(num, prev, p) if (prev.size > 1 or prev[0] != 1) else num
-            sub[i][t] = np.zeros(0, dtype=np.int64)
-        prev = piv
-    det = sub[k - 1][k - 1]
-    if sign < 0:
-        det = (-det) % p
-    return _u_trim(det)
+def _u_trim(a: np.ndarray) -> np.ndarray:
+    nz = np.flatnonzero(a)
+    return a[: nz[-1] + 1] if nz.size else a[:0]
 
 
-def _smith_determinantal_divisor(mat: list[list[np.ndarray]], k: int, p: int) -> np.ndarray:
-    """Product of the first k invariant factors of a univariate polynomial
-    matrix (the gcd of its k x k minors), by Smith reduction."""
-    m = [[e.copy() for e in row] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    invariants: list[np.ndarray] = []
-    top = 0
-    while top < min(rows, cols):
-        # locate a nonzero entry of minimal degree
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if not _u_is_zero(m[i][j]):
-                    if best is None or _u_deg(m[i][j]) < _u_deg(m[best[0]][best[1]]):
-                        best = (i, j)
-        if best is None:
+def _u_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    if a.size == 0 or b.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.convolve(a, b) % p
+
+
+def _u_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    r = _u_trim(a % p)
+    db = b.size - 1
+    if r.size - 1 < db:
+        return np.zeros(0, dtype=np.int64), r
+    inv_lead = pow(int(b[-1]), p - 2, p)
+    quo = np.zeros(r.size - db, dtype=np.int64)
+    for k in range(quo.size - 1, -1, -1):
+        q = (int(r[k + db]) * inv_lead) % p
+        if q:
+            quo[k] = q
+            r[k : k + db + 1] = (r[k : k + db + 1] - q * b) % p
+    return quo, _u_trim(r)
+
+
+def _u_monic(a: np.ndarray, p: int) -> np.ndarray:
+    return (a * pow(int(a[-1]), p - 2, p)) % p if a.size else a
+
+
+def _u_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    while b.size:
+        a, b = b, _u_divmod(a, b, p)[1]
+    return _u_monic(a, p)
+
+
+def _degrees(t: np.ndarray) -> np.ndarray:
+    """Degree of every entry of a coefficient tensor; -1 for zero entries."""
+    nz = t != 0
+    return np.where(nz.any(axis=-1), t.shape[-1] - 1 - np.argmax(nz[..., ::-1], axis=-1), -1)
+
+
+def _reduce_column(t: np.ndarray, p: int) -> np.ndarray:
+    """Replace the entries t[1:, 0] by their remainders modulo the pivot
+    t[0, 0], in place, by subtracting quotient multiples of row 0 from the
+    rows below.  One long division serves the whole column: each step
+    takes one quotient degree for every row at once.  Returns t, its last
+    axis grown if the products need more room."""
+    dp = int(_degrees(t[0, 0]))
+    top = int(_degrees(t[1:, 0]).max(initial=-1))
+    if top < dp:
+        return t
+    width = int(_degrees(t[0]).max()) + 1
+    need = top - dp + width
+    if need > t.shape[2]:
+        t = np.concatenate([t, np.zeros(t.shape[:2] + (need - t.shape[2],), dtype=np.int64)], axis=2)
+    inv = pow(int(t[0, 0, dp]), p - 2, p)
+    line = t[0, :, :width]
+    for s in range(top, dp - 1, -1):
+        c = t[1:, 0, s] * inv % p
+        if c.any():
+            seg = t[1:, :, s - dp : s - dp + width]
+            seg -= c[:, None, None] * line
+            seg %= p
+    return t
+
+
+def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Monic gcd of the k x k minors of a matrix over GF(p)[u], given as an
+    int64 coefficient tensor (rows, cols, degree + 1), low degree first;
+    the zero polynomial (an empty array) when k exceeds the rank.
+
+    Euclidean Smith reduction: a nonzero entry of least degree moves to
+    the corner, and its column and row are reduced modulo it until both
+    are clear, which ends as the corner's degree drops every round.  These
+    unimodular steps keep the gcd of the k-minors, so it is that of the
+    nonzero diagonal d_1..d_r: the product of the first k invariant
+    factors, which (gcd, lcm) exchanges sort out of the diagonal.  For
+    k = r it is the product of the whole diagonal.
+    """
+    t = t % p
+    diagonal = []
+    while min(t.shape[:2]) > 0:
+        deg = _degrees(t)
+        if deg.max() < 0:
             break
+        t = t[..., : deg.max() + 1]
+        corner = t.shape[2]
         while True:
-            bi, bj = best
-            if bi != top:
-                m[top], m[bi] = m[bi], m[top]
-            if bj != top:
-                for row in m:
-                    row[top], row[bj] = row[bj], row[top]
-            piv = m[top][top]
-            dirty = False
-            for i in range(top + 1, rows):
-                if _u_is_zero(m[i][top]):
-                    continue
-                q, _ = _u_divmod(m[i][top], piv, p)
-                if not _u_is_zero(q):
-                    for j in range(top, cols):
-                        m[i][j] = _u_sub(m[i][j], _u_mul(q, m[top][j], p), p)
-                if not _u_is_zero(m[i][top]):
-                    dirty = True
-            for j in range(top + 1, cols):
-                if _u_is_zero(m[top][j]):
-                    continue
-                q, _ = _u_divmod(m[top][j], piv, p)
-                if not _u_is_zero(q):
-                    for i in range(top, rows):
-                        m[i][j] = _u_sub(m[i][j], _u_mul(q, m[i][top], p), p)
-                if not _u_is_zero(m[top][j]):
-                    dirty = True
-            if dirty:
-                best = None
-                for i in range(top, rows):
-                    for j in range(top, cols):
-                        if not _u_is_zero(m[i][j]):
-                            if best is None or _u_deg(m[i][j]) < _u_deg(m[best[0]][best[1]]):
-                                best = (i, j)
-                continue
-            # pivot must divide every remaining entry for true invariant factors
-            offender = None
-            for i in range(top + 1, rows):
-                for j in range(top + 1, cols):
-                    if not _u_is_zero(m[i][j]):
-                        _, rem = _u_divmod(m[i][j], piv, p)
-                        if not _u_is_zero(rem):
-                            offender = i
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
+            i, j = np.unravel_index(np.argmin(np.where(deg < 0, t.shape[2], deg)), deg.shape)
+            if deg[i, j] >= corner:
+                raise ArithmeticError("Smith reduction stalled: the corner degree did not drop")
+            corner = deg[i, j]
+            t[[0, i]] = t[[i, 0]]
+            t[:, [0, j]] = t[:, [j, 0]]
+            t = _reduce_column(t, p)
+            t = _reduce_column(t.transpose(1, 0, 2), p).transpose(1, 0, 2)
+            if not (t[1:, 0].any() or t[0, 1:].any()):
                 break
-            for j in range(top, cols):
-                m[top][j] = _u_sub(m[top][j], (-m[offender][j]) % p, p)
-            best = (top, top)
-        invariants.append(_u_monic(m[top][top], p))
-        top += 1
-    if k > len(invariants):
+            deg = _degrees(t)
+        diagonal.append(_u_monic(_u_trim(t[0, 0]), p))
+        t = t[1:, 1:]
+    if k > len(diagonal):
         return np.zeros(0, dtype=np.int64)
+    if k < len(diagonal):
+        for i in range(k):
+            for j in range(i + 1, len(diagonal)):
+                g = _u_gcd(diagonal[i], diagonal[j], p)
+                diagonal[i], diagonal[j] = g, _u_divmod(_u_mul(diagonal[i], diagonal[j], p), g, p)[0]
     out = np.ones(1, dtype=np.int64)
-    for a in invariants[:k]:
-        out = _u_mul(out, a, p)
-    return _u_monic(out, p)
+    for d in diagonal[:k]:
+        out = _u_mul(out, d, p)
+    return out
 
 
-def _minor_gcd_uni(mat: list[list[np.ndarray]], k: int, p: int) -> np.ndarray:
-    """gcd of all k x k minors of a univariate matrix; scans minors in
-    row-combination lexicographic order with early exit, falling back to
-    the Smith form when the enumeration is too large."""
-    rows, cols = len(mat), len(mat[0]) if mat else 0
-    if k > min(rows, cols):
-        return np.zeros(0, dtype=np.int64)
-    from math import comb
-
-    n_minors = comb(rows, k) * comb(cols, k)
-    if n_minors <= _MINOR_SCAN_CAP:
-        g = np.zeros(0, dtype=np.int64)
-        for rsel in combinations(range(rows), k):
-            for csel in combinations(range(cols), k):
-                det = _uni_minor_det(mat, rsel, csel, p)
-                g = _u_gcd(g, det, p)
-                if (not _u_is_zero(g)) and _u_deg(g) == 0:
-                    return g
-        return g
-    return _smith_determinantal_divisor(mat, k, p)
+def _chart_tensors(m: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient tensors (rows, cols, degree + 1) of a two-variable
+    matrix on its affine charts: chart 0 sets x2 = 1 and keeps x1 as the
+    variable, chart 1 sets x1 = 1 and keeps x2."""
+    cells = [
+        (i, j, a, b, c)
+        for i, row in enumerate(m.entries)
+        for j, q in enumerate(row)
+        for (a, b), c in q.terms.items()
+    ]
+    idx = np.array(cells, dtype=np.int64).reshape(-1, 5)
+    degree = int((idx[:, 2] + idx[:, 3]).max(initial=0))
+    charts = np.zeros((2, m.rows, m.cols, degree + 1), dtype=np.int64)
+    charts[0, idx[:, 0], idx[:, 1], idx[:, 2]] = idx[:, 4]
+    charts[1, idx[:, 0], idx[:, 1], idx[:, 3]] = idx[:, 4]
+    return charts[0], charts[1]
 
 
 def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
@@ -522,6 +436,11 @@ def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
     algebraic closure.  Normalized so the leading coefficient in the first
     variable is 1.  Requires a row- or column-uniform degree profile so
     that minors stay homogeneous.
+
+    The gcd is the one on chart 0 (x2 = 1), homogenized, times the power
+    of x2 dividing every k-minor.  x2 divides them all iff they vanish at
+    [1:0], i.e. iff the matrix there (the constant slice of chart 1) has
+    rank below k; only then is chart 1 reduced too, for the power.
     """
     if m.nvars != 2:
         raise ValueError("bivariate_minor_gcd needs exactly two variables")
@@ -530,17 +449,15 @@ def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
     if k < 1 or k > min(m.rows, m.cols):
         raise ValueError(f"minor size {k} out of range")
     p = m.p
-    g0 = _minor_gcd_uni(_uni_matrix(m, 0), k, p)
-    if _u_is_zero(g0):
+    chart0, chart1 = _chart_tensors(m)
+    g0 = _determinantal_divisor(chart0, k, p)
+    if g0.size == 0:
         return HomPoly.zero(p, 2)
-    g1 = _minor_gcd_uni(_uni_matrix(m, 1), k, p)
-    b = _u_valuation(g1)
-    terms = {}
-    deg0 = _u_deg(g0)
-    for i, c in enumerate(g0):
-        if c:
-            terms[(i, deg0 - i + b)] = int(c)
-    return HomPoly(p, 2, terms)
+    b = 0
+    if rank_array(make_field(p, 1), chart1[..., 0]) < k:
+        b = int(np.flatnonzero(_determinantal_divisor(chart1, k, p))[0])
+    deg0 = g0.size - 1
+    return HomPoly(p, 2, {(i, deg0 - i + b): int(c) for i, c in enumerate(g0) if c})
 
 
 # ---------------------------------------------------------------------------

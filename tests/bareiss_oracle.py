@@ -6,7 +6,7 @@ rational function field: every intermediate entry stays a polynomial
 divides exactly by the previous pivot.
 """
 
-from cjt.polymat import PolyMatrix
+from cjt.polymat import HomPoly, PolyMatrix
 
 
 def _mul(a: dict, b: dict, p: int) -> dict:
@@ -79,3 +79,20 @@ def bareiss_rank(m: PolyMatrix) -> int:
         prev = piv
         r += 1
     return r
+
+
+def poly_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Product of two polynomial matrices, entry by entry with dict
+    arithmetic."""
+    p = a.p
+    entries = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc: dict = {}
+            for t in range(a.cols):
+                for e, c in _mul(a.entries[i][t].terms, b.entries[t][j].terms, p).items():
+                    acc[e] = acc.get(e, 0) + c
+            row.append(HomPoly(p, a.nvars, acc))
+        entries.append(row)
+    return PolyMatrix(p, a.nvars, entries)

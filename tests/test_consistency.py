@@ -9,6 +9,7 @@ isomorphism search.
 import numpy as np
 import pytest
 from bareiss_oracle import bareiss_rank
+from minor_scan_oracle import chart, minor_scan_gcd
 
 from cjt.constancy import PiPoint, jordan_at, sweep_points
 from cjt.exactalg import make_field, rank_array
@@ -24,16 +25,7 @@ from cjt.modrep import (
     trivial_module,
     validate,
 )
-from cjt.polymat import (
-    HomPoly,
-    PolyMatrix,
-    _minor_gcd_uni,
-    _smith_determinantal_divisor,
-    _u_monic,
-    _uni_matrix,
-    bivariate_minor_gcd,
-    generic_rank,
-)
+from cjt.polymat import HomPoly, PolyMatrix, _chart_tensors, _determinantal_divisor, generic_rank
 from cjt.syzygy import factor_generator, omega_k, restrict_cocycle
 from cjt.zoo import ke_mod_i2, random_module, w_module
 
@@ -81,16 +73,9 @@ class TestEliminationPathsAgree:
                 entries.append(row)
             m = PolyMatrix(p, 2, entries)
             k = min(rows, cols)
-            uni = _uni_matrix(m, 0)
-            scan = _minor_gcd_uni(uni, k, p)
-            smith = _smith_determinantal_divisor(uni, k, p)
-            if scan.size == 0:
-                assert smith.size == 0
-            elif scan.size == 1:
-                # a unit gcd from the early-exit scan is a unit from Smith too
-                assert smith.size == 1
-            else:
-                assert np.array_equal(_u_monic(scan, p), _u_monic(smith, p))
+            scan = minor_scan_gcd(chart(m, 0), k, p)
+            smith = _determinantal_divisor(_chart_tensors(m)[0], k, p)
+            assert tuple(smith.tolist()) == scan
 
 
 class TestShiftConsistency:

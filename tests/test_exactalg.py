@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cjt.exactalg import (
+    MAX_P,
     TABLE_CAP,
     Field,
     Matrix,
@@ -117,6 +118,67 @@ class TestMakeField:
     def test_rejects_reducible_modulus(self):
         with pytest.raises(ValueError):
             Field(5, 2, (0, 0, 1))  # x^2 factors
+
+
+# primes near the word-size bound: the largest supported one, and ones for
+# which float64 dot products of 2, 3 and 7 terms are exact
+NEAR_BOUND = [94906249, 67108859, 54794149, 35871193]
+
+
+def _python_int_matmul(field, a, b):
+    """Matrix product of code arrays, entry by entry in Python integers."""
+    p, mod = field.p, field.modulus
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+    for idx in np.ndindex(out.shape):
+        *stack, i, j = idx
+        acc = ()
+        for t in range(a.shape[-1]):
+            x, y = int(a[(*stack, i, t)]), int(b[(*stack, t, j)])
+            term = _poly_mul(field._code_to_poly(x), field._code_to_poly(y), p)
+            width = max(len(acc), len(term))
+            acc = tuple((u + v) % p for u, v in zip(acc + (0,) * (width - len(acc)), term + (0,) * (width - len(term))))
+        out[idx] = field._poly_to_code(_poly_mod(acc, mod, p) if field.e > 1 else acc)
+    return out
+
+
+class TestWordSize:
+    def test_bound_is_the_largest_p_with_exact_float_products(self):
+        assert (MAX_P - 1) ** 2 < 2**53 <= MAX_P**2
+        assert [(2**53 - 1) // (p - 1) ** 2 for p in NEAR_BOUND] == [1, 2, 3, 7]
+
+    @pytest.mark.parametrize("p", [94906297, 2147483647, 3037000493, 2**61 - 1])
+    def test_rejects_p_above_the_bound(self, p):
+        with pytest.raises(ValueError, match="supported bound"):
+            make_field(p, 1)
+        with pytest.raises(ValueError, match="supported bound"):
+            Field(p, 1, (0, 1))
+
+    def test_rejects_codes_beyond_int64(self):
+        with pytest.raises(ValueError, match="2\\^63"):
+            make_field(2, 63)
+        assert make_field(2, 62).q == 2**62
+
+    @settings(max_examples=80)
+    @given(
+        pe=st.sampled_from([(p, 1) for p in NEAR_BOUND] + [(94906249, 2), (35871193, 2)]),
+        shape=st.tuples(st.integers(0, 3), st.integers(1, 4), st.integers(0, 9), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matmul_near_the_bound_matches_python_ints(self, pe, shape, seed):
+        f = make_field(*pe)
+        count, m, k, n = shape
+        lead = (count,) if count else ()
+        rng = np.random.default_rng(seed)
+        # entries near q - 1 make every partial sum as large as it gets
+        a = f.q - 1 - rng.integers(0, 3, lead + (m, k))
+        b = rng.integers(0, f.q, lead + (k, n))
+        assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
+
+    def test_six_by_six_products_at_the_top_prime(self):
+        f = make_field(NEAR_BOUND[0], 1)
+        rng = np.random.default_rng(0)
+        a, b = rng.integers(0, f.p, (2, 6, 6))
+        assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
 
 
 class TestFieldArithmetic:

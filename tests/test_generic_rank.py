@@ -7,10 +7,11 @@ per-slice ``rank_array``.
 """
 
 import numpy as np
-from bareiss_oracle import bareiss_rank
+from bareiss_oracle import bareiss_rank, poly_matmul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cjt import polymat
 from cjt.constancy import generic_type
 from cjt.exactalg import BATCH_DIM_CUTOFF, make_field, rank_array, stack_ranks
 from cjt.jordan import tensor_type
@@ -59,7 +60,7 @@ def _low_rank(rng, p, nvars, rows, cols, inner, max_degree):
     inner x cols matrix: rank at most inner, entries homogeneous."""
     a = _random_matrix(rng, p, nvars, rows, inner, "row", max_degree - 1)
     b = _random_matrix(rng, p, nvars, inner, cols, "col", 1)
-    return a.matmul(b)
+    return poly_matmul(a, b)
 
 
 @SEEDED
@@ -151,6 +152,48 @@ class TestRankDropsEverywhere:
             m = PolyMatrix(p, 2, [[x.mul(x), x], [y, y]])
             assert _max_rank_at_rational_points(m, 2) == 1
             assert generic_rank(m) == bareiss_rank(m) == 2
+
+
+def _rank_and_levels(m):
+    """generic_rank(m) and the extension levels it swept, in order."""
+    levels = []
+    make_field_before = polymat.make_field
+
+    def recording(p, e):
+        levels.append(e)
+        return make_field_before(p, e)
+
+    polymat.make_field = recording
+    try:
+        return generic_rank(m), levels
+    finally:
+        polymat.make_field = make_field_before
+
+
+@SEEDED
+@given(
+    # (p, D, rho, e) with p^e = (rho + 1) D
+    case=st.sampled_from([(2, 1, 1, 1), (3, 1, 2, 1), (5, 1, 4, 1), (7, 1, 6, 1), (2, 2, 1, 2), (2, 1, 3, 2), (3, 3, 2, 2)]),
+    seed=st.integers(0, 10_000),
+)
+def test_sweep_stops_where_p_to_the_e_equals_the_minor_degree(case, seed):
+    # Serre's bound: a nonzero (rho + 1)-minor of degree (rho + 1) D = q
+    # cannot vanish at every point of P^1(GF(q)), so the levels d | e
+    # certify rank rho and level e + 1 is never swept
+    p, degree, rho, e = case
+    rng = np.random.default_rng(seed)
+    forms = [[_random_poly(rng, p, 2, degree, density=0.7) for _ in range(rho)] for _ in range(rho + 1)]
+    for t in range(rho):
+        forms[t] = [HomPoly.zero(p, 2)] * rho
+        forms[t][t] = HomPoly(p, 2, {(degree, 0): int(rng.integers(1, p)), (0, degree): int(rng.integers(0, p))})
+    # rows t < rho of A are x^D-diagonal, so A [I | c] has rank exactly rho
+    a = PolyMatrix(p, 2, forms)
+    b = [[HomPoly(p, 2, {(0, 0): int(t == j or (j == rho and rng.integers(0, p)))}) for j in range(rho + 1)]
+         for t in range(rho)]
+    m = poly_matmul(a, PolyMatrix(p, 2, b))
+    rank, levels = _rank_and_levels(m)
+    assert rank == bareiss_rank(m) == rho
+    assert max(levels) == e and all(e % d == 0 for d in levels)
 
 
 @SEEDED

@@ -203,6 +203,7 @@ class Field:
         self._log: np.ndarray | None = None
         self._red: np.ndarray | None = None
         self._code_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._frob: np.ndarray | None = None
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -236,12 +237,22 @@ class Field:
                 break
         else:  # pragma: no cover - a generator always exists
             raise RuntimeError("no multiplicative generator found")
-        val = (1,)
-        for i in range(q - 1):
-            code = self._poly_to_code(val)
-            exp[i] = code
-            log[code] = i
-            val = _poly_mod(_poly_mul(val, gp, p), self.modulus, p)
+        # row j: the digits of g x^j, so digits(c) @ step = digits(c g)
+        step = np.zeros((e, e), dtype=np.int64)
+        for j in range(e):
+            row = _poly_mod(_poly_mul((0,) * j + (1,), gp, p), self.modulus, p)
+            step[j, : len(row)] = row
+        # digits of g^0 .. g^(n-1), doubled by multiplying them all by g^n
+        digits = np.zeros((q - 1, e), dtype=np.int64)
+        digits[0, 0] = 1
+        n = 1
+        while n < q - 1:
+            m = min(n, q - 1 - n)
+            digits[n : n + m] = (digits[:m] @ step) % p
+            step = (step @ step) % p
+            n += m
+        exp[:] = digits @ p ** np.arange(e, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         self._exp = exp
         self._log = log
 
@@ -265,18 +276,26 @@ class Field:
 
         Only for e >= 2 and q <= TABLE_CAP; ``None`` otherwise, and the
         caller falls back to digit loops and discrete logs.  Built on first
-        use from those same fallbacks, so both paths give equal codes.
+        use from digit-wise sums and the discrete logs, as the fallbacks
+        compute them, so both paths give equal codes.
         """
         if self.e == 1 or self.q > TABLE_CAP:
             return None
         if self._code_tables is None:
-            codes = np.arange(self.q, dtype=np.int64)
-            a, b = codes[:, None], codes[None, :]
-            self._code_tables = (
-                self._digit_add(a, b).ravel(),
-                self._log_mul(a, b).ravel(),
-                self._digit_neg(codes),
-            )
+            p, e, q = self.p, self.e, self.q
+            # the add table as a (p,) * 2e array: axes e-1-k and 2e-1-k are
+            # digit k of the two summands, most significant digit first
+            small = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
+            add = np.zeros((p,) * (2 * e), dtype=np.int64)
+            for k in range(e):
+                shape = [1] * (2 * e)
+                shape[e - 1 - k] = shape[2 * e - 1 - k] = p
+                add += (small * p**k).reshape(shape)
+            exp, log = self._tables()
+            twice = np.concatenate([exp, exp])
+            mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = twice[log[1:, None] + log[None, 1:]]
+            self._code_tables = (add.ravel(), mul.ravel(), self._digit_neg(np.arange(q, dtype=np.int64)))
         return self._code_tables
 
     def _code_to_poly(self, code: int) -> tuple[int, ...]:
@@ -402,10 +421,18 @@ class Field:
         return out
 
     def frobenius(self, a):
-        """x -> x^p, vectorized over code arrays."""
+        """x -> x^p, vectorized over code arrays; a lookup in a length-q
+        table, built on first use, while q <= TABLE_CAP."""
         if self.e == 1:
             return np.asarray(a)
+        if self._frob is not None:
+            return self._frob[np.asarray(a)]
         exp, log = self._tables()
+        if self.q <= TABLE_CAP:
+            codes = np.arange(self.q, dtype=np.int64)
+            self._frob = np.zeros(self.q, dtype=np.int64)
+            self._frob[1:] = exp[(log[codes[1:]] * self.p) % (self.q - 1)]
+            return self._frob[np.asarray(a)]
         a = np.asarray(a)
         out = np.zeros(a.shape, dtype=np.int64)
         m = a != 0
@@ -413,18 +440,26 @@ class Field:
         return out
 
     # -- matrix kernels ------------------------------------------------------
+    def _mod_p(self, x: np.ndarray) -> np.ndarray:
+        """x mod p for int64 arrays, as x - p (x // p): numpy divides an
+        int64 array by a scalar several times faster than it takes the
+        remainder."""
+        return x - self.p * (x // self.p)
+
     def _planes(self, a: np.ndarray) -> list[np.ndarray]:
         out = []
-        x = a.copy()
+        x = np.asarray(a)
         for _ in range(self.e):
-            out.append(x % self.p)
-            x //= self.p
+            high = x // self.p
+            out.append(x - self.p * high)
+            x = high
         return out
 
     def _recompose(self, planes: list[np.ndarray]) -> np.ndarray:
-        out = np.zeros(planes[0].shape, dtype=np.int64)
-        for k in range(self.e - 1, -1, -1):
-            out = out * self.p + planes[k] % self.p
+        """Codes from digit planes already reduced mod p."""
+        out = planes[-1]
+        for k in range(self.e - 2, -1, -1):
+            out = out * self.p + planes[k]
         return out
 
     def _exact_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -437,10 +472,10 @@ class Field:
         step = (_EXACT - 1) // (self.p - 1) ** 2
         inner = x.shape[-1]
         if inner <= step:
-            return (x @ y).astype(np.int64) % self.p
+            return self._mod_p((x @ y).astype(np.int64))
         out = 0
         for s in range(0, inner, step):
-            out = (out + (x[..., s : s + step] @ y[..., s : s + step, :]).astype(np.int64)) % self.p
+            out = self._mod_p(out + (x[..., s : s + step] @ y[..., s : s + step, :]).astype(np.int64))
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -449,13 +484,22 @@ class Field:
         Exact for every supported p: see ``_exact_product``.  Over GF(p^e)
         the up to e products of digit planes that land on one power of x
         share a float64 sum while e k (p - 1)^2 < 2^53, else each is reduced
-        on its own.
+        on its own.  When one factor lies over the prime field, all digit
+        planes of the other go through one stacked product with it, and
+        nothing needs reducing.
         """
         if self.e == 1:
             return self._exact_product((a % self.p).astype(np.float64), (b % self.p).astype(np.float64))
+        a_planes, b_planes = self._planes(a), self._planes(b)
+        if not any(x.any() for x in b_planes[1:]):
+            digits = np.stack(a_planes).astype(np.float64)
+            return self._recompose(list(self._exact_product(digits, b_planes[0].astype(np.float64))))
+        if not any(x.any() for x in a_planes[1:]):
+            digits = np.stack(b_planes).astype(np.float64)
+            return self._recompose(list(self._exact_product(a_planes[0].astype(np.float64), digits)))
         red = self._reduction_rows()
-        ap = [x.astype(np.float64) for x in self._planes(a)]
-        bp = [x.astype(np.float64) for x in self._planes(b)]
+        ap = [x.astype(np.float64) for x in a_planes]
+        bp = [x.astype(np.float64) for x in b_planes]
         fused = self.e * a.shape[-1] * (self.p - 1) ** 2 < _EXACT
         acc = [None] * (2 * self.e - 1)
         for k in range(self.e):
@@ -463,14 +507,14 @@ class Field:
                 prod = ap[k] @ bp[l] if fused else self._exact_product(ap[k], bp[l])
                 m = k + l
                 acc[m] = prod if acc[m] is None else acc[m] + prod
-        acc = [x.astype(np.int64) % self.p for x in acc]
+        acc = [self._mod_p(x.astype(np.int64)) for x in acc]
         planes = [acc[k] for k in range(self.e)]
         for m in range(self.e, 2 * self.e - 1):
             row = red[m]
             for k in range(self.e):
                 if row[k]:
                     planes[k] = planes[k] + int(row[k]) * acc[m]
-        return self._recompose([x % self.p for x in planes])
+        return self._recompose([self._mod_p(x) for x in planes])
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:

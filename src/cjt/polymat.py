@@ -225,17 +225,18 @@ def _evaluate_stack(field: Field, form: tuple[np.ndarray, np.ndarray], points: n
     exps, coef = form
     powers = []
     for j in range(exps.shape[1]):
-        chain = [np.ones(points.shape[0], dtype=np.int64)]
-        for _ in range(int(exps[:, j].max(initial=0))):
+        chain = [None, points[:, j]]
+        for _ in range(1, int(exps[:, j].max(initial=0))):
             chain.append(field.mul(chain[-1], points[:, j]))
         powers.append(chain)
-    monomials = np.empty((points.shape[0], exps.shape[0]), dtype=np.int64)
+    monomials = np.ones((points.shape[0], exps.shape[0]), dtype=np.int64)
     for k, row in enumerate(exps.tolist()):
-        val = powers[0][row[0]]
-        for j in range(1, len(row)):
-            if row[j]:
-                val = field.mul(val, powers[j][row[j]])
-        monomials[:, k] = val
+        val = None
+        for j, d in enumerate(row):
+            if d:
+                val = powers[j][d] if val is None else field.mul(val, powers[j][d])
+        if val is not None:
+            monomials[:, k] = val
     return field.matmul(monomials, coef)
 
 
@@ -507,7 +508,7 @@ def _point_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
             yield block
 
 
-def _orbit_blocks(field: Field, nvars: int):
+def _orbit_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
     """Sweep-ordered normalized points of P^(nvars-1) defined over the field
     and over no proper subfield, one per Frobenius orbit (its first point
     in sweep order), in numpy blocks.
@@ -515,6 +516,14 @@ def _orbit_blocks(field: Field, nvars: int):
     Frobenius fixes 0 and 1, so it maps normalized points to normalized
     points; a matrix with coefficients in GF(p) has conjugate values, with
     equal ranks and Jordan types, at conjugate points.
+
+    A point is kept iff each of its e - 1 proper conjugates comes strictly
+    later in sweep order: one that comes earlier makes it no orbit's first
+    point, one that equals it puts it over a proper subfield.  Sweep order
+    is lexicographic in the coordinates' element positions, so the test
+    runs coordinate by coordinate on prefixes: a conjugate that still ties
+    with a prefix is decided by a later coordinate, and once none ties,
+    every completion of the prefix is kept.
     """
     if field.e == 1:
         yield from _point_blocks(field, nvars)
@@ -522,26 +531,64 @@ def _orbit_blocks(field: Field, nvars: int):
     if nvars * np.log2(float(field.q)) >= 62:
         raise ValueError(
             f"cannot sweep GF({field.p}^{field.e}) with r = {nvars}: {field.q}^{nvars} coordinate "
-            "tuples are too many to enumerate (point keys need q^r < 2^62)"
+            "tuples are too many to enumerate (a sweep needs q^r < 2^62)"
         )
-    order_index = np.zeros(field.q, dtype=np.int64)
-    order_index[field.ordered_codes()] = np.arange(field.q)
-    weights = field.q ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
-    divisors = [d for d in range(1, field.e) if field.e % d == 0]
-    for block in _point_blocks(field, nvars):
-        keep = np.ones(block.shape[0], dtype=bool)
-        for d in divisors:
-            x = block
-            for _ in range(d):
-                x = field.frobenius(x)
-            keep &= ~np.all(x == block, axis=1)
-        base_key = order_index[block] @ weights
-        x = block
-        for _ in range(field.e - 1):
-            x = field.frobenius(x)
-            keep &= order_index[x] @ weights >= base_key
-        if keep.any():
-            yield block[keep]
+    q = field.q
+    ordered = np.asarray(field.ordered_codes(), dtype=np.int64)
+    position = np.empty(q, dtype=np.int64)
+    position[ordered] = np.arange(q)
+    step = position[field.frobenius(ordered)]
+    conj = [np.arange(q)]
+    for _ in range(field.e - 1):
+        conj.append(step[conj[-1]])
+    # (e - 1, q): whether the j-th conjugate of position t comes later than
+    # t, at t, or earlier, for j = 1 .. e - 1
+    later = np.stack(conj[1:]) > conj[0]
+    tie = np.stack(conj[1:]) == conj[0]
+    earlier = ~(later | tie)
+    for pivot in range(nvars - 1, -1, -1):
+        tail = nvars - 1 - pivot
+        if tail == 0:
+            continue  # the point (0, ..., 0, 1) lies over GF(p)
+        # the leading zeros and the 1 tie with every conjugate
+        prefixes = np.zeros((1, 0), dtype=np.int64)
+        tied = np.ones((1, field.e - 1), dtype=bool)
+        for _ in range(tail - 1):
+            ok = ~(tied[:, :, None] & earlier[None]).any(axis=1)
+            rows, t = np.nonzero(ok)
+            prefixes = np.concatenate([prefixes[rows], t[:, None]], axis=1)
+            tied = tied[rows] & tie[:, t].T
+        per = max(1, chunk // q)
+        for s in range(0, prefixes.shape[0], per):
+            keep = ~(tied[s : s + per, :, None] & ~later[None]).any(axis=1)
+            rows, t = np.nonzero(keep)
+            if rows.size == 0:
+                continue
+            block = np.zeros((rows.size, nvars), dtype=np.int64)
+            block[:, pivot] = 1
+            block[:, pivot + 1 : -1] = ordered[prefixes[s + rows]]
+            block[:, -1] = ordered[t]
+            yield block
+
+
+def _minor_sieve(m: PolyMatrix, form, field: Field, k: int, blocks):
+    """The points of each block where the leading k x k minor vanishes, for
+    k <= 2; at the other points the rank is at least k.  Only the minor's
+    entries are evaluated.  For k > 2 the blocks pass unchanged."""
+    if k > 2:
+        yield from blocks
+        return
+    exps, coef = form
+    cells = [0] if k == 1 else [0, 1, m.cols, m.cols + 1]
+    corner = (exps, coef[:, cells])
+    per_stack = STACK_CELLS // len(cells)
+    for block in blocks:
+        for i in range(0, block.shape[0], per_stack):
+            points = block[i : i + per_stack]
+            v = _evaluate_stack(field, corner, points)
+            minor = v[:, 0] if k == 1 else field.sub(field.mul(v[:, 0], v[:, 3]), field.mul(v[:, 1], v[:, 2]))
+            if not minor.all():
+                yield points[minor == 0]
 
 
 def common_zero_search(
@@ -550,7 +597,11 @@ def common_zero_search(
     """First projective point (sweep order, extensions ascending) where all
     k x k minors vanish, i.e. where the evaluated matrix has rank < k.
     Requires a row- or column-uniform degree profile, so that minors are
-    homogeneous and their zeros are projective points."""
+    homogeneous and their zeros are projective points.  Levels above 1 are
+    swept one point per Frobenius orbit: the first zero of a level is the
+    first point of its orbit, as the conjugates of a zero are zeros.  For
+    k <= 2 only the points where the leading k x k minor vanishes are
+    ranked."""
     if max_e < 1:
         raise ValueError("max_e must be >= 1")
     if k < 1 or k > min(m.rows, m.cols):
@@ -560,7 +611,8 @@ def common_zero_search(
     form = _coefficient_form(m)
     for e in range(1, max_e + 1):
         field = make_field(m.p, e)
-        for points, ranks in _stacked_ranks(m, form, field, _point_blocks(field, m.nvars)):
+        blocks = _minor_sieve(m, form, field, k, _orbit_blocks(field, m.nvars))
+        for points, ranks in _stacked_ranks(m, form, field, blocks):
             hits = np.flatnonzero(ranks < k)
             if hits.size:
                 return CommonZeroWitness(tuple(int(c) for c in points[hits[0]]), e, field)

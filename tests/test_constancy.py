@@ -309,7 +309,7 @@ class TestSweepPoints:
         assert len(pts) == 3
 
     def test_unsweepable_level_is_rejected(self):
-        # 9^20 coordinate tuples: no point key fits in 62 bits
+        # 9^20 coordinate tuples: too many to enumerate
         f = make_field(3, 1)
         with pytest.raises(ValueError, match="cannot sweep GF\\(3\\^2\\) with r = 20"):
             sweep_points(f, 20, 2)

@@ -66,6 +66,11 @@ STACK_CELLS = 1 << 13
 # (GF(3), GF(5), GF(25)).
 BATCH_DIM_CUTOFF = 32
 
+# Rows per block of the triangular solve ``_back_substitute``: each block
+# costs one product for the update from the rows below it and a few
+# block-sized products for its own triangle.
+BACK_SUB_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p) (coefficient tuples, low degree first)
@@ -446,6 +451,15 @@ class Field:
         remainder."""
         return x - self.p * (x // self.p)
 
+    def _residues(self, x: np.ndarray) -> np.ndarray:
+        """x mod p as float64.  Codes are residues already, so the division
+        runs only when a min/max scan (several times cheaper) finds an entry
+        outside [0, p)."""
+        x = np.asarray(x)
+        if x.size and (x.min() < 0 or x.max() >= self.p):
+            x = self._mod_p(x)
+        return x.astype(np.float64)
+
     def _planes(self, a: np.ndarray) -> list[np.ndarray]:
         out = []
         x = np.asarray(a)
@@ -489,7 +503,7 @@ class Field:
         nothing needs reducing.
         """
         if self.e == 1:
-            return self._exact_product((a % self.p).astype(np.float64), (b % self.p).astype(np.float64))
+            return self._exact_product(self._residues(a), self._residues(b))
         a_planes, b_planes = self._planes(a), self._planes(b)
         if not any(x.any() for x in b_planes[1:]):
             digits = np.stack(a_planes).astype(np.float64)
@@ -563,6 +577,13 @@ class Field:
             return int(code)
         coeffs = list(self._code_to_poly(int(code)))
         return coeffs + [0] * (self.e - len(coeffs))
+
+    def serialize_codes(self, array) -> list:
+        """``serialize_code`` of every entry of a code array, row-major."""
+        flat = np.asarray(array).ravel()
+        if self.e == 1:
+            return flat.tolist()
+        return np.stack(self._planes(flat), axis=-1).tolist()
 
     def ordered_codes(self) -> np.ndarray:
         """All element codes, sorted by serialized coefficient vectors
@@ -849,6 +870,44 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _unit_upper_inverse(field: Field, u: np.ndarray) -> np.ndarray:
+    """(I + N)^(-1) for a unit upper triangular u = I + N, by Field.matmul only.
+
+    N is nilpotent, so (I + N)^(-1) = sum of (-N)^i for i < n, which is the
+    product of the factors I + (-N)^(2^i) for 2^i < n; the loop stops early
+    once a power of N vanishes.
+    """
+    eye = np.eye(u.shape[0], dtype=np.int64)
+    power = field.neg(np.triu(u, 1))
+    inv = power + eye
+    for _ in range(1, (u.shape[0] - 1).bit_length()):
+        power = field.matmul(power, power)
+        if not power.any():
+            break
+        inv = field.matmul(inv, power + eye)
+    return inv
+
+
+def _back_substitute(field: Field, u: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution X of u X = rhs for a k x k unit upper triangular u.
+
+    Rows are solved in blocks of BACK_SUB_BLOCK, from the last block up: one
+    Field.matmul subtracts what the rows already solved contribute, and one
+    more applies the inverse of the block's own unit triangle.  A triangular
+    system has exactly one solution, so the result does not depend on the
+    block size.
+    """
+    k = u.shape[0]
+    x = np.zeros(rhs.shape, dtype=np.int64)
+    for start in range((k - 1) // BACK_SUB_BLOCK * BACK_SUB_BLOCK, -1, -BACK_SUB_BLOCK):
+        stop = min(start + BACK_SUB_BLOCK, k)
+        y = rhs[start:stop]
+        if stop < k:
+            y = field.sub(y, field.matmul(u[start:stop, stop:], x[stop:]))
+        x[start:stop] = field.matmul(_unit_upper_inverse(field, u[start:stop, start:stop]), y)
+    return x
+
+
 def _kernel_from_echelon(
     field: Field, a: np.ndarray, piv_cols: list[int], ncols: int
 ) -> np.ndarray:
@@ -867,29 +926,8 @@ def _kernel_from_echelon(
         return basis
     basis[free, np.arange(nf)] = 1
     if k:
-        piv_arr = np.array(piv_cols)
-        if field.e == 1 and k * (field.p - 1) ** 2 < (1 << 53):
-            # back-substitute in float64 (exact: entries below p, short sums)
-            coeff = a[:k][:, piv_arr].astype(np.float64)
-            rhs0 = a[:k][:, free].astype(np.float64)
-            vals_f = np.zeros((k, nf), dtype=np.float64)
-            for i in range(k - 1, -1, -1):
-                acc = rhs0[i]
-                if i + 1 < k:
-                    acc = acc + coeff[i, i + 1 :] @ vals_f[i + 1 :]
-                vals_f[i] = (-acc.astype(np.int64)) % field.p
-            vals = vals_f.astype(np.int64)
-        else:
-            vals = np.zeros((k, nf), dtype=np.int64)
-            for i in range(k - 1, -1, -1):
-                rhs = a[i, free].copy()
-                if i + 1 < k:
-                    rhs = field.add(
-                        rhs,
-                        field.matmul(a[i, piv_arr[i + 1 :]].reshape(1, -1), vals[i + 1 :]).ravel(),
-                    )
-                vals[i] = field.neg(rhs)
-        basis[piv_arr] = vals
+        # the pivot coordinates solve U x = -(free part), U unit upper triangular
+        basis[piv_cols] = _back_substitute(field, a[:k][:, piv_cols], field.neg(a[:k][:, free]))
     return basis
 
 
@@ -942,13 +980,5 @@ def solve_linear(a: Matrix, b: Matrix) -> SolveResult:
         return SolveResult(False, None, kernel)
     sol = np.zeros((n, b.cols), dtype=np.int64)
     if k:
-        piv_arr = np.array(piv)
-        for i in range(k - 1, -1, -1):
-            rhs = aug[i, n:].copy()
-            if i + 1 < k:
-                rhs = field.sub(
-                    rhs,
-                    field.matmul(aug[i, piv_arr[i + 1 :]].reshape(1, -1), sol[piv_arr[i + 1 :]]).ravel(),
-                )
-            sol[piv[i]] = rhs
+        sol[piv] = _back_substitute(field, aug[:k][:, piv], aug[:k, n:])
     return SolveResult(True, Matrix(field, sol), kernel)

@@ -177,14 +177,16 @@ class ValidationReport:
 
 
 def _mat_pow(field: Field, a: np.ndarray, n: int) -> np.ndarray:
-    out = np.eye(a.shape[0], dtype=np.int64)
-    base = a
+    """a^n by repeated squaring, with no product by the identity and no
+    squaring past the top bit of n."""
+    out = None
     while n:
         if n & 1:
-            out = field.matmul(out, base)
-        base = field.matmul(base, base)
+            out = a if out is None else field.matmul(out, a)
         n >>= 1
-    return out
+        if n:
+            a = field.matmul(a, a)
+    return np.eye(a.shape[0], dtype=np.int64) if out is None else out
 
 
 def validate(m: ModuleRep) -> ValidationReport:
@@ -460,16 +462,10 @@ def _monomial_columns(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:
         by_level.setdefault(int(degrees[idx]), {}).setdefault(int(first_gen[idx]) - 1, []).append(idx)
     blocks = np.zeros((m.dim, count, nvec), dtype=np.int64)
     blocks[:, 0, :] = vectors
-    use_float = f.is_prime_field and m.dim * (p - 1) ** 2 < (1 << 53)
-    gens_f = [(a % p).astype(np.float64) for a in m.gens] if use_float else None
     for level in range(1, max_deg + 1):
         for i, idxs in by_level.get(level, {}).items():
             srcs = [idx - p**i for idx in idxs]
-            src_mat = blocks[:, srcs, :].reshape(m.dim, -1)
-            if use_float:
-                prod = (gens_f[i] @ src_mat.astype(np.float64)).astype(np.int64) % p
-            else:
-                prod = f.matmul(m.gens[i], src_mat)
+            prod = f.matmul(m.gens[i], blocks[:, srcs, :].reshape(m.dim, -1))
             blocks[:, idxs, :] = prod.reshape(m.dim, len(idxs), nvec)
     return blocks.transpose(0, 2, 1).reshape(m.dim, nvec * count)
 
@@ -477,8 +473,8 @@ def _monomial_columns(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:
 def _theta(m: ModuleRep) -> np.ndarray:
     """Product of all generator actions, each to the (p-1)-st power."""
     f = m.field
-    out = np.eye(m.dim, dtype=np.int64)
-    for a in m.gens:
+    out = _mat_pow(f, m.gens[0], m.p - 1)
+    for a in m.gens[1:]:
         out = f.matmul(out, _mat_pow(f, a, m.p - 1))
     return out
 
@@ -523,22 +519,21 @@ def split_free(m: ModuleRep) -> SplitResult:
     g[:, : t * count] = free_cols
     for k, j in enumerate(complement):
         g[j, t * count + k] = 1
-    ginv = solve_linear(Matrix(f, g), Matrix.identity(f, m.dim)).solution
-    assert ginv is not None
-    # psi_j = coordinate functional of the socle column A^(p-1,...,p-1) v_j
-    retraction = np.zeros((m.dim, m.dim), dtype=np.int64)
-    for j in range(t):
-        psi = ginv.array[j * count + count - 1]
-        # row for monomial mu is psi composed with A^(full - mu), filled from
-        # the top monomial down: row(mu) = row(mu + e_i) @ A_i
-        rows = np.zeros((count, m.dim), dtype=np.int64)
-        rows[count - 1] = psi
-        for idx in range(count - 2, -1, -1):
-            for i in range(r):
-                if (idx // p**i) % p < p - 1:
-                    rows[idx] = f.matmul(rows[idx + p**i].reshape(1, -1), m.gens[i]).ravel()
-                    break
-        retraction = f.add(retraction, f.matmul(free_cols[:, j * count : (j + 1) * count], rows))
+    # psi_j, the coordinate functional of the socle column A^(p-1,...,p-1) v_j,
+    # is row j count + count - 1 of g^(-1): solve g^T X = E for those rows only
+    socle = np.arange(t) * count + count - 1
+    units = np.zeros((m.dim, t), dtype=np.int64)
+    units[socle, np.arange(t)] = 1
+    psi = solve_linear(Matrix(f, g.T), Matrix(f, units)).solution
+    assert psi is not None
+    # the retraction is the sum over j and monomials mu of the column A^mu v_j
+    # times the row psi_j A^(top - mu).  Those rows, transposed, are the
+    # monomial columns of psi_j^T under the transposed actions, where the
+    # column of top - mu sits at count - 1 - mu within block j.
+    transposed = ModuleRep(f, [a.T for a in m.gens], allow_large=True)
+    dual_cols = _monomial_columns(transposed, psi.array)
+    rows = dual_cols.reshape(m.dim, t, count)[:, :, ::-1].reshape(m.dim, t * count).T
+    retraction = f.matmul(free_cols, rows)
     core_basis = nullspace_array(f, retraction)
     if core_basis.shape[1] != m.dim - t * count:
         raise AssertionError("free splitting lost dimensions")

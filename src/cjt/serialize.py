@@ -45,9 +45,7 @@ def module_to_json(m: ModuleRep) -> dict:
         "r": m.r,
         "dim": m.dim,
         "convention": m.convention.value,
-        "generators": [
-            [f.serialize_code(int(c)) for c in a.ravel()] for a in m.gens
-        ],
+        "generators": [f.serialize_codes(a) for a in m.gens],
     }
 
 
@@ -114,7 +112,7 @@ def hom_to_json(h: ModuleHom) -> dict:
     return {
         "source_dim": h.source.dim,
         "target_dim": h.target.dim,
-        "matrix": [f.serialize_code(int(c)) for c in h.matrix.ravel()],
+        "matrix": f.serialize_codes(h.matrix),
     }
 
 

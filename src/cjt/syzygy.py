@@ -11,6 +11,7 @@ is a row-space membership test after evaluation.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
 
@@ -58,11 +59,25 @@ class CocycleClass:
             raise ValueError("cocycle carrier must map to the trivial module")
 
 
-_omega_cache: dict[tuple, dict[int, ModuleRep]] = {}
+# Most Heller-shift towers kept by omega_k, one per (field, r, convention);
+# past it the least recently used tower is dropped, so a long-lived process
+# that walks through many fields holds a bounded number of towers.
+OMEGA_CACHE_TOWERS = 8
+
+_omega_cache: OrderedDict[tuple, dict[int, ModuleRep]] = OrderedDict()
 
 
-def _cache_key(field: Field, r: int, convention: Convention) -> tuple:
-    return (field.p, field.e, field.modulus, r, convention)
+def _omega_tower(field: Field, r: int, convention: Convention) -> dict[int, ModuleRep]:
+    """The cached shifts {n: Omega^n k} of one tower, marked most recently used."""
+    key = (field.p, field.e, field.modulus, r, convention)
+    tower = _omega_cache.get(key)
+    if tower is not None:
+        _omega_cache.move_to_end(key)
+        return tower
+    tower = _omega_cache[key] = {0: trivial_module(field, r, 1, convention)}
+    if len(_omega_cache) > OMEGA_CACHE_TOWERS:
+        _omega_cache.popitem(last=False)
+    return tower
 
 
 def omega_k(field: Field, r: int, n: int, convention: Convention = Convention.PRIMITIVE) -> ModuleRep:
@@ -73,8 +88,7 @@ def omega_k(field: Field, r: int, n: int, convention: Convention = Convention.PR
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    key = _cache_key(field, r, convention)
-    tower = _omega_cache.setdefault(key, {0: trivial_module(field, r, 1, convention)})
+    tower = _omega_tower(field, r, convention)
     if n not in tower:
         if n > 0:
             top = max(k for k in tower if 0 <= k <= n)

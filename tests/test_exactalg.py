@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from cjt.exactalg import (
     MAX_P,
     TABLE_CAP,
+    BACK_SUB_BLOCK,
     Field,
     Matrix,
     _poly_mod,
     _poly_mul,
     make_field,
     nullspace,
+    nullspace_array,
     rank,
+    rank_array,
+    rref_array,
     solve_linear,
 )
 
@@ -306,6 +312,16 @@ class TestTableArithmetic:
             got = f.matmul(a, b)
             assert all(np.array_equal(got[i], f.matmul(a[i], b[i])) for i in range(4))
 
+    @pytest.mark.parametrize("p", [2, 5, NEAR_BOUND[0]])
+    def test_prime_field_matmul_reduces_its_factors(self, p):
+        f = make_field(p, 1)
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, p, (2, 6, 6))
+        want = _python_int_matmul(f, a, b)
+        assert np.array_equal(f.matmul(a - 3 * p, b), want)
+        assert np.array_equal(f.matmul(a, b + p), want)
+        assert np.array_equal(f.matmul(a, -b), _python_int_matmul(f, a, (-b) % p))
+
 
 def J(field, n):
     """Single nilpotent Jordan block of size n (ones on the subdiagonal)."""
@@ -394,3 +410,133 @@ class TestSolveLinear:
         k1 = nullspace(m).array
         k2 = nullspace(m).array
         assert np.array_equal(k1, k2)
+
+
+def _matrix_of_rank(f, rows, cols, k, rng):
+    """A rows x cols matrix over f of rank exactly k: a dense echelon matrix
+    with k unit pivots, mixed by an invertible row operation and padded with
+    combinations of its rows."""
+    piv = np.sort(rng.choice(cols, size=k, replace=False))
+    ech = np.zeros((k, cols), dtype=np.int64)
+    for i, c in enumerate(piv):
+        ech[i, c + 1 :] = rng.integers(0, f.q, cols - c - 1)
+        ech[i, c] = 1
+    lower = np.tril(rng.integers(0, f.q, (k, k)), -1) + np.eye(k, dtype=np.int64)
+    mix = np.vstack([lower, rng.integers(0, f.q, (rows - k, k))])
+    return f.matmul(mix, ech)[rng.permutation(rows)]
+
+
+def _sympy_rref(p, arr):
+    """Reduced row echelon form over GF(p) by sympy, as residues and pivots."""
+    rows, cols = arr.shape
+    dm = DomainMatrix.from_list([[int(x) for x in row] for row in arr], GF(p))
+    reduced, piv = dm.rref()
+    out = np.array([[int(x) % p for x in row] for row in reduced.to_list()], dtype=np.int64)
+    return out.reshape(rows, cols), list(piv)
+
+
+# primes for the sympy oracle, the last one the largest supported
+ORACLE_PRIMES = [2, 3, 5, 7, NEAR_BOUND[0]]
+
+
+class TestSympyOracle:
+    """rank_array, solve_linear and nullspace_array against sympy's
+    DomainMatrix rref.
+
+    The pivot counts cross the edges of the BACK_SUB_BLOCK-row blocks of
+    the triangular solve.  The particular solution sets every free variable
+    to zero and the kernel basis is 1 at one free column and 0 at the
+    others, so both are read off sympy's reduced form of [a | b].
+    """
+
+    @pytest.mark.parametrize("k", [0, 1, BACK_SUB_BLOCK - 1, BACK_SUB_BLOCK, BACK_SUB_BLOCK + 1, 130])
+    @settings(max_examples=5)
+    @given(
+        p=st.sampled_from(ORACLE_PRIMES),
+        extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        consistent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solve_and_nullspace_match_sympy(self, k, p, extra, consistent, seed):
+        f = make_field(p, 1)
+        rng = np.random.default_rng(seed)
+        rows, cols = k + extra[0], k + extra[1] + (k == 0)
+        a = _matrix_of_rank(f, rows, cols, k, rng)
+        if consistent:
+            b = f.matmul(a, rng.integers(0, p, (cols, 2)))
+        else:
+            b = rng.integers(0, p, (rows, 2))
+        reduced, piv = _sympy_rref(p, np.hstack([a, b]))
+        a_piv = [c for c in piv if c < cols]
+        assert len(a_piv) == k == rank_array(f, a)
+        free = [c for c in range(cols) if c not in a_piv]
+        kernel = np.zeros((cols, len(free)), dtype=np.int64)
+        kernel[free, np.arange(len(free))] = 1
+        kernel[a_piv] = (-reduced[: len(a_piv)][:, free]) % p
+        res = solve_linear(Matrix(f, a), Matrix(f, b))
+        assert np.array_equal(res.kernel.array, kernel)
+        assert np.array_equal(nullspace_array(f, a), kernel)
+        assert res.consistent == (len(piv) == len(a_piv))
+        if res.consistent:
+            sol = np.zeros((cols, 2), dtype=np.int64)
+            sol[a_piv] = reduced[: len(a_piv), cols:]
+            assert np.array_equal(res.solution.array, sol)
+        else:
+            assert not consistent and res.solution is None
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (4, 3)])
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_empty_and_zero_shapes(self, p, rows, cols):
+        f = make_field(p, 1)
+        a = np.zeros((rows, cols), dtype=np.int64)
+        assert np.array_equal(nullspace_array(f, a), np.eye(cols, dtype=np.int64))
+        b = np.ones((rows, 1), dtype=np.int64)
+        res = solve_linear(Matrix(f, a), Matrix(f, b))
+        assert np.array_equal(res.kernel.array, np.eye(cols, dtype=np.int64))
+        assert res.consistent == (rows == 0)
+        if rows and cols:
+            # sympy agrees that [0 | 1] has its one pivot on the right-hand side
+            assert _sympy_rref(p, np.hstack([a, b]))[1] == [cols]
+
+    @settings(max_examples=12)
+    @given(
+        q=st.sampled_from([(2, 2), (3, 2), (2, 3), (5, 2)]),
+        k=st.sampled_from([1, BACK_SUB_BLOCK - 1, BACK_SUB_BLOCK, BACK_SUB_BLOCK + 1, 130]),
+        extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        consistent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extension_fields(self, q, k, extra, consistent, seed):
+        f = make_field(*q)
+        rng = np.random.default_rng(seed)
+        rows, cols = k + extra[0], k + extra[1]
+        a = _matrix_of_rank(f, rows, cols, k, rng)
+        if consistent:
+            b = f.matmul(a, rng.integers(0, f.q, (cols, 2)))
+        else:
+            b = rng.integers(0, f.q, (rows, 2))
+        _, piv = rref_array(f, a)
+        assert len(piv) == k
+        free = [c for c in range(cols) if c not in piv]
+        res = solve_linear(Matrix(f, a), Matrix(f, b))
+        kernel = res.kernel.array
+        assert np.array_equal(nullspace_array(f, a), kernel)
+        assert kernel.shape == (cols, cols - k)
+        assert not f.matmul(a, kernel).any()
+        assert np.array_equal(kernel[free], np.eye(len(free), dtype=np.int64))
+        solvable = len(rref_array(f, np.hstack([a, b]))[1]) == k
+        assert res.consistent == solvable
+        if solvable:
+            assert np.array_equal(f.matmul(a, res.solution.array), b)
+            assert not res.solution.array[free].any()
+        else:
+            assert not consistent
+
+
+class TestSerializeCodes:
+    @pytest.mark.parametrize("p,e", [(5, 1), (2, 3), (3, 2), (7, 2)])
+    def test_matches_entrywise_serialization(self, p, e):
+        f = make_field(p, e)
+        codes = np.random.default_rng(p * e).integers(0, f.q, (4, 6))
+        assert f.serialize_codes(codes) == [f.serialize_code(int(c)) for c in codes.ravel()]
+        assert f.serialize_codes(np.zeros((0, 3), dtype=np.int64)) == []

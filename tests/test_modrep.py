@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from cjt.exactalg import Matrix, make_field, rank_array
+from split_free_oracle import split_free_by_rows
+
+from cjt.constancy import restrict_to_point, sweep_points
+from cjt.exactalg import Field, Matrix, make_field, rank_array
 from cjt.jordan import JordanType, from_nilpotent
 from cjt.modrep import (
     Convention,
@@ -23,6 +26,7 @@ from cjt.modrep import (
     trivial_module,
     validate,
 )
+from cjt.syzygy import omega_k
 
 
 def ke_mod_i2(field, r, convention=Convention.PRIMITIVE):
@@ -299,6 +303,63 @@ class TestSplitFree:
         res = split_free(m)
         assert m.dim == res.free_rank * 9 + res.core.dim
         assert validate(res.core).ok
+
+
+def assert_same_split(got, want):
+    assert got.free_rank == want.free_rank
+    assert got.core_pivot_rows == want.core_pivot_rows
+    assert np.array_equal(got.core_basis, want.core_basis)
+    assert np.array_equal(got.core_projection, want.core_projection)
+    assert got.core.field == want.core.field and got.core.convention == want.core.convention
+    assert len(got.core.gens) == len(want.core.gens)
+    assert all(np.array_equal(a, b) for a, b in zip(got.core.gens, want.core.gens))
+
+
+class TestSplitFreeOracle:
+    """split_free against the row-at-a-time reference in split_free_oracle."""
+
+    @pytest.mark.parametrize("degrees,dim", [((1, 2, 2), 136), ((2, 2, 2), 165)])
+    def test_carlson_sources_at_every_point(self, degrees, dim):
+        # the sources of `cjt carlson --p 3 --rank 3 --degrees ...`, restricted
+        # at every rational point and at two points over GF(9)
+        f = make_field(3, 1)
+        src = direct_sum([omega_k(f, 3, d) for d in degrees])
+        assert src.dim == dim
+        for q in sweep_points(f, 3, 1) + sweep_points(f, 3, 2)[:2]:
+            m = restrict_to_point(src, q)
+            assert_same_split(split_free(m), split_free_by_rows(m))
+
+    def test_rank_two_tensor_with_free_summands(self):
+        f = make_field(3, 1)
+        shift = omega_k(f, 2, 3)
+        m = tensor(shift, shift)
+        assert m.dim == 289
+        got = split_free(m)
+        assert got.free_rank == 29
+        assert_same_split(got, split_free_by_rows(m))
+
+    def test_module_over_gf9(self):
+        f = make_field(3, 2)
+        shift = omega_k(f, 2, 2)
+        m = tensor(shift, shift)
+        got = split_free(m)
+        assert got.free_rank > 0
+        assert_same_split(got, split_free_by_rows(m))
+
+    def test_whole_matrix_split_makes_few_products(self, monkeypatch):
+        f = make_field(3, 1)
+        src = direct_sum([omega_k(f, 3, 2)] * 3)
+        m = restrict_to_point(src, sweep_points(f, 3, 1)[0])
+        calls = []
+        matmul = Field.matmul
+
+        def counted(self, a, b):
+            calls.append(a.shape)
+            return matmul(self, a, b)
+
+        monkeypatch.setattr(Field, "matmul", counted)
+        split_free(m)
+        assert len(calls) < 60
 
 
 class TestCoverOmega:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from cjt.exactalg import STACK_CELLS, Field, Matrix, make_field
+from cjt.exactalg import STACK_CELLS, Field, Matrix, _frobenius_minus_x, _poly_gcd, make_field
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
 from cjt.modrep import ModuleRep
 from cjt.polymat import HomPoly, PolyMatrix, _orbit_blocks, bivariate_minor_gcd, generic_rank
@@ -289,15 +289,9 @@ def _min_witness_extension(g: HomPoly) -> int:
         u[a1] = c
     if u[g.degree] == 0:
         return 1  # divisible by the second variable: zero at [1:0]
-    from cjt.exactalg import _poly_gcd, _poly_powmod, _poly_trim
-
-    p = g.p
     poly = tuple(int(c) for c in u)
     for d in range(1, g.degree + 1):
-        t = list(_poly_powmod((0, 1), p**d, poly, p))
-        t += [0] * max(0, 2 - len(t))
-        t[1] = (t[1] - 1) % p
-        if len(_poly_gcd(_poly_trim(t), poly, p)) > 1:
+        if len(_poly_gcd(_frobenius_minus_x(d, poly, g.p), poly, g.p)) > 1:
             return d
     raise AssertionError("a nonconstant polynomial has roots in some extension")
 

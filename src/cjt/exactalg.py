@@ -94,20 +94,29 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
     return _poly_trim(out)
 
 
-def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+def _poly_divmod(
+    a: Sequence[int], m: Sequence[int], p: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by m, whose leading coefficient is nonzero."""
     a = list(a)
     dm = len(m) - 1
     lead_inv = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and _poly_trim(a):
+    quo = [0] * max(0, len(a) - dm)
+    while len(a) > dm:
         if a[-1] == 0:
             a.pop()
             continue
         f = (a[-1] * lead_inv) % p
         shift = len(a) - 1 - dm
+        quo[shift] = f
         for i, mi in enumerate(m):
             a[shift + i] = (a[shift + i] - f * mi) % p
         a.pop()
-    return _poly_trim(a)
+    return _poly_trim(quo), _poly_trim(a)
+
+
+def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
+    return _poly_divmod(a, m, p)[1]
 
 
 def _poly_powmod(a: Sequence[int], n: int, m: Sequence[int], p: int) -> tuple[int, ...]:
@@ -500,17 +509,19 @@ class Field:
         share a float64 sum while e k (p - 1)^2 < 2^53, else each is reduced
         on its own.  When one factor lies over the prime field, all digit
         planes of the other go through one stacked product with it, and
-        nothing needs reducing.
+        nothing needs reducing.  A max scan (codes below p) finds such a
+        factor before anything is split.
         """
         if self.e == 1:
             return self._exact_product(self._residues(a), self._residues(b))
+        a, b = np.asarray(a), np.asarray(b)
+        if b.max(initial=0) < self.p:
+            digits = np.stack(self._planes(a)).astype(np.float64)
+            return self._recompose(list(self._exact_product(digits, b.astype(np.float64))))
+        if a.max(initial=0) < self.p:
+            digits = np.stack(self._planes(b)).astype(np.float64)
+            return self._recompose(list(self._exact_product(a.astype(np.float64), digits)))
         a_planes, b_planes = self._planes(a), self._planes(b)
-        if not any(x.any() for x in b_planes[1:]):
-            digits = np.stack(a_planes).astype(np.float64)
-            return self._recompose(list(self._exact_product(digits, b_planes[0].astype(np.float64))))
-        if not any(x.any() for x in a_planes[1:]):
-            digits = np.stack(b_planes).astype(np.float64)
-            return self._recompose(list(self._exact_product(a_planes[0].astype(np.float64), digits)))
         red = self._reduction_rows()
         ap = [x.astype(np.float64) for x in a_planes]
         bp = [x.astype(np.float64) for x in b_planes]

@@ -509,11 +509,11 @@ def split_free(m: ModuleRep) -> SplitResult:
     vectors = np.zeros((m.dim, t), dtype=np.int64)
     vectors[piv_cols, np.arange(t)] = 1
     free_cols = _monomial_columns(m, vectors)
-    if rank_array(f, free_cols) != t * count:
+    # one elimination of the free rows gives the rank and, at its pivots,
+    # the standard vectors that extend the free basis to the whole space
+    pivots = set(_echelonize(f, free_cols.T.copy(), m.dim))
+    if len(pivots) != t * count:
         raise AssertionError("theta-independent vectors failed to generate freely")
-    # extend the free basis to the whole space by standard vectors
-    reduced, piv_rows = rref_array(f, free_cols.T)
-    pivots = set(piv_rows)
     complement = [j for j in range(m.dim) if j not in pivots]
     g = np.zeros((m.dim, m.dim), dtype=np.int64)
     g[:, : t * count] = free_cols

@@ -15,7 +15,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cjt.exactalg import STACK_CELLS, Field, make_field, rank_array, stack_ranks
+from cjt.exactalg import (
+    STACK_CELLS,
+    Field,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_mul,
+    _poly_trim,
+    make_field,
+    rank_array,
+    stack_ranks,
+)
 
 __all__ = [
     "HomPoly",
@@ -74,10 +84,6 @@ class HomPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0 or self.is_zero
-
     def add(self, other: "HomPoly") -> "HomPoly":
         if self.is_zero:
             return other
@@ -133,96 +139,105 @@ class HomPoly:
 
 
 class PolyMatrix:
-    """Grid of HomPoly entries sharing characteristic and variable count."""
+    """Matrix of homogeneous polynomials over GF(p), held as coefficient
+    tensors: the matrix is sum_a x^exps[a] coef[a] for distinct exponent
+    vectors exps (terms x nvars) and GF(p) coefficient matrices coef
+    (terms x rows x cols).  ``entries`` gives the HomPoly grid."""
 
     def __init__(self, p: int, nvars: int, entries: Sequence[Sequence[HomPoly]]):
-        self.p = p
-        self.nvars = nvars
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
+        grid = [list(row) for row in entries]
+        rows = len(grid)
+        cols = len(grid[0]) if rows else 0
+        index: dict[tuple[int, ...], int] = {}
+        cells = []
+        for i, row in enumerate(grid):
+            if len(row) != cols:
                 raise ValueError("ragged polynomial matrix")
-            for q in row:
+            for j, q in enumerate(row):
                 if q.p != p or q.nvars != nvars:
                     raise ValueError("entry characteristic or variable count mismatch")
+                cells += [(index.setdefault(e, len(index)), i, j, c) for e, c in q.terms.items()]
+        coef = np.zeros((len(index), rows, cols), dtype=np.int64)
+        a, i, j, c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+        coef[a, i, j] = c
+        self._store(p, np.array(list(index), dtype=np.int64).reshape(len(index), nvars), coef)
+        self._entries = grid
+
+    def _store(self, p: int, exps: np.ndarray, coef: np.ndarray) -> None:
+        self.p = p
+        self.nvars = exps.shape[1]
+        self.exps = exps
+        self.coef = coef
+        self.rows, self.cols = coef.shape[1:]
+        self._entries = None
+
+    @classmethod
+    def _from_tensors(cls, p: int, exps: np.ndarray, coef: np.ndarray) -> "PolyMatrix":
+        m = cls.__new__(cls)
+        m._store(p, exps, coef)
+        return m
 
     @classmethod
     def zeros(cls, p: int, nvars: int, rows: int, cols: int) -> "PolyMatrix":
-        z = HomPoly.zero(p, nvars)
-        return cls(p, nvars, [[z] * cols for _ in range(rows)])
+        return cls._from_tensors(p, np.zeros((0, nvars), dtype=np.int64), np.zeros((0, rows, cols), dtype=np.int64))
 
     @classmethod
-    def from_coefficients(cls, p: int, exps: Sequence[tuple[int, ...]], stack: np.ndarray) -> "PolyMatrix":
+    def from_coefficients(cls, p: int, exps: Sequence[Sequence[int]], stack: np.ndarray) -> "PolyMatrix":
         """The matrix sum_a x^exps[a] stack[a] from a (monomials, rows, cols)
         stack of GF(p) coefficient matrices; the exponent vectors are
-        distinct and share one total degree."""
-        _, rows, cols = stack.shape
-        nvars = len(exps[0])
-        terms: list[list[dict]] = [[{} for _ in range(cols)] for _ in range(rows)]
-        stack = stack % p
-        mono, ii, jj = np.nonzero(stack)
-        for a, i, j, c in zip(mono.tolist(), ii.tolist(), jj.tolist(), stack[mono, ii, jj].tolist()):
-            terms[i][j][exps[a]] = c
-        return cls(p, nvars, [[HomPoly(p, nvars, t) for t in row] for row in terms])
+        distinct, nonnegative and share one total degree."""
+        exps = np.array(exps, dtype=np.int64).reshape(len(exps), -1)
+        degrees = exps.sum(axis=1)
+        if (exps < 0).any() or (degrees != degrees[0]).any():
+            raise ValueError("exponent vectors must be nonnegative and share one total degree")
+        return cls._from_tensors(p, exps, stack % p)
+
+    @property
+    def entries(self) -> list[list[HomPoly]]:
+        """The entries as HomPoly objects, built on first use."""
+        if self._entries is None:
+            terms: list[list[dict]] = [[{} for _ in range(self.cols)] for _ in range(self.rows)]
+            keys = [tuple(e) for e in self.exps.tolist()]
+            a, i, j = np.nonzero(self.coef)
+            for a_, i_, j_, c in zip(a.tolist(), i.tolist(), j.tolist(), self.coef[a, i, j].tolist()):
+                terms[i_][j_][keys[a_]] = c
+            self._entries = [[HomPoly(self.p, self.nvars, t) for t in row] for row in terms]
+        return self._entries
+
+    def degrees(self) -> np.ndarray:
+        """Degree of every entry; -1 for zero entries."""
+        total = self.exps.sum(axis=1)[:, None, None]
+        return np.where(self.coef != 0, total, -1).max(axis=0, initial=-1)
 
     def evaluate(self, field: Field, coords: Sequence[int]) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                q = self.entries[i][j]
-                if not q.is_zero:
-                    out[i, j] = q.eval(field, coords)
-        return out
+        point = np.array(coords, dtype=np.int64).reshape(1, self.nvars)
+        return _evaluate_stack(field, self, point).reshape(self.rows, self.cols)
 
 
 def _uniform_profile(m: PolyMatrix) -> bool:
     """True when nonzero entries share one degree per row or per column, so
     that every minor is homogeneous and dehomogenizing is rank-safe."""
-    def uniform(axis_entries):
-        for group in axis_entries:
-            degs = {q.degree for q in group} - {None}
-            if len(degs) > 1:
-                return False
-        return True
+    def uniform(deg):
+        return bool(((deg < 0) | (deg == deg.max(axis=1, initial=-1)[:, None])).all())
 
-    rowwise = uniform(m.entries)
-    colwise = uniform([[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
-    return rowwise or colwise
+    deg = m.degrees()
+    return uniform(deg) or uniform(deg.T)
 
 
 def _homogenized(m: PolyMatrix, top: int) -> PolyMatrix:
     """The matrix with a new first variable x0 padding every entry to the
     top degree.  Setting x0 = 1 recovers the matrix, and every minor is
     homogeneous, so the rank over the function field is unchanged."""
-    nvars = m.nvars + 1
-    return PolyMatrix(m.p, nvars, [
-        [HomPoly(m.p, nvars, {(top - q.degree,) + e: c for e, c in q.terms.items()}) for q in row]
-        for row in m.entries
-    ])
+    pad = top - m.exps.sum(axis=1, keepdims=True)
+    return PolyMatrix._from_tensors(m.p, np.concatenate([pad, m.exps], axis=1), m.coef)
 
 
-def _coefficient_form(m: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent vectors (terms x nvars) and GF(p) coefficients (terms x
-    rows*cols) of the distinct monomials of the entries."""
-    index: dict[tuple[int, ...], int] = {}
-    terms, cells, coefs = [], [], []
-    for i, row in enumerate(m.entries):
-        for j, q in enumerate(row):
-            for exps, c in q.terms.items():
-                terms.append(index.setdefault(exps, len(index)))
-                cells.append(i * m.cols + j)
-                coefs.append(c)
-    coef = np.zeros((len(index), m.rows * m.cols), dtype=np.int64)
-    coef[terms, cells] = coefs
-    return np.array(list(index), dtype=np.int64).reshape(len(index), m.nvars), coef
-
-
-def _evaluate_stack(field: Field, form: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
-    """The matrix, given by its coefficient form, at each of a block of
-    points: a (points, rows * cols) array of codes."""
-    exps, coef = form
+def _evaluate_stack(field: Field, m: PolyMatrix, points: np.ndarray, cells=None) -> np.ndarray:
+    """The matrix at each of a block of points: a (points, rows * cols)
+    array of codes, or (points, len(cells)) for the given flat cells."""
+    exps, coef = m.exps, m.coef.reshape(m.exps.shape[0], m.rows * m.cols)
+    if cells is not None:
+        coef = coef[:, cells]
     powers = []
     for j in range(exps.shape[1]):
         chain = [None, points[:, j]]
@@ -240,14 +255,14 @@ def _evaluate_stack(field: Field, form: tuple[np.ndarray, np.ndarray], points: n
     return field.matmul(monomials, coef)
 
 
-def _stacked_ranks(m: PolyMatrix, form, field: Field, blocks):
+def _stacked_ranks(m: PolyMatrix, field: Field, blocks):
     """(points, ranks) of the matrix over the field, for each block of
     points cut into stacks of at most STACK_CELLS entries."""
     per_stack = max(1, STACK_CELLS // (m.rows * m.cols))
     for block in blocks:
         for i in range(0, block.shape[0], per_stack):
             points = block[i : i + per_stack]
-            values = _evaluate_stack(field, form, points).reshape(-1, m.rows, m.cols)
+            values = _evaluate_stack(field, m, points).reshape(-1, m.rows, m.cols)
             yield points, stack_ranks(field, values)
 
 
@@ -271,11 +286,10 @@ def generic_rank(m: PolyMatrix) -> int:
     full = min(m.rows, m.cols)
     if full == 0:
         return 0
-    degree = max((q.degree for row in m.entries for q in row if not q.is_zero), default=0)
+    degree = max(int(m.degrees().max()), 0)
     if m.nvars == 0 or not _uniform_profile(m):
         # P^(-1) has no points: a matrix of constants gets a variable too
         m = _homogenized(m, degree)
-    form = _coefficient_form(m)
     best = 0
     swept: set[int] = set()
     while True:
@@ -286,7 +300,7 @@ def generic_rank(m: PolyMatrix) -> int:
         if not todo:
             return best
         field = make_field(m.p, todo[0])
-        for _, ranks in _stacked_ranks(m, form, field, _orbit_blocks(field, m.nvars)):
+        for _, ranks in _stacked_ranks(m, field, _orbit_blocks(field, m.nvars)):
             best = max(best, int(ranks.max()))
             if best == full:
                 return full
@@ -296,42 +310,6 @@ def generic_rank(m: PolyMatrix) -> int:
 # ---------------------------------------------------------------------------
 # gcd of all k x k minors, two variables
 # ---------------------------------------------------------------------------
-
-def _u_trim(a: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(a)
-    return a[: nz[-1] + 1] if nz.size else a[:0]
-
-
-def _u_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.convolve(a, b) % p
-
-
-def _u_divmod(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    r = _u_trim(a % p)
-    db = b.size - 1
-    if r.size - 1 < db:
-        return np.zeros(0, dtype=np.int64), r
-    inv_lead = pow(int(b[-1]), p - 2, p)
-    quo = np.zeros(r.size - db, dtype=np.int64)
-    for k in range(quo.size - 1, -1, -1):
-        q = (int(r[k + db]) * inv_lead) % p
-        if q:
-            quo[k] = q
-            r[k : k + db + 1] = (r[k : k + db + 1] - q * b) % p
-    return quo, _u_trim(r)
-
-
-def _u_monic(a: np.ndarray, p: int) -> np.ndarray:
-    return (a * pow(int(a[-1]), p - 2, p)) % p if a.size else a
-
-
-def _u_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    while b.size:
-        a, b = b, _u_divmod(a, b, p)[1]
-    return _u_monic(a, p)
-
 
 def _degrees(t: np.ndarray) -> np.ndarray:
     """Degree of every entry of a coefficient tensor; -1 for zero entries."""
@@ -374,8 +352,8 @@ def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
     are clear, which ends as the corner's degree drops every round.  These
     unimodular steps keep the gcd of the k-minors, so it is that of the
     nonzero diagonal d_1..d_r: the product of the first k invariant
-    factors, which (gcd, lcm) exchanges sort out of the diagonal.  For
-    k = r it is the product of the whole diagonal.
+    factors, which (gcd, lcm) exchanges sort out of the diagonal, made
+    monic.  For k = r it is the product of the whole diagonal.
     """
     t = t % p
     diagonal = []
@@ -397,37 +375,31 @@ def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
             if not (t[1:, 0].any() or t[0, 1:].any()):
                 break
             deg = _degrees(t)
-        diagonal.append(_u_monic(_u_trim(t[0, 0]), p))
+        diagonal.append(_poly_trim(t[0, 0].tolist()))
         t = t[1:, 1:]
     if k > len(diagonal):
         return np.zeros(0, dtype=np.int64)
     if k < len(diagonal):
         for i in range(k):
             for j in range(i + 1, len(diagonal)):
-                g = _u_gcd(diagonal[i], diagonal[j], p)
-                diagonal[i], diagonal[j] = g, _u_divmod(_u_mul(diagonal[i], diagonal[j], p), g, p)[0]
-    out = np.ones(1, dtype=np.int64)
+                g = _poly_gcd(diagonal[i], diagonal[j], p)
+                diagonal[i], diagonal[j] = g, _poly_divmod(_poly_mul(diagonal[i], diagonal[j], p), g, p)[0]
+    out: tuple[int, ...] = (1,)
     for d in diagonal[:k]:
-        out = _u_mul(out, d, p)
-    return out
+        out = _poly_mul(out, d, p)
+    return np.array(out, dtype=np.int64) * pow(out[-1], p - 2, p) % p
 
 
 def _chart_tensors(m: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient tensors (rows, cols, degree + 1) of a two-variable
     matrix on its affine charts: chart 0 sets x2 = 1 and keeps x1 as the
-    variable, chart 1 sets x1 = 1 and keeps x2."""
-    cells = [
-        (i, j, a, b, c)
-        for i, row in enumerate(m.entries)
-        for j, q in enumerate(row)
-        for (a, b), c in q.terms.items()
-    ]
-    idx = np.array(cells, dtype=np.int64).reshape(-1, 5)
-    degree = int((idx[:, 2] + idx[:, 3]).max(initial=0))
-    charts = np.zeros((2, m.rows, m.cols, degree + 1), dtype=np.int64)
-    charts[0, idx[:, 0], idx[:, 1], idx[:, 2]] = idx[:, 4]
-    charts[1, idx[:, 0], idx[:, 1], idx[:, 3]] = idx[:, 4]
-    return charts[0], charts[1]
+    variable, chart 1 sets x1 = 1 and keeps x2.  Entries are homogeneous,
+    so each chart coefficient is that of exactly one term."""
+    powers = np.arange(int(m.exps.sum(axis=1).max(initial=0)) + 1)
+    return tuple(
+        np.tensordot(m.coef, (m.exps[:, v, None] == powers).astype(np.int64), axes=(0, 0))
+        for v in (0, 1)
+    )
 
 
 def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
@@ -571,21 +543,19 @@ def _orbit_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
             yield block
 
 
-def _minor_sieve(m: PolyMatrix, form, field: Field, k: int, blocks):
+def _minor_sieve(m: PolyMatrix, field: Field, k: int, blocks):
     """The points of each block where the leading k x k minor vanishes, for
     k <= 2; at the other points the rank is at least k.  Only the minor's
     entries are evaluated.  For k > 2 the blocks pass unchanged."""
     if k > 2:
         yield from blocks
         return
-    exps, coef = form
     cells = [0] if k == 1 else [0, 1, m.cols, m.cols + 1]
-    corner = (exps, coef[:, cells])
     per_stack = STACK_CELLS // len(cells)
     for block in blocks:
         for i in range(0, block.shape[0], per_stack):
             points = block[i : i + per_stack]
-            v = _evaluate_stack(field, corner, points)
+            v = _evaluate_stack(field, m, points, cells)
             minor = v[:, 0] if k == 1 else field.sub(field.mul(v[:, 0], v[:, 3]), field.mul(v[:, 1], v[:, 2]))
             if not minor.all():
                 yield points[minor == 0]
@@ -608,11 +578,10 @@ def common_zero_search(
         raise ValueError(f"minor size {k} out of range")
     if not _uniform_profile(m):
         raise ValueError("degree profile must be row- or column-uniform")
-    form = _coefficient_form(m)
     for e in range(1, max_e + 1):
         field = make_field(m.p, e)
-        blocks = _minor_sieve(m, form, field, k, _orbit_blocks(field, m.nvars))
-        for points, ranks in _stacked_ranks(m, form, field, blocks):
+        blocks = _minor_sieve(m, field, k, _orbit_blocks(field, m.nvars))
+        for points, ranks in _stacked_ranks(m, field, blocks):
             hits = np.flatnonzero(ranks < k)
             if hits.size:
                 return CommonZeroWitness(tuple(int(c) for c in points[hits[0]]), e, field)

@@ -11,6 +11,7 @@ from cjt.exactalg import (
     BACK_SUB_BLOCK,
     Field,
     Matrix,
+    _poly_divmod,
     _poly_mod,
     _poly_mul,
     make_field,
@@ -145,6 +146,25 @@ def _python_int_matmul(field, a, b):
             acc = tuple((u + v) % p for u, v in zip(acc + (0,) * (width - len(acc)), term + (0,) * (width - len(term))))
         out[idx] = field._poly_to_code(_poly_mod(acc, mod, p) if field.e > 1 else acc)
     return out
+
+
+@settings(max_examples=100)
+@given(
+    p=st.sampled_from([2, 3, 7, 31]),
+    a=st.lists(st.integers(0, 30), max_size=9),
+    m=st.lists(st.integers(0, 30), min_size=1, max_size=5),
+)
+def test_poly_divmod(p, a, m):
+    a, m = [c % p for c in a], [c % p for c in m]
+    if not m[-1]:
+        m[-1] = 1
+    quo, rem = _poly_divmod(a, m, p)
+    assert len(rem) < len(m)
+    assert rem == _poly_mod(a, m, p)
+    prod = list(_poly_mul(quo, m, p)) + [0] * (len(a) + 1)
+    padded_rem = list(rem) + [0] * (len(prod) - len(rem))
+    summed = [(x + y) % p for x, y in zip(prod, padded_rem)]
+    assert tuple(summed[: len(a)]) == tuple(a) and not any(summed[len(a) :])
 
 
 class TestWordSize:

@@ -135,6 +135,25 @@ class TestExtensionKernels:
         a, b = draw(kinds[0], lead + (m, k)), draw(kinds[1], lead + (k, n))
         assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
 
+    @settings(max_examples=60)
+    @given(
+        pe=st.sampled_from(KERNEL_FIELDS),
+        side=st.sampled_from(["left", "right"]),
+        shape=st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matmul_with_one_extension_entry(self, pe, side, shape, seed):
+        # a factor over GF(p) but for one code in [p, q) must take the
+        # general product, not the prime-factor shortcut
+        f = make_field(*pe)
+        count, m, k, n = shape
+        lead = (count,) if count else ()
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(0, f.p, lead + (m, k)), rng.integers(0, f.p, lead + (k, n))
+        x = a if side == "left" else b
+        x[tuple(int(rng.integers(0, d)) for d in x.shape)] = rng.integers(f.p, f.q)
+        assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
+
     @settings(max_examples=len(KERNEL_FIELDS))
     @given(pe=st.sampled_from(KERNEL_FIELDS))
     def test_frobenius_is_the_p_th_power(self, pe):

@@ -2,10 +2,10 @@
 
 A grid of maps between Heller shifts assembles into one map of direct
 sums; its kernel inherits a module structure.  The per-point hypothesis
-("full rank after restriction" in the stable sense) is checked by
-splitting free summands off the restricted modules and asking the induced
-map of cores to be surjective — a quotient of projective-free modules has
-Loewy length below p, so its cokernel is projective exactly when it is 0.
+("full rank after restriction" in the stable sense) asks the restricted
+map to be onto on stable cores.  It is decided by three ranks of powers
+of the point's matrices and of one block matrix (``syzygy._onto_on_cores``);
+no free summand is split off.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cjt.constancy import PiPoint, level_types, restrict_to_point, sweep_points
-from cjt.exactalg import nullspace_array, rank_array, rref_array
+from cjt.constancy import PiPoint, level_types, sweep_points
+from cjt.exactalg import nullspace_array, rref_array
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
     ModuleHom,
@@ -26,7 +26,7 @@ from cjt.modrep import (
     submodule,
     validate,
 )
-from cjt.syzygy import CocycleClass
+from cjt.syzygy import CocycleClass, _onto_on_cores
 
 __all__ = [
     "KernelResult",
@@ -51,21 +51,6 @@ class KernelResult:
     kernel: ModuleRep
     map: ModuleHom
     report: HypothesisReport
-
-
-def _stable_rank_full(phi: ModuleHom, q: PiPoint) -> bool:
-    """Whether the restriction of phi at q is surjective on stable cores."""
-    src = restrict_to_point(phi.source, q)
-    tgt = restrict_to_point(phi.target, q)
-    field = src.field
-    split_s = split_free(src)
-    split_t = split_free(tgt)
-    if split_t.core.dim == 0:
-        return True
-    core_map = field.matmul(
-        split_t.core_projection, field.matmul(phi.matrix % field.p, split_s.core_basis)
-    )
-    return rank_array(field, core_map) == split_t.core.dim
 
 
 def kernel_of_hom_matrix(
@@ -102,7 +87,7 @@ def kernel_of_hom_matrix(
     ok = True
     for e in range(1, max_e + 1):
         for q in sweep_points(source_sum.field, source_sum.r, e):
-            holds = _stable_rank_full(phi, q)
+            holds = _onto_on_cores(phi, q)
             ok = ok and holds
             points.append((q, holds))
     return KernelResult(sub.module, phi, HypothesisReport(points, ok))

@@ -210,23 +210,12 @@ def _pencil_ranks(m: ModuleRep):
             return
 
 
-def _type_from_ranks(m: ModuleRep, ranks: list[int]) -> JordanType:
-    """Jordan type whose j-th power has rank ranks[j - 1] (zero past the list)."""
-    p = m.p
-    ranks = [m.dim] + ranks + [0] * (p + 1 - len(ranks))
-    counts = [ranks[j - 1] - 2 * ranks[j] + ranks[j + 1] for j in range(1, p + 1)]
-    jt = JordanType(p, tuple(counts))
-    if jt.dim != m.dim:
-        raise AssertionError("generic ranks are not the power ranks of a nilpotent matrix")
-    return jt
-
-
 def generic_type(m: ModuleRep) -> JordanType:
     """Jordan type at the generic point of the pencil, over the rational
     function field; dominates every rational specialization."""
     if m.dim == 0:
         return JordanType(m.p, (0,) * m.p)
-    return _type_from_ranks(m, [rho for _, rho in _pencil_ranks(m)])
+    return JordanType.from_power_ranks(m.p, [m.dim] + [rho for _, rho in _pencil_ranks(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +314,8 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
                 lvl = _min_witness_extension(g)
                 witness_level = lvl if witness_level is None else min(witness_level, lvl)
         if witness_level is None:
-            return CjtReport("CONSTANT_EXACT", _type_from_ranks(m, ranks), [], "RANK2_GCD", [])
+            jt = JordanType.from_power_ranks(m.p, [m.dim] + ranks)
+            return CjtReport("CONSTANT_EXACT", jt, [], "RANK2_GCD", [])
         exact_known_nonconstant = True
 
     observed: dict[JordanType, PiPoint] = {}

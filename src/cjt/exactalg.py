@@ -521,45 +521,36 @@ class Field:
         if a.max(initial=0) < self.p:
             digits = np.stack(self._planes(b)).astype(np.float64)
             return self._recompose(list(self._exact_product(a.astype(np.float64), digits)))
-        a_planes, b_planes = self._planes(a), self._planes(b)
-        red = self._reduction_rows()
-        ap = [x.astype(np.float64) for x in a_planes]
-        bp = [x.astype(np.float64) for x in b_planes]
+        ap = [x.astype(np.float64) for x in self._planes(a)]
+        bp = [x.astype(np.float64) for x in self._planes(b)]
         fused = self.e * a.shape[-1] * (self.p - 1) ** 2 < _EXACT
+        return self._fold(ap, bp, np.matmul if fused else self._exact_product)
+
+    def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self.e == 1:
+            return np.kron(a, b) % self.p
+        return self._fold(self._planes(a), self._planes(b), np.kron)
+
+    def _fold(self, ap: list[np.ndarray], bp: list[np.ndarray], product) -> np.ndarray:
+        """Codes of a bilinear product over GF(p^e) from the digit planes of
+        its factors: the e^2 plane products landing on one power x^m are
+        summed and reduced mod p, the powers x^m with m >= e are folded down
+        through the reduction rows, and the planes are recomposed."""
         acc = [None] * (2 * self.e - 1)
         for k in range(self.e):
             for l in range(self.e):
-                prod = ap[k] @ bp[l] if fused else self._exact_product(ap[k], bp[l])
+                prod = product(ap[k], bp[l])
                 m = k + l
                 acc[m] = prod if acc[m] is None else acc[m] + prod
         acc = [self._mod_p(x.astype(np.int64)) for x in acc]
-        planes = [acc[k] for k in range(self.e)]
+        planes = acc[: self.e]
+        red = self._reduction_rows()
         for m in range(self.e, 2 * self.e - 1):
             row = red[m]
             for k in range(self.e):
                 if row[k]:
                     planes[k] = planes[k] + int(row[k]) * acc[m]
         return self._recompose([self._mod_p(x) for x in planes])
-
-    def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return np.kron(a, b) % self.p
-        red = self._reduction_rows()
-        ap, bp = self._planes(a), self._planes(b)
-        acc = [None] * (2 * self.e - 1)
-        for k in range(self.e):
-            for l in range(self.e):
-                prod = np.kron(ap[k], bp[l])
-                m = k + l
-                acc[m] = prod if acc[m] is None else acc[m] + prod
-        acc = [x % self.p for x in acc]
-        planes = [acc[k] for k in range(self.e)]
-        for m in range(self.e, 2 * self.e - 1):
-            row = red[m]
-            for k in range(self.e):
-                if row[k]:
-                    planes[k] = planes[k] + int(row[k]) * acc[m]
-        return self._recompose([x % self.p for x in planes])
 
     # -- element bookkeeping -------------------------------------------------
     def element(self, value) -> "FieldElement":

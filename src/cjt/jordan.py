@@ -61,6 +61,21 @@ class JordanType:
             counts[size - 1] += mult
         return cls(p, tuple(counts))
 
+    @classmethod
+    def from_power_ranks(cls, p: int, ranks: list[int]) -> "JordanType":
+        """Type whose j-th power has rank ranks[j], with ranks[0] the
+        dimension and ranks past the list zero.
+
+        a_j = rank(A^(j-1)) - 2 rank(A^j) + rank(A^(j+1)); raises if the
+        counts do not add up to the dimension.
+        """
+        ranks = list(ranks) + [0] * (p + 2 - len(ranks))
+        counts = [ranks[j - 1] - 2 * ranks[j] + ranks[j + 1] for j in range(1, p + 1)]
+        jt = cls(p, tuple(counts))
+        if jt.dim != ranks[0]:
+            raise AssertionError("second differences of ranks lost dimension")
+        return jt
+
     @property
     def dim(self) -> int:
         return sum(i * a for i, a in enumerate(self.counts, start=1))
@@ -105,23 +120,14 @@ def power_ranks(m: Matrix, p: int) -> list[int]:
 
 
 def from_nilpotent(a: Matrix, p: int) -> JordanType:
-    """Jordan type of a nilpotent matrix, from the ranks of its powers.
-
-    a_j = rank(A^(j-1)) - 2 rank(A^j) + rank(A^(j+1)); raises if A^p != 0.
-    """
+    """Jordan type of a nilpotent matrix, from the ranks of its powers;
+    raises if A^p != 0."""
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
     ranks = power_ranks(a, p)
     if ranks[p] != 0:
         raise ValueError(f"matrix is not nilpotent of order <= {p}")
-    counts = []
-    for j in range(1, p + 1):
-        above = ranks[j + 1] if j + 1 <= p else 0
-        counts.append(ranks[j - 1] - 2 * ranks[j] + above)
-    jt = JordanType(p, tuple(counts))
-    if jt.dim != a.rows:
-        raise AssertionError("second differences of ranks lost dimension")
-    return jt
+    return JordanType.from_power_ranks(p, ranks)
 
 
 def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:

@@ -23,12 +23,14 @@ from cjt.exactalg import (
     _echelonize,
     _kernel_from_echelon,
     column_space,
+    make_field,
     nullspace_array,
     rank_array,
     rref_array,
     solve_linear,
 )
 from cjt.jordan import jordan_types
+from cjt.polymat import _point_blocks
 
 __all__ = [
     "Convention",
@@ -746,29 +748,13 @@ class IsoResult:
         return self.isomorphic
 
 
-def _normalized_tuples(p: int, r: int) -> list[tuple[int, ...]]:
-    """Normalized projective points over the prime field (first nonzero
-    coordinate 1), in ascending lexicographic order of the full tuple."""
-    out = []
-    for pivot in range(r):
-        tail_len = r - pivot - 1
-        for tail in _iproduct(range(p), repeat=tail_len):
-            out.append((0,) * pivot + (1,) + tail)
-    return sorted(out)
-
-
 def _rational_type_signature(m: ModuleRep):
     """Jordan types at all normalized rational linear points, for fast
     non-isomorphism detection."""
     f = m.field
-    mats = []
-    for coords in _normalized_tuples(f.p, m.r):
-        mat = np.zeros((m.dim, m.dim), dtype=np.int64)
-        for c, a in zip(coords, m.gens):
-            if c:
-                mat = f.add(mat, f.mul(np.int64(c), a))
-        mats.append(mat)
-    return jordan_types(f, np.stack(mats), m.p)
+    points = np.concatenate(list(_point_blocks(make_field(f.p, 1), m.r)))
+    mats = f.matmul(points, np.stack(m.gens).reshape(m.r, -1))
+    return jordan_types(f, mats.reshape(-1, m.dim, m.dim), m.p)
 
 
 def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:

@@ -154,17 +154,40 @@ def restrict_cocycle(c: CocycleClass, q: PiPoint) -> str:
     """ZERO or NONZERO: whether the class dies at the restriction point.
 
     Along a point, a functional is stably zero iff it lies in the row space
-    of the (p-1)-st power of the point's matrix on the carrier source.
+    of the (p-1)-st power of the point's matrix on the carrier source: the
+    stable-rank identity of ``_onto_on_cores`` with the trivial target.
     """
     if q.tail:
         raise ValueError("cocycle restriction is defined at linear points")
-    value = evaluate(c.carrier.source, q)
-    field_q, a = value.field, value.array
-    top = _mat_pow(field_q, a, field_q.p - 1)
-    row = c.carrier.matrix % field_q.p
-    base = rank_array(field_q, top)
-    stacked = np.vstack([top, row])
-    return "ZERO" if rank_array(field_q, stacked) == base else "NONZERO"
+    return "NONZERO" if _onto_on_cores(c.carrier, q) else "ZERO"
+
+
+def _onto_on_cores(phi: ModuleHom, q: PiPoint) -> bool:
+    """Whether the restriction of phi at q is onto on stable cores.
+
+    With A and B the matrices of q on the source S and the target T, the
+    map is onto on the cores (the summands without free part) iff
+
+        rank [[A^(p-1), 0], [phi, B]] - rank A^(p-1) = dim T - rank B^(p-1).
+
+    Over k[t]/t^p, ker A^(p-1) = core_S + rad F_S for the free part F_S,
+    and phi(rad F_S) lies in im B.  So phi(ker A^(p-1)) + im B lies in
+    ker B^(p-1) = core_T + rad F_T, and by Nakayama and the modular law
+    the core map is onto iff the two spaces are equal.  The block matrix
+    has rank rank A^(p-1) + dim(phi(ker A^(p-1)) + im B), and ker B^(p-1)
+    has dimension dim T - rank B^(p-1).  A free target and p = 2 need no
+    special case.
+    """
+    a = evaluate(phi.source, q)
+    b = evaluate(phi.target, q)
+    field = a.field
+    top_a = _mat_pow(field, a.array, field.p - 1)
+    top_b = _mat_pow(field, b.array, field.p - 1)
+    # reduced as codes of the modules' field: mod p over GF(p), and kept
+    # whole over GF(p^e), where a residue mod p is another element
+    codes = phi.matrix % phi.source.field.q
+    block = np.block([[top_a, np.zeros((a.rows, b.cols), dtype=np.int64)], [codes, b.array]])
+    return rank_array(field, block) - rank_array(field, top_a) == b.rows - rank_array(field, top_b)
 
 
 # ---------------------------------------------------------------------------

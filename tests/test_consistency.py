@@ -9,12 +9,15 @@ isomorphism search.
 import numpy as np
 import pytest
 from bareiss_oracle import bareiss_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from minor_scan_oracle import chart, minor_scan_gcd
 
 from cjt.constancy import PiPoint, jordan_at, sweep_points
 from cjt.exactalg import make_field, rank_array
-from cjt.jordan import JordanType
+from cjt.jordan import JordanType, stable
 from cjt.modrep import (
+    Convention,
     direct_sum,
     dual,
     free_module,
@@ -140,6 +143,39 @@ class TestFactorGeneratorsLargerPrime:
         for q in sweep_points(f, 2, 2)[:12]:
             want = "NONZERO" if q.linear[0] else "ZERO"
             assert restrict_cocycle(c, q) == want
+
+
+class TestPointwiseHellerReflection:
+    """At every point q, stable(type(Omega^(+-1) M, q)) is stable(type(M, q))
+    with each block j replaced by p - j: kE is free over every pi-point, so
+    the shift restricts to the shift over k[t]/t^p plus a free part."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=16)
+    @given(
+        p=st.sampled_from([3, 5]),
+        r=st.sampled_from([2, 3]),
+        dim=st.integers(4, 8),
+        seed=st.integers(0, 100),
+        n=st.sampled_from([-1, 1]),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_shift_reflects_stable_types(self, p, r, dim, seed, n, convention):
+        f = make_field(p, 1)
+        m = random_module(f, r, dim, seed, convention)
+        shifted = omega_n(m, n)
+        rng = np.random.default_rng(seed)
+        points = []
+        for e, count in ((1, 8), (2, 4)):
+            level = sweep_points(f, r, e)
+            points += [level[i] for i in sorted(rng.choice(len(level), min(count, len(level)), replace=False))]
+        for q in points[:3]:
+            exps = tuple(int(x) for x in rng.integers(0, p, r))
+            if sum(exps) >= 2:
+                points.append(PiPoint(f, q.linear, ((exps, int(rng.integers(1, p))),)))
+        for q in points:
+            before = stable(jordan_at(m, q))
+            after = stable(jordan_at(shifted, q))
+            assert after.counts == tuple(reversed(before.counts[:-1])) + (0,), (q, before, after)
 
 
 class TestZeroAndEdgeModules:

@@ -256,6 +256,18 @@ class TestFieldArithmetic:
                 want[i, j] = acc
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (5, 2)])
+    def test_kron_extension_field_matches_elementwise(self, p, e):
+        f = make_field(p, e)
+        rng = np.random.default_rng(p)
+        a = rng.integers(0, f.q, (3, 4)).astype(np.int64)
+        b = rng.integers(0, f.q, (5, 2)).astype(np.int64)
+        want = np.zeros((15, 8), dtype=np.int64)
+        for i, k in np.ndindex(a.shape):
+            for j, l in np.ndindex(b.shape):
+                want[5 * i + j, 2 * k + l] = f.mul(a[i, k], b[j, l])
+        assert np.array_equal(f.kron(a, b), want)
+
     def test_ordered_codes_prime_field(self):
         assert list(make_field(5, 1).ordered_codes()) == [0, 1, 2, 3, 4]
 

@@ -86,6 +86,17 @@ class TestFromNilpotent:
             power = power @ m
             assert rank(power) == t.power_rank(j)
 
+    def test_from_power_ranks_pads_with_zeros(self):
+        t = jt(5, [4, 2, 1, 5])
+        full = [t.power_rank(j) for j in range(6)]
+        assert JordanType.from_power_ranks(5, full) == t
+        assert JordanType.from_power_ranks(5, full[:5]) == t
+        assert JordanType.from_power_ranks(3, [5, 2]) == jt(3, [2, 2, 1])
+        with pytest.raises(ValueError):
+            JordanType.from_power_ranks(3, [3, 2])  # a negative count
+        with pytest.raises(AssertionError):
+            JordanType.from_power_ranks(2, [3, 2, 1])  # A^2 != 0 loses dimension
+
 
 class TestDominance:
     def test_equal(self):

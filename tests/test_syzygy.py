@@ -142,6 +142,20 @@ class TestRestrictCocycle:
                 want = "NONZERO" if q.linear[i] else "ZERO"
                 assert restrict_cocycle(c, q) == want
 
+    def test_combination_over_extension_field_dies_on_its_line(self):
+        # a x_1 + x_2 over GF(9) restricts to zero exactly at [1 : -a]; the
+        # carrier's codes must not be read mod p
+        from cjt.syzygy import CocycleClass
+
+        f = make_field(3, 2)
+        g0, g1 = (factor_generator(f, 2, i, 1).carrier for i in range(2))
+        for a in range(1, f.q):
+            mat = f.add(f.mul(np.int64(a), g0.matrix), g1.matrix)
+            c = CocycleClass(1, ModuleHom(g0.source, g0.target, mat))
+            dead = [b for b in range(f.q) if restrict_cocycle(c, PiPoint(f, (1, b))) == "ZERO"]
+            assert dead == [int(f.neg(np.int64(a)))]
+            assert restrict_cocycle(c, PiPoint(f, (0, 1))) == "NONZERO"
+
 
 class TestVanishingClass:
     def test_some_degree_two_class_vanishes_at_every_point(self):

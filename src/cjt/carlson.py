@@ -4,8 +4,9 @@ A grid of maps between Heller shifts assembles into one map of direct
 sums; its kernel inherits a module structure.  The per-point hypothesis
 ("full rank after restriction" in the stable sense) asks the restricted
 map to be onto on stable cores.  It is decided by three ranks of powers
-of the point's matrices and of one block matrix (``syzygy._onto_on_cores``);
-no free summand is split off.
+of the point's matrices and of one block matrix (``syzygy._onto_on_cores``).
+The global endotriviality test is one rank of the norm element theta on
+the endomorphism module.  No free summand is split off anywhere here.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from cjt.constancy import PiPoint, level_types, sweep_points
-from cjt.exactalg import nullspace_array, rref_array
+from cjt.exactalg import nullspace_array, rank_array, rref_array
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
     ModuleHom,
     ModuleRep,
+    _theta,
     direct_sum,
     hom,
-    split_free,
     submodule,
     validate,
 )
@@ -135,14 +136,17 @@ class EndoEvidence:
 def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]:
     """Whether the endomorphism module is trivial plus projective.
 
-    The global test splits the free part off hom(m, m) and asks for a
-    one-dimensional trivial core.  The local test asks the stable type at
-    every swept point to be a single block of size 1 or p-1.  The two must
-    agree.
+    The global test reads the free rank of hom(m, m) as the rank of the
+    norm element theta = (t_1 ... t_r)^(p-1) on it; the module is
+    endotrivial iff the rest, the projective-free core, has dimension one
+    (a one-dimensional module has zero action, so that core is k).  The
+    local test asks the stable type at every swept point to be a single
+    block of size 1 or p-1.  The two must agree.
     """
     endo = hom(m, m)
-    res = split_free(endo)
-    global_ok = res.core.dim == 1 and not any(np.any(a) for a in res.core.gens)
+    free_rank = rank_array(m.field, _theta(endo))
+    core_dim = endo.dim - free_rank * m.p**m.r
+    global_ok = core_dim == 1
     p = m.p
     allowed = {
         JordanType.from_blocks(p, {1: 1}),
@@ -161,4 +165,4 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
             "global and local endotriviality tests disagree: "
             f"global={global_ok}, local={local_ok}"
         )
-    return global_ok, EndoEvidence(global_ok, local_ok, res.free_rank, res.core.dim, types)
+    return global_ok, EndoEvidence(global_ok, local_ok, free_rank, core_dim, types)

@@ -85,15 +85,18 @@ class PiPoint:
 
 
 def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
+    """The field a point's matrix on m lives in: the larger of the two."""
     if q.field.p != m.field.p:
         raise ValueError("characteristic mismatch between module and point")
-    if q.field == m.field:
-        return q.field
-    if m.field.is_prime_field:
+    if q.field == m.field or m.field.is_prime_field:
         # prime-field entries are constant codes in any extension
         return q.field
+    if q.field.is_prime_field:
+        # and so are the coordinates of a point over the prime field
+        return m.field
     raise ValueError(
-        "modules over a proper extension only accept points over the same field"
+        "modules over a proper extension only accept points over the same "
+        "field or the prime field"
     )
 
 
@@ -138,8 +141,15 @@ def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
     Points whose coordinates all lie in a proper subfield are skipped (they
     already appeared at a lower level), and only the first representative
     of each Frobenius orbit is kept; conjugate points have equal Jordan
-    types on any module defined over the prime field.
+    types on any module defined over the prime field.  On a module over a
+    proper extension they need not, so its sweeps stop at level 1.
     """
+    if e >= 2 and not m_field.is_prime_field:
+        raise ValueError(
+            f"a level-{e} sweep keeps one point per Frobenius orbit, which stands "
+            "for its orbit only on modules over the prime field; this module is "
+            f"over GF({m_field.p}^{m_field.e}), so sweep it at level 1 only"
+        )
     field = make_field(m_field.p, e)
     return [
         PiPoint(field, tuple(coords))
@@ -151,18 +161,17 @@ def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
 def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     """Jordan type at every sweep point of extension level e, in sweep order.
 
-    Each point's matrix comes from ``evaluate``; the matrices are typed in
-    stacks of at most ``STACK_CELLS`` entries by the batched kernel
-    ``jordan_types``, which falls back to one matrix at a time above
-    ``BATCH_DIM_CUTOFF``.
+    Each point's matrix comes from ``evaluate``, over the field it lives
+    in; the matrices are typed in stacks of at most ``STACK_CELLS`` entries
+    by the batched kernel ``jordan_types``, which falls back to one matrix
+    at a time above ``BATCH_DIM_CUTOFF``.
     """
     points = sweep_points(m.field, m.r, e)
-    field = make_field(m.p, e)
     per_stack = max(1, STACK_CELLS // max(1, m.dim * m.dim))
     types: list[JordanType] = []
     for i in range(0, len(points), per_stack):
-        stack = np.stack([evaluate(m, q).array for q in points[i : i + per_stack]])
-        types += jordan_types(field, stack, m.p)
+        mats = [evaluate(m, q) for q in points[i : i + per_stack]]
+        types += jordan_types(mats[0].field, np.stack([a.array for a in mats]), m.p)
     return list(zip(points, types))
 
 

@@ -328,7 +328,7 @@ class Field:
     # -- elementwise arithmetic on code arrays ------------------------------
     def add(self, a, b):
         if self.e == 1:
-            return (np.asarray(a) + np.asarray(b)) % self.p
+            return self._mod_p(np.asarray(a) + np.asarray(b))
         tables = self._arith_tables()
         if tables is not None:
             return tables[0][np.asarray(a) * self.q + np.asarray(b)]
@@ -336,7 +336,7 @@ class Field:
 
     def neg(self, a):
         if self.e == 1:
-            return (-np.asarray(a)) % self.p
+            return self._mod_p(-np.asarray(a))
         tables = self._arith_tables()
         if tables is not None:
             return tables[2][np.asarray(a)]
@@ -344,7 +344,7 @@ class Field:
 
     def sub(self, a, b):
         if self.e == 1:
-            return (np.asarray(a) - np.asarray(b)) % self.p
+            return self._mod_p(np.asarray(a) - np.asarray(b))
         tables = self._arith_tables()
         if tables is not None:
             return tables[0][np.asarray(a) * self.q + tables[2][np.asarray(b)]]
@@ -352,7 +352,7 @@ class Field:
 
     def mul(self, a, b):
         if self.e == 1:
-            return (np.asarray(a) * np.asarray(b)) % self.p
+            return self._mod_p(np.asarray(a) * np.asarray(b))
         tables = self._arith_tables()
         if tables is not None:
             return tables[1][np.asarray(a) * self.q + np.asarray(b)]
@@ -420,12 +420,12 @@ class Field:
             return np.ones(a.shape, dtype=np.int64)
         if self.e == 1:
             out = np.ones(a.shape, dtype=np.int64)
-            base = a % self.p
+            base = self._mod_p(a)
             k = n
             while k:
                 if k & 1:
-                    out = (out * base) % self.p
-                base = (base * base) % self.p
+                    out = self._mod_p(out * base)
+                base = self._mod_p(base * base)
                 k >>= 1
             return out
         exp, log = self._tables()
@@ -528,7 +528,7 @@ class Field:
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
-            return np.kron(a, b) % self.p
+            return self._mod_p(np.kron(a, b))
         return self._fold(self._planes(a), self._planes(b), np.kron)
 
     def _fold(self, ap: list[np.ndarray], bp: list[np.ndarray], product) -> np.ndarray:

@@ -587,8 +587,9 @@ def _cover_kernel(m: ModuleRep) -> CoverData:
     f = m.field
     p, r = m.p, m.r
     count = _monomial_count(p, r)
-    rad, _ = column_space(f, np.hstack(m.gens))
-    _, rad_piv = rref_array(f, rad.T)
+    # the pivots of the rows of hstack(gens)^T, which span rad m, mark the
+    # coordinates that rad m covers; the others lift a basis of m / rad m
+    _, rad_piv = rref_array(f, np.vstack([a.T for a in m.gens]))
     rad_pivots = set(rad_piv)
     lift_idx = [j for j in range(m.dim) if j not in rad_pivots]
     d = len(lift_idx)
@@ -657,41 +658,19 @@ def omega_n(m: ModuleRep, n: int) -> ModuleRep:
 # ---------------------------------------------------------------------------
 
 def factors_through_projective(fmap: ModuleHom) -> bool:
-    """Whether fmap factors through the projective cover of its target.
+    """Whether fmap factors through a projective module (is stably zero).
 
-    Reduces to linear solvability: find h with cover . h = fmap and h an
-    intertwiner; detects stably-zero maps.
+    By Higman's criterion the maps M -> N that factor through a projective
+    are theta . Hom_k(M, N), for theta = (t_1 ... t_r)^(p-1), the integral of
+    kE under either convention, acting on hom(M, N) = dual(M) (x) N.  The
+    coordinates of fmap there are its transposed matrix read row by row, so
+    fmap factors iff they lie in the column space of theta on hom(M, N).
     """
-    if fmap.is_zero():
-        return True
-    m, n = fmap.source, fmap.target
-    f = m.field
-    if n.dim == 1 and not any(np.any(a) for a in n.gens):
-        # functional target: any factoring map through the rank-one cover is
-        # forced to be (top functional) . theta, so membership in the row
-        # space of theta decides
-        theta = _theta(m)
-        base = rank_array(f, theta)
-        stacked = np.vstack([theta, fmap.matrix])
-        return rank_array(f, stacked) == base
-    data = _cover_kernel(n)
-    fdim = data.rank * _monomial_count(m.p, m.r)
-    # unknowns: h (fdim x m.dim), row-major vec
-    blocks = []
-    rhs_blocks = []
-    i_f = np.eye(fdim, dtype=np.int64)
-    for i in range(m.r):
-        # h A_i = F_i h where F_i is the free-source generator
-        left = np.kron(i_f, m.gens[i].T)
-        fi = _apply_free_generator(f, m.p, m.r, data.rank, i, i_f)
-        right = np.kron(fi, np.eye(m.dim, dtype=np.int64))
-        blocks.append(f.sub(left, right))
-        rhs_blocks.append(np.zeros((fdim * m.dim, 1), dtype=np.int64))
-    blocks.append(np.kron(data.cover_matrix, np.eye(m.dim, dtype=np.int64)))
-    rhs_blocks.append(fmap.matrix.reshape(-1, 1))
-    system = Matrix(f, np.vstack(blocks))
-    rhs = Matrix(f, np.vstack(rhs_blocks))
-    return solve_linear(system, rhs).consistent
+    h = hom(fmap.source, fmap.target)
+    aug = np.hstack([_theta(h), fmap.matrix.T.reshape(-1, 1)])
+    # columns are eliminated in order: the appended column takes a pivot
+    # iff it is not a combination of theta's columns
+    return h.dim not in _echelonize(h.field, aug, h.dim + 1)
 
 
 @dataclass

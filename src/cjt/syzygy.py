@@ -23,12 +23,13 @@ from cjt.modrep import (
     Convention,
     ModuleHom,
     ModuleRep,
-    _apply_free_generator,
     _cover_kernel,
     _mat_pow,
+    _monomial_columns,
     _monomial_count,
     _omega_minus_one,
     factors_through_projective,
+    free_module,
     hom_space,
     radical_socle,
     trivial_module,
@@ -252,20 +253,12 @@ def factor_generator(
         # psi: second cover -> rank-one quotient, through the first kernel
         psi = field.matmul(proj, field.matmul(data1.kernel_basis, data2.cover_matrix))
         count = _monomial_count(p, r)
-        shift = v.gens[i]
-        g1 = np.zeros((p, data2.rank * count), dtype=np.int64)
-        for j in range(data2.rank):
-            rhs = Matrix(field, psi[:, j * count].reshape(-1, 1))
-            sol = solve_linear(Matrix(field, shift), rhs)
-            if not sol.consistent:
-                raise AssertionError("chain lift must exist: image lies in the shift image")
-            w = sol.solution.array.ravel()
-            block = np.zeros((p, count), dtype=np.int64)
-            for idx in range(count):
-                exps = [(idx // p**jj) % p for jj in range(r)]
-                if all(e == 0 for jj, e in enumerate(exps) if jj != i):
-                    block[:, idx] = _shift_power_apply(field, shift, exps[i], w)
-            g1[:, j * count : (j + 1) * count] = block
+        # lift the generator images through the shift, then extend the lifts
+        # to every monomial column through the quotient's action
+        sol = solve_linear(Matrix(field, v.gens[i]), Matrix(field, psi[:, ::count]))
+        if not sol.consistent:
+            raise AssertionError("chain lift must exist: image lies in the shift image")
+        g1 = _monomial_columns(v, sol.solution.array)
         socle_row = field.matmul(g1, data2.kernel_basis)[p - 1].reshape(1, -1)
         if not np.any(socle_row):
             raise AssertionError("coordinate cocycle must be nonzero")
@@ -273,13 +266,6 @@ def factor_generator(
         carrier = ModuleHom(omega2, k, socle_row).require_intertwiner()
         return CocycleClass(2, carrier, tag=f"factor-{i+1} degree-2 generator")
     raise ValueError("factor generators are provided in degrees 1 and 2")
-
-
-def _shift_power_apply(field: Field, shift: np.ndarray, e: int, w: np.ndarray) -> np.ndarray:
-    out = w.copy()
-    for _ in range(e):
-        out = field.matmul(shift, out.reshape(-1, 1)).ravel()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +281,12 @@ def shift_hom(fmap: ModuleHom) -> ModuleHom:
     p, r = src.p, src.r
     count = _monomial_count(p, r)
     rhs_all = f.matmul(fmap.matrix, data_s.cover_matrix)
-    lifted = np.zeros((data_t.rank * count, data_s.rank * count), dtype=np.int64)
-    for j in range(data_s.rank):
-        col = rhs_all[:, j * count].reshape(-1, 1)
-        sol = solve_linear(Matrix(f, data_t.cover_matrix), Matrix(f, col))
-        if not sol.consistent:
-            raise AssertionError("covers are surjective; generator images must lift")
-        lifted[:, j * count] = sol.solution.array.ravel()
+    sol = solve_linear(Matrix(f, data_t.cover_matrix), Matrix(f, rhs_all[:, ::count]))
+    if not sol.consistent:
+        raise AssertionError("covers are surjective; generator images must lift")
     # extend to all monomial columns through the free-module action
-    for idx in range(1, count):
-        for i in range(r):
-            d = (idx // p**i) % p
-            if d:
-                prev = idx - p**i
-                cols_prev = lifted[:, prev :: count][:, : data_s.rank]
-                moved = _apply_free_generator(f, p, r, data_t.rank, i, cols_prev)
-                for j in range(data_s.rank):
-                    lifted[:, j * count + idx] = moved[:, j]
-                break
+    free = free_module(f, r, data_t.rank, src.convention)
+    lifted = _monomial_columns(free, sol.solution.array)
     shifted = f.matmul(lifted, data_s.kernel_basis)[data_t.kernel_pivot_rows]
     return ModuleHom(data_s.omega, data_t.omega, shifted).require_intertwiner()
 

@@ -5,8 +5,8 @@ from cjt.carlson import endotrivial_check, kernel_of_hom_matrix, l_xi
 from cjt.constancy import jordan_at, sweep_points
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType, stable
-from cjt.modrep import ModuleHom, is_isomorphic, omega_n, trivial_module
-from cjt.syzygy import CocycleClass, cocycle_product, factor_generator, omega_k
+from cjt.modrep import ModuleHom, hom, is_isomorphic, omega_n, split_free, trivial_module
+from cjt.syzygy import CocycleClass, _onto_on_cores, cocycle_product, factor_generator, omega_k
 from cjt.zoo import ke_mod_i2, v_module, w_module
 
 
@@ -160,3 +160,34 @@ class TestEndotrivial:
         f = make_field(5, 1)
         assert not endotrivial_check(v_module(f, 2))[0]
         assert not endotrivial_check(w_module(f))[0]
+
+
+class TestProperExtensionLevelOne:
+    """Over GF(9) the level-1 checks run at the GF(3) points and agree with
+    the per-point computations."""
+
+    def test_endotrivial_over_gf9(self):
+        f9 = make_field(3, 2)
+        for m, want in ((omega_k(f9, 2, 1), True), (ke_mod_i2(f9, 2), False)):
+            verdict, ev = endotrivial_check(m)
+            assert verdict == want
+            res = split_free(hom(m, m))
+            assert (ev.endo_free_rank, ev.endo_core_dim) == (res.free_rank, res.core.dim)
+            points = sweep_points(make_field(3, 1), 2, 1)
+            assert ev.stable_types == [(q, stable(jordan_at(m, q))) for q in points]
+
+    def test_kernel_of_hom_matrix_over_gf9(self):
+        f9 = make_field(3, 2)
+        first, second = factor_generator(f9, 2, 0, 2), factor_generator(f9, 2, 1, 2)
+        # a x_1 + x_2 with a outside GF(3) restricts to zero at no GF(3) point
+        mixed = f9.add(f9.mul(np.int64(4), first.carrier.matrix), second.carrier.matrix)
+        cases = [
+            (first.carrier, lambda q: bool(q.linear[0])),
+            (ModuleHom(first.carrier.source, first.carrier.target, mixed), lambda q: True),
+        ]
+        for carrier, want in cases:
+            res = kernel_of_hom_matrix([[carrier]], [carrier.source], [carrier.target])
+            assert res.kernel.dim == carrier.source.dim - 1
+            assert [q for q, _ in res.report.points] == sweep_points(make_field(3, 1), 2, 1)
+            for q, holds in res.report.points:
+                assert holds == _onto_on_cores(res.map, q) == want(q), q

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from minor_scan_oracle import chart, minor_scan_gcd
 
 from cjt.constancy import PiPoint, jordan_at, sweep_points
-from cjt.exactalg import make_field, rank_array
+from cjt.exactalg import Matrix, make_field, rank_array, solve_linear
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
     Convention,
+    ModuleRep,
     direct_sum,
     dual,
     free_module,
@@ -25,6 +26,7 @@ from cjt.modrep import (
     is_isomorphic,
     omega_n,
     split_free,
+    tensor,
     trivial_module,
     validate,
 )
@@ -176,6 +178,83 @@ class TestPointwiseHellerReflection:
             before = stable(jordan_at(m, q))
             after = stable(jordan_at(shifted, q))
             assert after.counts == tuple(reversed(before.counts[:-1])) + (0,), (q, before, after)
+
+
+def _sampled_points(f, r, rng):
+    """A seeded sample of six level-1 and three level-2 points, plus up to
+    two tailed points."""
+    points = []
+    for e, count in ((1, 6), (2, 3)):
+        level = sweep_points(f, r, e)
+        points += [level[i] for i in sorted(rng.choice(len(level), min(count, len(level)), replace=False))]
+    p = f.p
+    for q in points[:2]:
+        exps = tuple(int(x) for x in rng.integers(0, p, r))
+        if sum(exps) >= 2:
+            points.append(PiPoint(f, q.linear, ((exps, int(rng.integers(1, p))),)))
+    return points
+
+
+def _hide_free_summand(m, rng):
+    """m + kE conjugated by a seeded unit triangular change of basis, so the
+    free summand is not a block of the matrices."""
+    f = m.field
+    summed = direct_sum([m, free_module(f, m.r, 1, m.convention)])
+    n = summed.dim
+    lower = np.tril(rng.integers(0, f.p, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, f.p, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    g = f.matmul(lower, upper)
+    g_inv = solve_linear(Matrix(f, g), Matrix(f, np.eye(n, dtype=np.int64))).solution.array
+    gens = [f.matmul(g, f.matmul(a, g_inv)) for a in summed.gens]
+    return ModuleRep(f, gens, m.convention)
+
+
+class TestPointwiseDirectSummands:
+    """At every point q, the projective-free core of M has the stable type
+    of M: kE is free over every pi-point, so the free summand adds only
+    blocks of size p."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        pr=st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]),
+        dim=st.integers(3, 8),
+        seed=st.integers(0, 100),
+        hidden=st.booleans(),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_core_keeps_stable_types(self, pr, dim, seed, hidden, convention):
+        p, r = pr
+        f = make_field(p, 1)
+        rng = np.random.default_rng(seed)
+        m = random_module(f, r, dim, seed, convention)
+        if hidden:
+            m = _hide_free_summand(m, rng)
+        res = split_free(m)
+        assert res.free_rank >= int(hidden)
+        assert res.core.dim == m.dim - res.free_rank * p**r
+        for q in _sampled_points(f, r, rng):
+            assert stable(jordan_at(res.core, q)) == stable(jordan_at(m, q)), q
+
+
+class TestPointwiseFreeTensor:
+    """M (x) kE is free at every point, under both conventions."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        pr=st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]),
+        dim=st.integers(2, 6),
+        seed=st.integers(0, 100),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_tensor_with_free_module_is_free(self, pr, dim, seed, convention):
+        p, r = pr
+        f = make_field(p, 1)
+        rng = np.random.default_rng(seed)
+        m = random_module(f, r, dim, seed, convention)
+        product = tensor(m, free_module(f, r, 1, convention))
+        free = JordanType.from_blocks(p, {p: product.dim // p})
+        for q in _sampled_points(f, r, rng):
+            assert jordan_at(product, q) == free, q
 
 
 class TestZeroAndEdgeModules:

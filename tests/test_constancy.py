@@ -9,6 +9,7 @@ from cjt.constancy import (
     gamma_locus,
     generic_type,
     jordan_at,
+    level_types,
     pi_support,
     sweep_points,
 )
@@ -16,7 +17,7 @@ from cjt.exactalg import make_field
 from cjt.jordan import Dominance, JordanType, dominance_compare
 from cjt.modrep import ModuleRep, free_module, tensor, trivial_module
 from cjt.polymat import generic_rank
-from cjt.zoo import ke_mod_i2, truncated_module, v_module, w_module
+from cjt.zoo import ke_mod_i2, random_module, truncated_module, v_module, w_module
 
 
 def jt(p, blocks):
@@ -350,3 +351,50 @@ class TestSweepPoints:
                 moved += 1
         # no assertion on moved > 0: dependence is permitted, not promised
         assert moved >= 0
+
+
+class TestProperExtensionModules:
+    """A module over GF(9) is swept at level 1 only: its GF(3) points are
+    typed over GF(9), and a level-2 sweep, which keeps one point per
+    Frobenius orbit, is refused because conjugate points may differ."""
+
+    @staticmethod
+    def _module():
+        # x acts as the 2 x 2 shift s, y as a s for a = code 4, not in GF(3)
+        f = make_field(3, 2)
+        s = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        return ModuleRep(f, [s, f.mul(np.int64(4), s)])
+
+    def test_conjugate_points_differ(self):
+        m = self._module()
+        f = m.field
+        q = PiPoint(f, (1, int(f.neg(f.inv_scalar(4)))))
+        conjugate = PiPoint(f, (1, int(f.frobenius(q.linear[1]))))
+        assert jordan_at(m, q) == jt(3, {1: 2})
+        assert jordan_at(m, conjugate) == jt(3, {2: 1})
+
+    def test_level_two_is_refused(self):
+        m = self._module()
+        with pytest.raises(ValueError, match="only on modules over the prime field"):
+            level_types(m, 2)
+        with pytest.raises(ValueError, match="only on modules over the prime field"):
+            check_constant(m, max_e=2)
+        with pytest.raises(ValueError, match="only on modules over the prime field"):
+            sweep_points(m.field, 2, 2)
+
+    def test_level_one_types_match_per_point(self):
+        m = self._module()
+        typed = level_types(m, 1)
+        assert [q for q, _ in typed] == sweep_points(make_field(3, 1), 2, 1)
+        assert [t for _, t in typed] == [jordan_at(m, q) for q, _ in typed]
+        assert {t for _, t in typed} == {jt(3, {2: 1})}
+        report = check_constant(m, max_e=1)
+        assert report.verdict == "CONSTANT_ON_TESTED" and report.type == jt(3, {2: 1})
+
+    def test_level_one_types_survive_scalar_extension(self):
+        f3, f9 = make_field(3, 1), make_field(3, 2)
+        for seed in range(4):
+            m = random_module(f3, 2, 6, seed)
+            wide = ModuleRep(f9, m.gens)
+            assert level_types(wide, 1) == level_types(m, 1)
+            assert check_constant(wide, max_e=1).serialize() == check_constant(m, max_e=1).serialize()

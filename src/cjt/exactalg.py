@@ -872,21 +872,22 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _unit_upper_inverse(field: Field, u: np.ndarray) -> np.ndarray:
-    """(I + N)^(-1) for a unit upper triangular u = I + N, by Field.matmul only.
+def _unipotent_inverse(field: Field, nil: np.ndarray) -> np.ndarray:
+    """(I + N)^(-1) for a nilpotent N, by Field.matmul only.
 
-    N is nilpotent, so (I + N)^(-1) = sum of (-N)^i for i < n, which is the
-    product of the factors I + (-N)^(2^i) for 2^i < n; the loop stops early
-    once a power of N vanishes.
+    (I + N)^(-1) = sum of (-N)^i for i < n, which is the product of the
+    factors I + (-N)^(2^i) for 2^i < n; the loop stops early once a power
+    of N vanishes.  N may have a nonzero diagonal, so I is added as a field
+    element.
     """
-    eye = np.eye(u.shape[0], dtype=np.int64)
-    power = field.neg(np.triu(u, 1))
-    inv = power + eye
-    for _ in range(1, (u.shape[0] - 1).bit_length()):
+    eye = np.eye(nil.shape[0], dtype=np.int64)
+    power = field.neg(nil)
+    inv = field.add(power, eye)
+    for _ in range(1, (nil.shape[0] - 1).bit_length()):
         power = field.matmul(power, power)
         if not power.any():
             break
-        inv = field.matmul(inv, power + eye)
+        inv = field.matmul(inv, field.add(power, eye))
     return inv
 
 
@@ -906,7 +907,8 @@ def _back_substitute(field: Field, u: np.ndarray, rhs: np.ndarray) -> np.ndarray
         y = rhs[start:stop]
         if stop < k:
             y = field.sub(y, field.matmul(u[start:stop, stop:], x[stop:]))
-        x[start:stop] = field.matmul(_unit_upper_inverse(field, u[start:stop, start:stop]), y)
+        nil = np.triu(u[start:stop, start:stop], 1)
+        x[start:stop] = field.matmul(_unipotent_inverse(field, nil), y)
     return x
 
 

@@ -22,6 +22,7 @@ from cjt.exactalg import (
     Matrix,
     _echelonize,
     _kernel_from_echelon,
+    _unipotent_inverse,
     column_space,
     make_field,
     nullspace_array,
@@ -300,19 +301,6 @@ def tensor(m: ModuleRep, n: ModuleRep) -> ModuleRep:
             g = f.add(g, f.kron(a, b))
         gens.append(g)
     return ModuleRep(f, gens, m.convention, allow_large=m.dim * n.dim > DIM_SOFT_CAP)
-
-
-def _unipotent_inverse(field: Field, a: np.ndarray) -> np.ndarray:
-    """(I + a)^(-1) for nilpotent a, via the geometric series."""
-    n = a.shape[0]
-    out = np.eye(n, dtype=np.int64)
-    term = np.eye(n, dtype=np.int64)
-    while True:
-        term = field.neg(field.matmul(term, a))
-        if not np.any(term):
-            break
-        out = field.add(out, term)
-    return out
 
 
 def dual(m: ModuleRep) -> ModuleRep:
@@ -637,20 +625,19 @@ def projective_cover_omega(m: ModuleRep) -> CoverResult:
     return CoverResult(cover, data.omega, inclusion)
 
 
-def _omega_minus_one(m: ModuleRep) -> ModuleRep:
-    return dual(_cover_kernel(dual(m)).omega)
-
-
 def omega_n(m: ModuleRep, n: int) -> ModuleRep:
-    """Iterated Heller shift of the projective-free core of m."""
+    """Iterated Heller shift of the projective-free core of m.
+
+    Shifts run upward only: the kernels of n successive minimal covers for
+    n >= 0, and Omega^n M = (Omega^(-n) M*)* for n < 0, with the core split
+    off before it is dualized.
+    """
     current = split_free(m).core
-    if n >= 0:
-        for _ in range(n):
-            current = _cover_kernel(current).omega
-    else:
-        for _ in range(-n):
-            current = _omega_minus_one(current)
-    return current
+    if n < 0:
+        current = dual(current)
+    for _ in range(abs(n)):
+        current = _cover_kernel(current).omega
+    return dual(current) if n < 0 else current
 
 
 # ---------------------------------------------------------------------------
@@ -759,24 +746,19 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:
         if rank_array(f, h.matrix) == m.dim:
             return IsoResult(True, witness=h)
     rng = np.random.default_rng(seed)
-    stacked = np.stack([h.matrix for h in basis]) if basis else None
+    # row j is the j-th basis map, so a combination is one product
+    stacked = np.stack([h.matrix for h in basis]).reshape(len(basis), -1) if basis else None
     if stacked is not None:
         for _ in range(200):
             coeffs = rng.integers(0, f.q, len(basis))
-            mat = np.zeros((n.dim, m.dim), dtype=np.int64)
-            for c, hm in zip(coeffs, stacked):
-                if c:
-                    mat = f.add(mat, f.mul(np.int64(int(c)), hm))
+            mat = f.matmul(coeffs[None], stacked).reshape(n.dim, m.dim)
             if rank_array(f, mat) == m.dim:
                 return IsoResult(True, witness=ModuleHom(m, n, mat))
         if f.q <= 9 and len(basis) <= 4:
             for coeffs in _iproduct(range(f.q), repeat=len(basis)):
                 if not any(coeffs):
                     continue
-                mat = np.zeros((n.dim, m.dim), dtype=np.int64)
-                for c, hm in zip(coeffs, stacked):
-                    if c:
-                        mat = f.add(mat, f.mul(np.int64(c), hm))
+                mat = f.matmul(np.array([coeffs], dtype=np.int64), stacked).reshape(n.dim, m.dim)
                 if rank_array(f, mat) == m.dim:
                     return IsoResult(True, witness=ModuleHom(m, n, mat))
             return IsoResult(False)

@@ -4,9 +4,9 @@ A degree-n cocycle is carried by an on-the-nose module map from the n-th
 Heller shift of the trivial module to the trivial module; the space of
 such maps has the binomial dimension of degree-n cohomology, which is the
 cross-check that the kernel chain lost nothing.  Coordinate ("factor-i")
-generators in degrees one and two are built from explicit chain lifts into
-the rank-one subalgebra quotient, and restriction of a cocycle to a point
-is a row-space membership test after evaluation.
+generators in degrees one and two are single coordinates of the minimal
+resolution, and restriction of a cocycle to a point is a row-space
+membership test after evaluation.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from cjt.modrep import (
     _mat_pow,
     _monomial_columns,
     _monomial_count,
-    _omega_minus_one,
+    dual,
     factors_through_projective,
     free_module,
     hom_space,
-    radical_socle,
     trivial_module,
 )
 
@@ -84,8 +83,10 @@ def _omega_tower(field: Field, r: int, convention: Convention) -> dict[int, Modu
 def omega_k(field: Field, r: int, n: int, convention: Convention = Convention.PRIMITIVE) -> ModuleRep:
     """n-th Heller shift of the trivial module, with cached iteration.
 
-    Dimensions are asserted against the closed alternating-binomial
-    formula for n > 0 and against shift symmetry for n < 0.
+    Positive shifts are the kernels of successive minimal covers, and their
+    dimensions are asserted against the closed alternating-binomial
+    formula.  A negative shift is the dual of the positive one,
+    Omega^(-n) k = (Omega^n k)*, since k is self-dual.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -97,23 +98,14 @@ def omega_k(field: Field, r: int, n: int, convention: Convention = Convention.PR
             for k in range(top + 1, n + 1):
                 current = _cover_kernel(current).omega
                 tower[k] = current
+            expected = omega_dim_formula(field.p, r, n)
+            if current.dim != expected:
+                raise AssertionError(
+                    f"dim of shift {n} is {current.dim}, closed formula gives {expected}"
+                )
         else:
-            bottom = min(k for k in tower if n <= k <= 0)
-            current = tower[bottom]
-            for k in range(bottom - 1, n - 1, -1):
-                current = _omega_minus_one(current)
-                tower[k] = current
-    result = tower[n]
-    if n > 0:
-        expected = omega_dim_formula(field.p, r, n)
-        if result.dim != expected:
-            raise AssertionError(
-                f"dim of shift {n} is {result.dim}, closed formula gives {expected}"
-            )
-    elif n < 0:
-        if result.dim != omega_k(field, r, -n, convention).dim:
-            raise AssertionError("negative and positive shifts must share dimensions")
-    return result
+            tower[n] = dual(omega_k(field, r, -n, convention))
+    return tower[n]
 
 
 def omega_dim_formula(p: int, r: int, n: int) -> int:
@@ -192,80 +184,35 @@ def _onto_on_cores(phi: ModuleHom, q: PiPoint) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# coordinate generators via the rank-one quotient
+# coordinate generators, read off the minimal resolution
 # ---------------------------------------------------------------------------
-
-def _rank_one_quotient(field: Field, r: int, i: int, convention: Convention) -> tuple[ModuleRep, np.ndarray]:
-    """The p-dimensional module where t_i shifts and the others act by
-    zero, together with the algebra projection from the rank-r free module
-    of rank one (monomial coordinates)."""
-    p = field.p
-    shift = np.zeros((p, p), dtype=np.int64)
-    for s in range(p - 1):
-        shift[s + 1, s] = 1
-    gens = [shift if j == i else np.zeros((p, p), dtype=np.int64) for j in range(r)]
-    v = ModuleRep(field, gens, convention)
-    count = _monomial_count(p, r)
-    proj = np.zeros((p, count), dtype=np.int64)
-    for idx in range(count):
-        exps = [(idx // p**j) % p for j in range(r)]
-        if all(e == 0 for j, e in enumerate(exps) if j != i):
-            proj[exps[i], idx] = 1
-    return v, proj
-
 
 def factor_generator(
     field: Field, r: int, i: int, degree: int, convention: Convention = Convention.PRIMITIVE
 ) -> CocycleClass:
     """The coordinate cocycle of the i-th generator direction.
 
-    Degree 1: the functional dual to t_i on the first shift modulo its
-    radical.  Degree 2: chain lift of the two-step periodic resolution of
-    the rank-one quotient algebra; its restriction dies exactly where the
-    i-th coordinate of the point vanishes.
+    Omega^degree k sits inside the free cover of Omega^(degree-1) k, and
+    the carrier reads one coordinate there.  Degree 1: the coefficient of
+    the monomial t_i in Omega^1 k = rad kE, the functional dual to t_i
+    modulo the radical.  Degree 2: the coefficient of t_i^(p-1) e_i, where
+    e_i is the free generator that lies over t_i.  Along a point with
+    linear part (a_1, ..., a_r) the degree-2 class restricts to a_i^p times
+    the periodicity generator, so it dies exactly where a_i = 0.
     """
     if not 0 <= i < r:
         raise ValueError(f"generator index {i} out of range")
+    if degree not in (1, 2):
+        raise ValueError("factor generators are provided in degrees 1 and 2")
     p = field.p
+    col = p**i if degree == 1 else i * p**r + (p - 1) * p**i
+    data = _cover_kernel(omega_k(field, r, degree - 1, convention))
+    row = data.kernel_basis[[col]]
+    if not np.any(row):
+        raise AssertionError("coordinate cocycle must be nonzero")
     k = trivial_module(field, r, 1, convention)
-    if degree == 1:
-        omega1 = omega_k(field, r, 1, convention)
-        data1 = _cover_kernel(k)
-        count = _monomial_count(p, r)
-        tvecs = np.zeros((count, r), dtype=np.int64)
-        for j in range(r):
-            tvecs[p**j, j] = 1
-        coords = tvecs[data1.kernel_pivot_rows]  # t_j in shift coordinates
-        rad, _ = radical_socle(omega1)
-        lhs = np.hstack([coords, rad.array])
-        rhs = np.zeros((r + rad.cols, 1), dtype=np.int64)
-        rhs[i, 0] = 1
-        sol = solve_linear(Matrix(field, lhs.T), Matrix(field, rhs))
-        if not sol.consistent:
-            raise AssertionError("dual functional of a generator direction must exist")
-        carrier = ModuleHom(omega1, k, sol.solution.array.T).require_intertwiner()
-        return CocycleClass(1, carrier, tag=f"factor-{i+1} degree-1 generator")
-    if degree == 2:
-        v, proj = _rank_one_quotient(field, r, i, convention)
-        data1 = _cover_kernel(k)
-        omega1 = data1.omega
-        data2 = _cover_kernel(omega1)
-        # psi: second cover -> rank-one quotient, through the first kernel
-        psi = field.matmul(proj, field.matmul(data1.kernel_basis, data2.cover_matrix))
-        count = _monomial_count(p, r)
-        # lift the generator images through the shift, then extend the lifts
-        # to every monomial column through the quotient's action
-        sol = solve_linear(Matrix(field, v.gens[i]), Matrix(field, psi[:, ::count]))
-        if not sol.consistent:
-            raise AssertionError("chain lift must exist: image lies in the shift image")
-        g1 = _monomial_columns(v, sol.solution.array)
-        socle_row = field.matmul(g1, data2.kernel_basis)[p - 1].reshape(1, -1)
-        if not np.any(socle_row):
-            raise AssertionError("coordinate cocycle must be nonzero")
-        omega2 = omega_k(field, r, 2, convention)
-        carrier = ModuleHom(omega2, k, socle_row).require_intertwiner()
-        return CocycleClass(2, carrier, tag=f"factor-{i+1} degree-2 generator")
-    raise ValueError("factor generators are provided in degrees 1 and 2")
+    carrier = ModuleHom(omega_k(field, r, degree, convention), k, row).require_intertwiner()
+    return CocycleClass(degree, carrier, tag=f"factor-{i+1} degree-{degree} generator")
 
 
 # ---------------------------------------------------------------------------

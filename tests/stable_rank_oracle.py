@@ -23,6 +23,6 @@ def stable_rank_full(phi: ModuleHom, q: PiPoint) -> bool:
     if split_t.core.dim == 0:
         return True
     core_map = field.matmul(
-        split_t.core_projection, field.matmul(phi.matrix % field.p, split_s.core_basis)
+        split_t.core_projection, field.matmul(phi.matrix % phi.source.field.q, split_s.core_basis)
     )
     return rank_array(field, core_map) == split_t.core.dim

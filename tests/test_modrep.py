@@ -508,3 +508,32 @@ class TestIsIsomorphic:
         m = ke_mod_i2(f, 2)
         res = is_isomorphic(m, dual(m), seed=0)
         assert not res.isomorphic
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_random_witness_matches_termwise_combination(self, p, e):
+        # the witness is the first seeded combination of the hom basis that
+        # is invertible; each combination is summed term by term here
+        from cjt.exactalg import solve_linear
+        from cjt.modrep import ModuleRep
+
+        f = make_field(p, e)
+        m = direct_sum([trivial_module(f, 2, 1), trivial_module(f, 2, 1), ke_mod_i2(f, 2)])
+        rng = np.random.default_rng(p + e)
+        while True:
+            g = rng.integers(0, f.q, (m.dim, m.dim))
+            if rank_array(f, g) == m.dim:
+                break
+        ginv = solve_linear(Matrix(f, g), Matrix.identity(f, m.dim)).solution.array
+        n = ModuleRep(f, [f.matmul(g, f.matmul(a, ginv)) for a in m.gens])
+        basis = hom_space(m, n)
+        assert all(rank_array(f, h.matrix) < m.dim for h in basis)
+        draws = np.random.default_rng(0)
+        for _ in range(200):
+            mat = np.zeros((n.dim, m.dim), dtype=np.int64)
+            for c, h in zip(draws.integers(0, f.q, len(basis)), basis):
+                if c:
+                    mat = f.add(mat, f.mul(np.int64(int(c)), h.matrix))
+            if rank_array(f, mat) == m.dim:
+                break
+        res = is_isomorphic(m, n, seed=0)
+        assert res.isomorphic and np.array_equal(res.witness.matrix, mat)

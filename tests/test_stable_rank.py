@@ -155,3 +155,14 @@ def test_kernel_of_hom_matrix_splits_nothing(monkeypatch):
     res = kernel_of_hom_matrix([[c.carrier for c in classes]], sources, [classes[0].carrier.target], max_e=2)
     assert res.report.holds_everywhere
     assert calls == []
+
+
+def test_oracle_reads_extension_field_maps_whole():
+    # 4 c_1 + c_2 over GF(9), for the degree-2 coordinate cocycles c_i: code 4
+    # lies outside GF(3), so a carrier read mod 3 is another map
+    f = make_field(3, 2)
+    c1, c2 = (factor_generator(f, 2, i, 2).carrier for i in range(2))
+    phi = ModuleHom(c1.source, c1.target, f.add(f.mul(np.int64(4), c1.matrix), c2.matrix))
+    points = sweep_points(f, 2, 1)
+    assert [_onto_on_cores(phi, q) for q in points] == [stable_rank_full(phi, q) for q in points]
+    assert _onto_on_cores(phi, PiPoint(f, (1, 2)))

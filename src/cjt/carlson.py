@@ -66,6 +66,8 @@ def kernel_of_hom_matrix(
     at every swept rational point that the restricted map still has full
     stable rank; a failure is recorded, not raised.
     """
+    if max_e < 1:
+        raise ValueError("max_e must be >= 1")
     if not grid or not sources or not targets:
         raise ValueError("grid, sources and targets must be nonempty")
     if len(grid) != len(targets) or any(len(row) != len(sources) for row in grid):
@@ -143,6 +145,8 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
     local test asks the stable type at every swept point to be a single
     block of size 1 or p-1.  The two must agree.
     """
+    if max_e < 1:
+        raise ValueError("max_e must be >= 1")
     endo = hom(m, m)
     free_rank = rank_array(m.field, _theta(endo))
     core_dim = endo.dim - free_rank * m.p**m.r

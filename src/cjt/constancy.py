@@ -16,7 +16,7 @@ import numpy as np
 from cjt.exactalg import STACK_CELLS, Field, Matrix, _frobenius_minus_x, _poly_gcd, make_field
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
 from cjt.modrep import ModuleRep
-from cjt.polymat import HomPoly, PolyMatrix, _orbit_blocks, bivariate_minor_gcd, generic_rank
+from cjt.polymat import PolyMatrix, _chart_divisor, _orbit_blocks, generic_rank
 
 __all__ = [
     "PiPoint",
@@ -190,17 +190,16 @@ def _unit_exponents(r: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == k) for i in range(r)) for k in range(r)]
 
 
-def _pencil_ranks(m: ModuleRep):
-    """(P^j, generic rank of P^j) for the pencil P and j = 1, 2, ...,
-    p - 1, stopping after the first power of rank zero: the later powers
-    vanish too.
+def _pencil_powers(m: ModuleRep):
+    """The powers P^j of the pencil P for j = 1, 2, ..., p - 1, stopping
+    after the first zero power: the later powers vanish too.
 
     P^j is kept as coefficient matrices C_j[a], one per monomial x^a of
     degree j, and P^j = P^(j-1) P gives C_j[a] = sum_k C_(j-1)[a - e_k] A_k:
     one stacked matmul per generator A_k.
     """
     power = pencil(m)
-    exps, stack = _unit_exponents(m.r), np.stack(m.gens)
+    exps, stack = _unit_exponents(m.r), power.coef
     for j in range(1, m.p):
         if j > 1:
             index: dict[tuple[int, ...], int] = {}
@@ -213,9 +212,8 @@ def _pencil_ranks(m: ModuleRep):
                 grown[targets[k]] += m.field.matmul(stack, gen)
             exps, stack = list(index), grown % m.p
             power = PolyMatrix.from_coefficients(m.p, exps, stack)
-        rho = generic_rank(power)
-        yield power, rho
-        if rho == 0:
+        yield power
+        if not stack.any():
             return
 
 
@@ -224,7 +222,7 @@ def generic_type(m: ModuleRep) -> JordanType:
     function field; dominates every rational specialization."""
     if m.dim == 0:
         return JordanType(m.p, (0,) * m.p)
-    return JordanType.from_power_ranks(m.p, [m.dim] + [rho for _, rho in _pencil_ranks(m)])
+    return JordanType.from_power_ranks(m.p, [m.dim] + [generic_rank(power) for power in _pencil_powers(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +275,16 @@ def _dominance_max(types: list[JordanType]) -> JordanType:
     return best
 
 
-def _min_witness_extension(g: HomPoly) -> int:
-    """Smallest extension degree carrying a projective zero of a nonzero
-    homogeneous bivariate polynomial (minimal irreducible factor degree)."""
-    if g.is_zero:
+def _min_witness_extension(g0: np.ndarray, b: int, p: int) -> int:
+    """Smallest extension degree carrying a projective zero of the
+    nonconstant binary form x2^b G, G the homogenization of a monic g0 over
+    GF(p): 1 if x2 divides it (a zero at [1:0]), else the least degree of
+    an irreducible factor of g0."""
+    if b:
         return 1
-    u = np.zeros(g.degree + 1, dtype=np.int64)
-    for (a1, _), c in g.terms.items():
-        u[a1] = c
-    if u[g.degree] == 0:
-        return 1  # divisible by the second variable: zero at [1:0]
-    poly = tuple(int(c) for c in u)
-    for d in range(1, g.degree + 1):
-        if len(_poly_gcd(_frobenius_minus_x(d, poly, g.p), poly, g.p)) > 1:
+    poly = tuple(int(c) for c in g0)
+    for d in range(1, len(poly)):
+        if len(_poly_gcd(_frobenius_minus_x(d, poly, p), poly, p)) > 1:
             return d
     raise AssertionError("a nonconstant polynomial has roots in some extension")
 
@@ -313,14 +308,13 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     exact_known_nonconstant = False
     witness_level = None
     if exact and m.r == 2 and m.field.is_prime_field and m.dim > 0:
+        # one Smith reduction per power gives its rank and its minor gcd
         ranks = []
-        for power, rho in _pencil_ranks(m):
+        for power in _pencil_powers(m):
+            rho, g0, b = _chart_divisor(power)
             ranks.append(rho)
-            if rho == 0:
-                continue
-            g = bivariate_minor_gcd(power, rho)
-            if not (not g.is_zero and g.degree == 0):
-                lvl = _min_witness_extension(g)
+            if g0.size > 1 or b:
+                lvl = _min_witness_extension(g0, b, m.p)
                 witness_level = lvl if witness_level is None else min(witness_level, lvl)
         if witness_level is None:
             jt = JordanType.from_power_ranks(m.p, [m.dim] + ranks)

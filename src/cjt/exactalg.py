@@ -217,7 +217,6 @@ class Field:
         self._log: np.ndarray | None = None
         self._red: np.ndarray | None = None
         self._code_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._frob: np.ndarray | None = None
 
     # -- identity ----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -386,14 +385,9 @@ class Field:
         return out
 
     def inv(self, a):
-        a = np.asarray(a)
-        if np.any(a == 0):
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of zero field element")
-        if self.e == 1:
-            return np.vectorize(lambda x: pow(int(x), self.p - 2, self.p))(a).astype(np.int64) \
-                if a.ndim else np.int64(pow(int(a), self.p - 2, self.p))
-        exp, log = self._tables()
-        return exp[(-log[a]) % (self.q - 1)]
+        return self.pow_array(a, self.q - 2)
 
     def inv_scalar(self, a: int) -> int:
         if a == 0:
@@ -435,23 +429,8 @@ class Field:
         return out
 
     def frobenius(self, a):
-        """x -> x^p, vectorized over code arrays; a lookup in a length-q
-        table, built on first use, while q <= TABLE_CAP."""
-        if self.e == 1:
-            return np.asarray(a)
-        if self._frob is not None:
-            return self._frob[np.asarray(a)]
-        exp, log = self._tables()
-        if self.q <= TABLE_CAP:
-            codes = np.arange(self.q, dtype=np.int64)
-            self._frob = np.zeros(self.q, dtype=np.int64)
-            self._frob[1:] = exp[(log[codes[1:]] * self.p) % (self.q - 1)]
-            return self._frob[np.asarray(a)]
-        a = np.asarray(a)
-        out = np.zeros(a.shape, dtype=np.int64)
-        m = a != 0
-        out[m] = exp[(log[a[m]] * self.p) % (self.q - 1)]
-        return out
+        """x -> x^p, vectorized over code arrays."""
+        return self.pow_array(a, self.p) if self.e > 1 else np.asarray(a)
 
     # -- matrix kernels ------------------------------------------------------
     def _mod_p(self, x: np.ndarray) -> np.ndarray:
@@ -815,8 +794,7 @@ def column_space(field: Field, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def rank(m: Matrix) -> int:
     """Rank over the matrix's field, by Gaussian elimination."""
-    a = m.array.copy()
-    return len(_echelonize(m.field, a, a.shape[1]))
+    return rank_array(m.field, m.array)
 
 
 def rank_array(field: Field, arr: np.ndarray) -> int:
@@ -937,9 +915,7 @@ def _kernel_from_echelon(
 
 def nullspace(m: Matrix) -> Matrix:
     """Basis of the right nullspace, as matrix columns (deterministic order)."""
-    a = m.array.copy()
-    piv = _echelonize(m.field, a, a.shape[1])
-    return Matrix(m.field, _kernel_from_echelon(m.field, a, piv, a.shape[1]))
+    return Matrix(m.field, nullspace_array(m.field, m.array))
 
 
 def nullspace_array(field: Field, arr: np.ndarray) -> np.ndarray:

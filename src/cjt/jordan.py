@@ -147,8 +147,8 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
         return [from_nilpotent(Matrix(field, a), p) for a in stack]
     if count == 0:
         return []
-    # ranks[:, j] = rank of A^j; columns p and p + 1 stay zero
-    ranks = np.zeros((count, p + 2), dtype=np.int64)
+    # ranks[:, j] = rank of A^j for j < p
+    ranks = np.zeros((count, p), dtype=np.int64)
     ranks[:, 0] = n
     live = np.arange(count)
     power = stack
@@ -164,11 +164,8 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
         live, power = live[r > 0], power[r > 0]
         if live.size == 0:
             break
-    counts = ranks[:, :p] - 2 * ranks[:, 1 : p + 1] + ranks[:, 2:]
-    if np.any(counts @ np.arange(1, p + 1) != n):
-        raise AssertionError("second differences of ranks lost dimension")
-    distinct, which = np.unique(counts, axis=0, return_inverse=True)
-    types = [JordanType(p, tuple(row)) for row in distinct.tolist()]
+    distinct, which = np.unique(ranks, axis=0, return_inverse=True)
+    types = [JordanType.from_power_ranks(p, row) for row in distinct.tolist()]
     return [types[i] for i in which.ravel().tolist()]
 
 

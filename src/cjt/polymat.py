@@ -342,18 +342,14 @@ def _reduce_column(t: np.ndarray, p: int) -> np.ndarray:
     return t
 
 
-def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Monic gcd of the k x k minors of a matrix over GF(p)[u], given as an
-    int64 coefficient tensor (rows, cols, degree + 1), low degree first;
-    the zero polynomial (an empty array) when k exceeds the rank.
+def _smith_diagonal(t: np.ndarray, p: int) -> list[tuple[int, ...]]:
+    """Nonzero diagonal d_1..d_r of a Smith reduction of a matrix over
+    GF(p)[u], given as an int64 coefficient tensor (rows, cols, degree +
+    1), low degree first; r is the rank over GF(p)(u).
 
-    Euclidean Smith reduction: a nonzero entry of least degree moves to
-    the corner, and its column and row are reduced modulo it until both
-    are clear, which ends as the corner's degree drops every round.  These
-    unimodular steps keep the gcd of the k-minors, so it is that of the
-    nonzero diagonal d_1..d_r: the product of the first k invariant
-    factors, which (gcd, lcm) exchanges sort out of the diagonal, made
-    monic.  For k = r it is the product of the whole diagonal.
+    Euclidean reduction: a nonzero entry of least degree moves to the
+    corner, and its column and row are reduced modulo it until both are
+    clear, which ends as the corner's degree drops every round.
     """
     t = t % p
     diagonal = []
@@ -377,6 +373,19 @@ def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
             deg = _degrees(t)
         diagonal.append(_poly_trim(t[0, 0].tolist()))
         t = t[1:, 1:]
+    return diagonal
+
+
+def _diagonal_divisor(diagonal: list[tuple[int, ...]], k: int, p: int) -> np.ndarray:
+    """Monic gcd of the k x k minors of a matrix with this nonzero Smith
+    diagonal (exchanged in place); the zero polynomial (an empty array)
+    when k exceeds the rank.
+
+    The reduction's unimodular steps keep the gcd of the k-minors, so it
+    is that of the diagonal: the product of the first k invariant factors,
+    which (gcd, lcm) exchanges sort out of the diagonal, made monic.  For k
+    = r it is the product of the whole diagonal.
+    """
     if k > len(diagonal):
         return np.zeros(0, dtype=np.int64)
     if k < len(diagonal):
@@ -388,6 +397,11 @@ def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
     for d in diagonal[:k]:
         out = _poly_mul(out, d, p)
     return np.array(out, dtype=np.int64) * pow(out[-1], p - 2, p) % p
+
+
+def _determinantal_divisor(t: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Monic gcd of the k x k minors of a coefficient tensor; empty above the rank."""
+    return _diagonal_divisor(_smith_diagonal(t, p), k, p)
 
 
 def _chart_tensors(m: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -402,6 +416,27 @@ def _chart_tensors(m: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _chart_divisor(m: PolyMatrix, k: int | None = None) -> tuple[int, np.ndarray, int]:
+    """(rank, chart-0 divisor, power of x2) of a two-variable matrix with
+    homogeneous minors, from one Smith reduction of its chart-0 tensor; the
+    rank is the length of the nonzero diagonal.
+
+    The gcd of the k x k minors (k defaults to the rank) is the chart-0
+    divisor, homogenized, times the power of x2 dividing every k-minor.  x2
+    divides them all iff they vanish at [1:0], i.e. iff the matrix there
+    (the constant slice of chart 1) has rank below k; only then is chart 1
+    reduced too, for the power.
+    """
+    chart0, chart1 = _chart_tensors(m)
+    diagonal = _smith_diagonal(chart0, m.p)
+    k = len(diagonal) if k is None else k
+    g0 = _diagonal_divisor(diagonal, k, m.p)
+    b = 0
+    if g0.size and rank_array(make_field(m.p, 1), chart1[..., 0]) < k:
+        b = int(np.flatnonzero(_determinantal_divisor(chart1, k, m.p))[0])
+    return len(diagonal), g0, b
+
+
 def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
     """Homogeneous gcd of all k x k minors of a two-variable matrix.
 
@@ -409,11 +444,6 @@ def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
     algebraic closure.  Normalized so the leading coefficient in the first
     variable is 1.  Requires a row- or column-uniform degree profile so
     that minors stay homogeneous.
-
-    The gcd is the one on chart 0 (x2 = 1), homogenized, times the power
-    of x2 dividing every k-minor.  x2 divides them all iff they vanish at
-    [1:0], i.e. iff the matrix there (the constant slice of chart 1) has
-    rank below k; only then is chart 1 reduced too, for the power.
     """
     if m.nvars != 2:
         raise ValueError("bivariate_minor_gcd needs exactly two variables")
@@ -421,16 +451,11 @@ def bivariate_minor_gcd(m: PolyMatrix, k: int) -> HomPoly:
         raise ValueError("degree profile must be row- or column-uniform")
     if k < 1 or k > min(m.rows, m.cols):
         raise ValueError(f"minor size {k} out of range")
-    p = m.p
-    chart0, chart1 = _chart_tensors(m)
-    g0 = _determinantal_divisor(chart0, k, p)
+    _, g0, b = _chart_divisor(m, k)
     if g0.size == 0:
-        return HomPoly.zero(p, 2)
-    b = 0
-    if rank_array(make_field(p, 1), chart1[..., 0]) < k:
-        b = int(np.flatnonzero(_determinantal_divisor(chart1, k, p))[0])
+        return HomPoly.zero(m.p, 2)
     deg0 = g0.size - 1
-    return HomPoly(p, 2, {(i, deg0 - i + b): int(c) for i, c in enumerate(g0) if c})
+    return HomPoly(m.p, 2, {(i, deg0 - i + b): int(c) for i, c in enumerate(g0) if c})
 
 
 # ---------------------------------------------------------------------------

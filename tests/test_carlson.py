@@ -103,6 +103,18 @@ class TestKernelOfHomMatrix:
         assert not res.report.holds_everywhere
         assert all(not ok for _, ok in res.report.points)
 
+    @pytest.mark.parametrize("max_e", [0, -1])
+    def test_rejects_max_e_below_one(self, max_e):
+        # a sweep of no level would report the hypothesis holding everywhere
+        f = make_field(3, 1)
+        classes = [factor_generator(f, 2, 0, 1), factor_generator(f, 2, 1, 1)]
+        sources = [c.carrier.source for c in classes]
+        target = classes[0].carrier.target
+        with pytest.raises(ValueError, match="max_e must be >= 1"):
+            kernel_of_hom_matrix([[c.carrier for c in classes]], sources, [target], max_e=max_e)
+        with pytest.raises(ValueError, match="max_e must be >= 1"):
+            l_xi(classes, max_e=max_e)
+
 
 class TestExtensionObstruction:
     def test_no_extension_of_even_shifts_has_near_projective_type(self):
@@ -160,6 +172,14 @@ class TestEndotrivial:
         f = make_field(5, 1)
         assert not endotrivial_check(v_module(f, 2))[0]
         assert not endotrivial_check(w_module(f))[0]
+
+    @pytest.mark.parametrize("max_e", [0, -1])
+    def test_rejects_max_e_below_one(self, max_e):
+        # with no point swept the local test would pass vacuously
+        f = make_field(3, 1)
+        for m in (omega_n(trivial_module(f, 2, 1), 1), w_module(make_field(5, 1))):
+            with pytest.raises(ValueError, match="max_e must be >= 1"):
+                endotrivial_check(m, max_e=max_e)
 
 
 class TestProperExtensionLevelOne:

@@ -152,6 +152,16 @@ class TestOtherCommands:
         code, out = run(capsys, ["endotrivial", "--module", str(path)])
         assert code == 0 and out["endotrivial"] is True
 
+    def test_max_ext_below_one_is_an_error(self, capsys, w5_file):
+        for argv in (
+            ["carlson", "--p", "3", "--rank", "2", "--degrees", "1,1", "--max-ext", "0"],
+            ["endotrivial", "--module", w5_file, "--max-ext", "0"],
+            ["check", "--module", w5_file, "--max-ext", "0"],
+        ):
+            code, out = run(capsys, argv)
+            assert code == 1
+            assert out == {"error": "max_e must be >= 1"}
+
     def test_carlson_command(self, capsys):
         code, out = run(
             capsys, ["carlson", "--p", "3", "--rank", "2", "--degrees", "2,2"]

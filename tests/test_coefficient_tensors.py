@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cjt import constancy
-from cjt.constancy import _pencil_ranks, check_constant, pencil
+from cjt.constancy import _pencil_powers, check_constant, pencil
 from cjt.exactalg import make_field
 from cjt.polymat import HomPoly, PolyMatrix
 from cjt.serialize import polymatrix_from_json, polymatrix_to_json
@@ -127,21 +126,16 @@ def test_from_coefficients_rejects_bad_exponents(exps):
 
 def test_pencil_path_builds_hompolys_only_for_minor_gcds(monkeypatch):
     m = w_module(make_field(5, 1))
-    calls = {"init": 0, "gcd": 0}
-    init, gcd = HomPoly.__init__, constancy.bivariate_minor_gcd
+    calls = {"init": 0}
+    init = HomPoly.__init__
 
     def counted_init(self, *args, **kwargs):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
-    def counted_gcd(*args, **kwargs):
-        calls["gcd"] += 1
-        return gcd(*args, **kwargs)
-
     monkeypatch.setattr(HomPoly, "__init__", counted_init)
-    monkeypatch.setattr(constancy, "bivariate_minor_gcd", counted_gcd)
-    assert len(list(_pencil_ranks(m))) >= 2
+    assert len(list(_pencil_powers(m))) >= 2
     assert calls["init"] == 0
     rep = check_constant(m, exact=True)
     assert rep.verdict == "CONSTANT_EXACT"
-    assert 0 < calls["init"] <= calls["gcd"]
+    assert calls["init"] == 0

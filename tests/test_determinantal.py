@@ -4,7 +4,7 @@
 degree + 1) coefficient tensor over GF(p)[u]) and ``bivariate_minor_gcd``
 (chart 0 plus the rank test at [1:0]) are checked against full minor scans
 (``minor_scan_oracle``); the coefficient stacks of the pencil powers in
-``constancy._pencil_ranks`` against dict products of the pencil
+``constancy._pencil_powers`` against dict products of the pencil
 (``bareiss_oracle.poly_matmul``).
 """
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from minor_scan_oracle import bivariate_minor_scan, minor_scan_gcd
 
-from cjt.constancy import _pencil_ranks, pencil
+from cjt.constancy import _pencil_powers, pencil
 from cjt.exactalg import make_field
 from cjt.polymat import HomPoly, PolyMatrix, _determinantal_divisor, bivariate_minor_gcd
 from cjt.zoo import random_module, w_module
@@ -145,7 +145,7 @@ def test_pencil_powers_match_dict_products(p, r, dim, seed):
         [HomPoly(p, r, {e: int(g[i, j]) for e, g in zip(units, m.gens)}) for j in range(dim)] for i in range(dim)
     ]
     want = pen
-    for j, (power, _) in enumerate(_pencil_ranks(m), start=1):
+    for j, power in enumerate(_pencil_powers(m), start=1):
         if j > 1:
             want = poly_matmul(want, pen)
         assert power.entries == want.entries
@@ -156,7 +156,7 @@ def test_pencil_powers_of_the_w_module():
         m = w_module(make_field(p, 1))
         pen = pencil(m)
         want = pen
-        powers = [power for power, _ in _pencil_ranks(m)]
+        powers = list(_pencil_powers(m))
         for power in powers[1:]:
             want = poly_matmul(want, pen)
             assert power.entries == want.entries

@@ -20,7 +20,7 @@ from cjt.constancy import (
     jordan_at,
     pi_support,
 )
-from cjt.exactalg import Field, FieldElement, Matrix, make_field, rank, solve_linear
+from cjt.exactalg import Field, Matrix, make_field, rank, solve_linear
 from cjt.jordan import (
     Dominance,
     JordanType,
@@ -56,7 +56,6 @@ from cjt.zoo import build_example
 
 __all__ = [
     "Field",
-    "FieldElement",
     "Matrix",
     "make_field",
     "rank",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cjt.constancy import PiPoint, level_types, sweep_points
-from cjt.exactalg import nullspace_array, rank_array, rref_array
+from cjt.exactalg import nullspace_array, rank_array
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
     ModuleHom,
@@ -83,9 +83,7 @@ def kernel_of_hom_matrix(
     blocks = [[grid[i][j].matrix for j in range(len(sources))] for i in range(len(targets))]
     phi_matrix = np.block(blocks)
     phi = ModuleHom(source_sum, target_sum, phi_matrix).require_intertwiner()
-    basis = nullspace_array(source_sum.field, phi_matrix)
-    reduced, piv = rref_array(source_sum.field, basis.T)
-    sub = submodule(source_sum, reduced.T, piv)
+    sub = submodule(source_sum, nullspace_array(source_sum.field, phi_matrix))
     points = []
     ok = True
     for e in range(1, max_e + 1):
@@ -96,18 +94,14 @@ def kernel_of_hom_matrix(
     return KernelResult(sub.module, phi, HypothesisReport(points, ok))
 
 
-def l_xi(classes: list[CocycleClass], max_e: int = 1) -> ModuleRep:
-    """Kernel of the joint cocycle map from the sum of Heller shifts to k.
+def l_xi(classes: list[CocycleClass], max_e: int = 1) -> KernelResult:
+    """Kernel of the joint cocycle map from the sum of Heller shifts to k,
+    with the map and its hypothesis report.
 
     The classes must not all be zero (the assembled map would fail to be
     surjective).  The kernel dimension is one less than the sum of the
     shift dimensions.
     """
-    return _l_xi_result(classes, max_e).kernel
-
-
-def _l_xi_result(classes: list[CocycleClass], max_e: int = 1) -> KernelResult:
-    """l_xi with the whole KernelResult: the map and its hypothesis report."""
     if not classes:
         raise ValueError("need at least one cocycle class")
     if all(c.carrier.is_zero() for c in classes):

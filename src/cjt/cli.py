@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from cjt.carlson import _l_xi_result, endotrivial_check
+from cjt.carlson import endotrivial_check, l_xi
 from cjt.constancy import (
     PiPoint,
     check_constant,
@@ -159,7 +159,7 @@ def _cmd_carlson(args) -> tuple[dict, int]:
         factor_generator(field, args.rank, i % args.rank, d)
         for i, d in enumerate(degrees)
     ]
-    result = _l_xi_result(classes, max_e=args.max_ext)
+    result = l_xi(classes, max_e=args.max_ext)
     from cjt.serialize import cocycle_to_json
 
     payload = {

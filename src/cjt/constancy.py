@@ -220,8 +220,6 @@ def _pencil_powers(m: ModuleRep):
 def generic_type(m: ModuleRep) -> JordanType:
     """Jordan type at the generic point of the pencil, over the rational
     function field; dominates every rational specialization."""
-    if m.dim == 0:
-        return JordanType(m.p, (0,) * m.p)
     return JordanType.from_power_ranks(m.p, [m.dim] + [generic_rank(power) for power in _pencil_powers(m)])
 
 

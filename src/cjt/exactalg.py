@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "Field",
-    "FieldElement",
     "Matrix",
     "SolveResult",
     "make_field",
@@ -532,14 +531,7 @@ class Field:
         return self._recompose([self._mod_p(x) for x in planes])
 
     # -- element bookkeeping -------------------------------------------------
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.code_of(value))
-
     def code_of(self, value) -> int:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise ValueError("element from a different field")
-            return value.code
         if isinstance(value, (int, np.integer)):
             if self.e == 1:
                 return int(value) % self.p
@@ -611,50 +603,6 @@ def make_field(p: int, e: int) -> Field:
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of GF(p^e), stored by its integer code."""
-
-    field: Field
-    code: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        c = self.field._code_to_poly(self.code)
-        return c + (0,) * (self.field.e - len(c))
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, int(self.field.add(self.code, self._c(other))))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, int(self.field.sub(self.code, self._c(other))))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, int(self.field.mul(self.code, self._c(other))))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, int(self.field.neg(self.code)))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv_scalar(self.code))
-
-    def __pow__(self, n: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow_scalar(self.code, n))
-
-    def _c(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("field mismatch")
-            return other.code
-        return self.field.code_of(other)
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def serialize(self):
-        return self.field.serialize_code(self.code)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -706,9 +654,6 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, self.field.neg(self.array))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.array.T)
 
     def __eq__(self, other) -> bool:
         return (

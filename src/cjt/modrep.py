@@ -262,7 +262,7 @@ def free_module(
             src = np.nonzero(shift >= 0)[0]
             a[base + shift[src], base + src] = 1
         gens.append(a)
-    return ModuleRep(field, gens, convention, allow_large=dim > DIM_SOFT_CAP)
+    return ModuleRep(field, gens, convention, allow_large=True)
 
 
 def direct_sum(mods: Sequence[ModuleRep]) -> ModuleRep:
@@ -280,7 +280,7 @@ def direct_sum(mods: Sequence[ModuleRep]) -> ModuleRep:
             a[off : off + m.dim, off : off + m.dim] = m.gens[i]
             off += m.dim
         gens.append(a)
-    return ModuleRep(first.field, gens, first.convention, allow_large=dim > DIM_SOFT_CAP)
+    return ModuleRep(first.field, gens, first.convention, allow_large=True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ def tensor(m: ModuleRep, n: ModuleRep) -> ModuleRep:
         if m.convention is Convention.GROUP:
             g = f.add(g, f.kron(a, b))
         gens.append(g)
-    return ModuleRep(f, gens, m.convention, allow_large=m.dim * n.dim > DIM_SOFT_CAP)
+    return ModuleRep(f, gens, m.convention, allow_large=True)
 
 
 def dual(m: ModuleRep) -> ModuleRep:
@@ -313,7 +313,7 @@ def dual(m: ModuleRep) -> ModuleRep:
         else:
             inv = _unipotent_inverse(f, a)
             gens.append(f.sub(inv, np.eye(m.dim, dtype=np.int64)).T)
-    return ModuleRep(f, gens, m.convention, allow_large=m.dim > DIM_SOFT_CAP)
+    return ModuleRep(f, gens, m.convention, allow_large=True)
 
 
 def hom(m: ModuleRep, n: ModuleRep) -> ModuleRep:
@@ -369,17 +369,15 @@ class Submodule:
     pivot_rows: list[int]
 
 
-def submodule(m: ModuleRep, basis: np.ndarray, pivot_rows: list[int] | None = None) -> Submodule:
-    """Induced module structure on an invariant subspace.
-
-    The basis must be reduced (identity at the pivot rows); raises if the
-    subspace is not invariant under the generator actions.
+def submodule(m: ModuleRep, basis: np.ndarray) -> Submodule:
+    """Induced module structure on the invariant subspace spanned by the
+    columns of ``basis``, which are row-reduced here (identity at the pivot
+    rows); raises if the subspace is not invariant under the generator
+    actions.
     """
     f = m.field
-    if pivot_rows is None:
-        reduced, piv = rref_array(f, basis.T)
-        basis = reduced.T
-        pivot_rows = piv
+    reduced, pivot_rows = rref_array(f, basis.T)
+    basis = reduced.T
     gens = []
     for a in m.gens:
         img = f.matmul(a, basis)
@@ -388,7 +386,7 @@ def submodule(m: ModuleRep, basis: np.ndarray, pivot_rows: list[int] | None = No
             raise ValueError("subspace is not invariant under the generator actions")
         gens.append(coeffs)
     sub = ModuleRep(f, gens, m.convention, allow_large=True)
-    return Submodule(sub, basis, list(pivot_rows))
+    return Submodule(sub, basis, pivot_rows)
 
 
 @dataclass
@@ -527,13 +525,12 @@ def split_free(m: ModuleRep) -> SplitResult:
     core_basis = nullspace_array(f, retraction)
     if core_basis.shape[1] != m.dim - t * count:
         raise AssertionError("free splitting lost dimensions")
-    reduced_b, piv_b = rref_array(f, core_basis.T)
-    sub = submodule(m, reduced_b.T, piv_b)
+    sub = submodule(m, core_basis)
     if rank_array(f, _theta(sub.module)) != 0:
         raise AssertionError("core still contains a free summand")
     # core coordinates of id - retraction: a module projection onto the core
     complement_proj = np.eye(m.dim, dtype=np.int64)
-    complement_proj = f.sub(complement_proj, retraction)[piv_b, :]
+    complement_proj = f.sub(complement_proj, retraction)[sub.pivot_rows, :]
     return SplitResult(t, sub.module, sub.basis, sub.pivot_rows, complement_proj)
 
 

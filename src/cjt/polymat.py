@@ -71,10 +71,6 @@ class HomPoly:
         return cls(p, nvars, {})
 
     @classmethod
-    def monomial(cls, p: int, nvars: int, exps: Sequence[int], coef: int = 1) -> "HomPoly":
-        return cls(p, nvars, {tuple(exps): coef})
-
-    @classmethod
     def variable(cls, p: int, nvars: int, i: int) -> "HomPoly":
         exps = [0] * nvars
         exps[i] = 1
@@ -95,9 +91,6 @@ class HomPoly:
         for e, c in other.terms.items():
             out[e] = (out.get(e, 0) + c) % self.p
         return HomPoly(self.p, self.nvars, out)
-
-    def scale(self, c: int) -> "HomPoly":
-        return HomPoly(self.p, self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def mul(self, other: "HomPoly") -> "HomPoly":
         out: dict[tuple[int, ...], int] = {}

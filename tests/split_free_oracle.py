@@ -79,7 +79,6 @@ def split_free_by_rows(m: ModuleRep) -> SplitResult:
     core_basis = nullspace_array(f, retraction)
     if core_basis.shape[1] != m.dim - t * count:
         raise AssertionError("free splitting lost dimensions")
-    reduced_b, piv_b = rref_array(f, core_basis.T)
-    sub = submodule(m, reduced_b.T, piv_b)
-    complement_proj = f.sub(np.eye(m.dim, dtype=np.int64), retraction)[piv_b, :]
+    sub = submodule(m, core_basis)
+    complement_proj = f.sub(np.eye(m.dim, dtype=np.int64), retraction)[sub.pivot_rows, :]
     return SplitResult(t, sub.module, sub.basis, sub.pivot_rows, complement_proj)

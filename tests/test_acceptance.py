@@ -159,7 +159,7 @@ def test_criterion_07_endotriviality():
 def test_criterion_08_rank_two_kernel_is_fourth_shift():
     f = make_field(3, 1)
     classes = [factor_generator(f, 2, 0, 2), factor_generator(f, 2, 1, 2)]
-    L = l_xi(classes, max_e=2)
+    L = l_xi(classes, max_e=2).kernel
     assert L.dim == 19
     res = is_isomorphic(L, omega_k(f, 2, 4), seed=0)
     assert res.isomorphic
@@ -170,7 +170,7 @@ def test_criterion_08_rank_two_kernel_is_fourth_shift():
 def test_criterion_09_rank_three_kernel():
     f = make_field(3, 1)
     classes = [factor_generator(f, 3, i, 2) for i in range(3)]
-    L = l_xi(classes, max_e=1)
+    L = l_xi(classes, max_e=1).kernel
     assert L.dim == 164 == 6 * 27 + 2
     want = jt(3, {1: 2})
     for e in (1, 2):

@@ -18,7 +18,7 @@ class TestLXi:
     def test_two_coordinate_classes_give_fourth_shift(self):
         f = make_field(3, 1)
         classes = [factor_generator(f, 2, 0, 2), factor_generator(f, 2, 1, 2)]
-        L = l_xi(classes, max_e=2)
+        L = l_xi(classes, max_e=2).kernel
         assert L.dim == 19
         res = is_isomorphic(L, omega_k(f, 2, 4), seed=0)
         assert res.isomorphic and not res.inconclusive
@@ -27,7 +27,7 @@ class TestLXi:
         f = make_field(3, 1)
         c1 = factor_generator(f, 2, 0, 2)
         c2sq = cocycle_product(factor_generator(f, 2, 1, 2), factor_generator(f, 2, 1, 2))
-        L = l_xi([c1, c2sq], max_e=1)
+        L = l_xi([c1, c2sq], max_e=1).kernel
         assert L.dim == 9 * 3 + 1
         res = is_isomorphic(L, omega_k(f, 2, 6), seed=0)
         assert res.isomorphic and not res.inconclusive
@@ -35,7 +35,7 @@ class TestLXi:
     def test_three_coordinate_classes_rank_three(self):
         f = make_field(3, 1)
         classes = [factor_generator(f, 3, i, 2) for i in range(3)]
-        L = l_xi(classes, max_e=1)
+        L = l_xi(classes, max_e=1).kernel
         assert L.dim == 6 * 27 + 2
         for q in sweep_points(f, 3, 1):
             assert stable(jordan_at(L, q)) == jt(3, {1: 2})
@@ -47,7 +47,7 @@ class TestLXi:
         f = make_field(3, 1)
         p = 3
         c = factor_generator(f, 2, 0, 2)
-        L = l_xi([c], max_e=1)
+        L = l_xi([c], max_e=1).kernel
         assert L.dim == omega_k(f, 2, 2).dim - 1
         for q in sweep_points(f, 2, 1):
             st = stable(jordan_at(L, q))
@@ -69,7 +69,7 @@ class TestKernelOfHomMatrix:
     def test_single_row_matches_l_xi(self):
         f = make_field(3, 1)
         classes = [factor_generator(f, 2, 0, 2), factor_generator(f, 2, 1, 2)]
-        L1 = l_xi(classes, max_e=1)
+        L1 = l_xi(classes, max_e=1).kernel
         sources = [c.carrier.source for c in classes]
         target = classes[0].carrier.target
         res = kernel_of_hom_matrix([[c.carrier for c in classes]], sources, [target])

@@ -141,6 +141,46 @@ class TestOtherCommands:
         assert code == 0
         assert out["type"] == "3[5] + 1[1]"
 
+    def test_tensor_type_only_rank_two(self, capsys, tmp_path, w5_file):
+        from cjt.constancy import generic_type
+        from cjt.modrep import tensor
+
+        f = make_field(5, 1)
+        b = tmp_path / "ke.json"
+        b.write_text(json.dumps(module_to_json(ke_mod_i2(f, 2))))
+        code, out = run(capsys, ["tensor", "--a", w5_file, "--b", str(b), "--type-only"])
+        assert code == 0
+        want = generic_type(tensor(w_module(f), ke_mod_i2(f, 2)))
+        assert out["type"] == str(want) == "3[4] + 5[3] + 5[2] + 2[1]"
+        assert jordan_type_from_json(out) == want
+
+    def test_tensor_module(self, capsys, tmp_path, w5_file):
+        from cjt.modrep import tensor
+
+        f = make_field(5, 1)
+        b = tmp_path / "ke.json"
+        b.write_text(json.dumps(module_to_json(ke_mod_i2(f, 2))))
+        code, out = run(capsys, ["tensor", "--a", w5_file, "--b", str(b)])
+        assert code == 0
+        assert out == module_to_json(tensor(w_module(f), ke_mod_i2(f, 2)))
+        assert out["dim"] == 39
+
+    def test_jordan_with_tail(self, capsys, tmp_path):
+        from cjt.constancy import PiPoint, jordan_at
+        from cjt.zoo import random_module
+
+        f = make_field(3, 1)
+        m = random_module(f, 2, 6, 0)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(module_to_json(m)))
+        argv = ["jordan", "--module", str(path), "--point", "1,0"]
+        code, out = run(capsys, argv + ["--tail", '[{"exps":[0,2],"coef":1}]'])
+        assert code == 0
+        want = jordan_at(m, PiPoint(f, (1, 0), (((0, 2), 1),)))
+        assert out["type"] == str(want) == "1[2] + 4[1]"
+        # the tail changes the type at this point
+        assert run(capsys, argv)[1]["type"] == "6[1]"
+
     def test_endotrivial_exit_codes(self, capsys, tmp_path, w5_file):
         code, out = run(capsys, ["endotrivial", "--module", w5_file])
         assert code == 2 and out["endotrivial"] is False
@@ -217,6 +257,15 @@ class TestOptions:
     def test_removed_flags_are_usage_errors(self, capsys, flag):
         assert execute([flag, "2", "zoo", "--p", "3", "--name", "W"]) == 1
         assert capsys.readouterr().out == ""
+
+
+    def test_pretty_output(self, capsys, w7_file):
+        argv = ["jordan", "--module", w7_file, "--point", "1,1"]
+        assert execute(["--pretty"] + argv) == 0
+        pretty = capsys.readouterr().out
+        code, compact = run(capsys, argv)
+        assert pretty == json.dumps(compact, indent=2, sort_keys=True) + "\n"
+        assert pretty.count("\n") > 1
 
 
 class TestSingleSweeps:

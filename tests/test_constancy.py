@@ -134,6 +134,22 @@ class TestGenericType:
         f = make_field(3, 1)
         assert generic_type(free_module(f, 2, 1)) == jt(3, {3: 3})
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_zero_module(self, p):
+        gens = [np.zeros((0, 0), dtype=np.int64)] * 2
+        assert generic_type(ModuleRep(make_field(p, 1), gens)) == JordanType(p, (0,) * p)
+        # like every module over a proper extension, it has no pencil
+        with pytest.raises(ValueError, match="prime field"):
+            generic_type(ModuleRep(make_field(p, 2), gens))
+
+    def test_dominance_max_breaks_ties_by_descending_counts(self):
+        # 2[3] and 1[4] + 2[1] are incomparable; the larger reversed count
+        # vector (0, 1, 0, 0, 2) > (0, 0, 2, 0, 0) wins in either order
+        a, b = jt(5, {3: 2}), jt(5, {4: 1, 1: 2})
+        assert dominance_compare(a, b) == Dominance.INCOMPARABLE
+        assert constancy._dominance_max([a, b]) == b
+        assert constancy._dominance_max([b, a]) == b
+
 
 class TestCheckConstant:
     def test_rank_one_vacuous(self):

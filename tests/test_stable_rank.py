@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from stable_rank_oracle import stable_rank_full
 
 from cjt import modrep
-from cjt.carlson import _l_xi_result, kernel_of_hom_matrix
+from cjt.carlson import kernel_of_hom_matrix, l_xi
 from cjt.constancy import PiPoint, sweep_points
 from cjt.exactalg import make_field
 from cjt.modrep import ModuleHom, direct_sum, free_module, hom_space, trivial_module
@@ -131,7 +131,7 @@ def test_cli_carlson_points_match_split_route():
     for p, r, degrees, max_e in configs:
         f = make_field(p, 1)
         classes = [factor_generator(f, r, i % r, d) for i, d in enumerate(degrees)]
-        result = _l_xi_result(classes, max_e)
+        result = l_xi(classes, max_e)
         for q, holds in result.report.points:
             assert holds == stable_rank_full(result.map, q), (p, r, degrees, q)
             checked += 1

@@ -78,7 +78,8 @@ class TestFirstZeroSearch:
     @settings(max_examples=60)
     @given(
         pe=st.sampled_from([(2, 3), (3, 3), (5, 2), (2, 4)]),
-        shape=st.sampled_from([(3, 2, 2), (2, 2, 2), (3, 2, 1), (2, 3, 2)]),
+        # k = 3 passes the blocks through _minor_sieve unfiltered
+        shape=st.sampled_from([(3, 2, 2), (2, 2, 2), (3, 2, 1), (2, 3, 2), (3, 3, 3)]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_orbit_sweep_finds_the_first_zero(self, pe, shape, seed):

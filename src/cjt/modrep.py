@@ -9,6 +9,7 @@ linear algebra over the module's field.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -547,9 +548,8 @@ class CoverData:
     Heller shift inside the free source.
     """
 
-    module: ModuleRep
     rank: int
-    cover_matrix: np.ndarray  # module.dim x (rank * p^r)
+    cover_matrix: np.ndarray  # module dim x (rank * p^r)
     kernel_basis: np.ndarray
     kernel_pivot_rows: list[int]
     omega: ModuleRep
@@ -594,7 +594,7 @@ def _cover_kernel(m: ModuleRep) -> CoverData:
         shifted = _apply_free_generator(f, p, r, d, i, kernel)
         gens.append(shifted[kernel_piv_rows])
     omega = ModuleRep(f, gens, m.convention, allow_large=True)
-    return CoverData(m, d, cover, kernel, kernel_piv_rows, omega)
+    return CoverData(d, cover, kernel, kernel_piv_rows, omega)
 
 
 @dataclass
@@ -622,19 +622,53 @@ def projective_cover_omega(m: ModuleRep) -> CoverResult:
     return CoverResult(cover, data.omega, inclusion)
 
 
-def omega_n(m: ModuleRep, n: int) -> ModuleRep:
-    """Iterated Heller shift of the projective-free core of m.
+# One tower {n: (Omega^n core, free rows)} per projective-free core; past
+# this many the least recently used tower is dropped.
+OMEGA_CACHE_TOWERS = 8
+_shift_cache: OrderedDict[tuple, dict[int, tuple[ModuleRep, list[int]]]] = OrderedDict()
 
-    Shifts run upward only: the kernels of n successive minimal covers for
-    n >= 0, and Omega^n M = (Omega^(-n) M*)* for n < 0, with the core split
-    off before it is dualized.
+
+def _read_only(m: ModuleRep) -> ModuleRep:
+    for a in m.gens:
+        a.flags.writeable = False
+    return m
+
+
+def _tower(core: ModuleRep) -> dict[int, tuple[ModuleRep, list[int]]]:
+    """The tower of a core, keyed by its full generator matrices and marked
+    most recently used.  Level 0 is a read-only copy of the core; level
+    n > 0 keeps the rows where its kernel basis in the cover is the identity."""
+    key = (core.field, core.convention, core.dim, tuple(a.tobytes() for a in core.gens))
+    if key not in _shift_cache:
+        copy = ModuleRep(core.field, [a.copy() for a in core.gens], core.convention, allow_large=True)
+        _shift_cache[key] = {0: (_read_only(copy), [])}
+        if len(_shift_cache) > OMEGA_CACHE_TOWERS:
+            _shift_cache.popitem(last=False)
+    _shift_cache.move_to_end(key)
+    return _shift_cache[key]
+
+
+def _shift(core: ModuleRep, n: int) -> ModuleRep:
+    """Omega^n of a projective-free core: the only loop over minimal covers.
+
+    Omega^(-n) M = (Omega^n M*)* is built in the tower of M* and kept in
+    this one; k equals its dual, so Omega^(-n) k reuses the covers of
+    Omega^n k.  Levels are shared, with read-only generators.
     """
-    current = split_free(m).core
-    if n < 0:
-        current = dual(current)
-    for _ in range(abs(n)):
-        current = _cover_kernel(current).omega
-    return dual(current) if n < 0 else current
+    tower = _tower(core)
+    if n not in tower:
+        if n > 0:
+            for j in range(max(j for j in tower if 0 <= j < n) + 1, n + 1):
+                data = _cover_kernel(tower[j - 1][0])
+                tower[j] = (_read_only(data.omega), data.kernel_pivot_rows)
+        else:
+            tower[n] = (_read_only(dual(_shift(dual(tower[0][0]), -n))), [])
+    return tower[n][0]
+
+
+def omega_n(m: ModuleRep, n: int) -> ModuleRep:
+    """Iterated Heller shift of the projective-free core of m, split off before any dual."""
+    return _shift(split_free(m).core, n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ membership test after evaluation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from cjt.constancy import PiPoint, evaluate
-from cjt.exactalg import Field, Matrix, rank_array, solve_linear
+from cjt.exactalg import Field, Matrix, _echelonize, rank_array, solve_linear
 from cjt.modrep import (
     Convention,
     ModuleHom,
@@ -27,7 +26,8 @@ from cjt.modrep import (
     _mat_pow,
     _monomial_columns,
     _monomial_count,
-    dual,
+    _shift,
+    _tower,
     factors_through_projective,
     free_module,
     hom_space,
@@ -59,53 +59,15 @@ class CocycleClass:
             raise ValueError("cocycle carrier must map to the trivial module")
 
 
-# Most Heller-shift towers kept by omega_k, one per (field, r, convention);
-# past it the least recently used tower is dropped, so a long-lived process
-# that walks through many fields holds a bounded number of towers.
-OMEGA_CACHE_TOWERS = 8
-
-_omega_cache: OrderedDict[tuple, dict[int, ModuleRep]] = OrderedDict()
-
-
-def _omega_tower(field: Field, r: int, convention: Convention) -> dict[int, ModuleRep]:
-    """The cached shifts {n: Omega^n k} of one tower, marked most recently used."""
-    key = (field.p, field.e, field.modulus, r, convention)
-    tower = _omega_cache.get(key)
-    if tower is not None:
-        _omega_cache.move_to_end(key)
-        return tower
-    tower = _omega_cache[key] = {0: trivial_module(field, r, 1, convention)}
-    if len(_omega_cache) > OMEGA_CACHE_TOWERS:
-        _omega_cache.popitem(last=False)
-    return tower
-
-
 def omega_k(field: Field, r: int, n: int, convention: Convention = Convention.PRIMITIVE) -> ModuleRep:
-    """n-th Heller shift of the trivial module, with cached iteration.
-
-    Positive shifts are the kernels of successive minimal covers, and their
-    dimensions are asserted against the closed alternating-binomial
-    formula.  A negative shift is the dual of the positive one,
-    Omega^(-n) k = (Omega^n k)*, since k is self-dual.
-    """
+    """n-th Heller shift of the trivial module, from its cached tower;
+    positive shifts are checked against the closed dimension formula."""
     if r < 1:
         raise ValueError("need r >= 1")
-    tower = _omega_tower(field, r, convention)
-    if n not in tower:
-        if n > 0:
-            top = max(k for k in tower if 0 <= k <= n)
-            current = tower[top]
-            for k in range(top + 1, n + 1):
-                current = _cover_kernel(current).omega
-                tower[k] = current
-            expected = omega_dim_formula(field.p, r, n)
-            if current.dim != expected:
-                raise AssertionError(
-                    f"dim of shift {n} is {current.dim}, closed formula gives {expected}"
-                )
-        else:
-            tower[n] = dual(omega_k(field, r, -n, convention))
-    return tower[n]
+    shift = _shift(trivial_module(field, r, 1, convention), n)
+    if n > 0 and shift.dim != (expected := omega_dim_formula(field.p, r, n)):
+        raise AssertionError(f"dim of shift {n} is {shift.dim}, closed formula gives {expected}")
+    return shift
 
 
 def omega_dim_formula(p: int, r: int, n: int) -> int:
@@ -180,7 +142,9 @@ def _onto_on_cores(phi: ModuleHom, q: PiPoint) -> bool:
     # whole over GF(p^e), where a residue mod p is another element
     codes = phi.matrix % phi.source.field.q
     block = np.block([[top_a, np.zeros((a.rows, b.cols), dtype=np.int64)], [codes, b.array]])
-    return rank_array(field, block) - rank_array(field, top_a) == b.rows - rank_array(field, top_b)
+    # columns go in order: the pivots before column dim S count rank A^(p-1)
+    pivots = _echelonize(field, np.ascontiguousarray(block.T), a.rows + b.rows)
+    return sum(c >= a.rows for c in pivots) == b.rows - rank_array(field, top_b)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +160,9 @@ def factor_generator(
     the carrier reads one coordinate there.  Degree 1: the coefficient of
     the monomial t_i in Omega^1 k = rad kE, the functional dual to t_i
     modulo the radical.  Degree 2: the coefficient of t_i^(p-1) e_i, where
-    e_i is the free generator that lies over t_i.  Along a point with
-    linear part (a_1, ..., a_r) the degree-2 class restricts to a_i^p times
-    the periodicity generator, so it dies exactly where a_i = 0.
+    e_i is the free generator over t_i.  The cover sends either coordinate
+    to zero, so the carrier is a unit row.  Along a point with linear part
+    (a_1, ..., a_r) the degree-2 class is a_i^p times the periodicity class.
     """
     if not 0 <= i < r:
         raise ValueError(f"generator index {i} out of range")
@@ -206,12 +170,13 @@ def factor_generator(
         raise ValueError("factor generators are provided in degrees 1 and 2")
     p = field.p
     col = p**i if degree == 1 else i * p**r + (p - 1) * p**i
-    data = _cover_kernel(omega_k(field, r, degree - 1, convention))
-    row = data.kernel_basis[[col]]
-    if not np.any(row):
-        raise AssertionError("coordinate cocycle must be nonzero")
     k = trivial_module(field, r, 1, convention)
-    carrier = ModuleHom(omega_k(field, r, degree, convention), k, row).require_intertwiner()
+    source = omega_k(field, r, degree, convention)
+    free = _tower(k)[degree][1]
+    if col not in free:
+        raise AssertionError("a coordinate the cover kills must be a free row")
+    row = np.eye(1, source.dim, free.index(col), dtype=np.int64)
+    carrier = ModuleHom(source, k, row).require_intertwiner()
     return CocycleClass(degree, carrier, tag=f"factor-{i+1} degree-{degree} generator")
 
 

@@ -4,9 +4,12 @@
   a dual-functional solve in degree 1 and a chain lift through the
   rank-one quotient algebra in degree 2.  The library reads them off the
   minimal resolution as single coordinates.
+- ``factor_generator_by_cover``: the same coordinates read as row ``col``
+  of the kernel basis of a freshly built cover of Omega^(degree-1) k.  The
+  library takes the unit row at that free row of the cached tower.
 - ``omega_n_by_steps`` and ``omega_k_minus_by_steps``: negative Heller
   shifts stepped one at a time as dual -> cover -> dual.  The library
-  takes (Omega^n M*)* once.
+  takes (Omega^n M*)* once, from the tower of M*.
 - ``unipotent_inverse_by_series``: (I + N)^(-1) as the geometric series
   with one product per term.  The library multiplies the factors
   I + (-N)^(2^i).
@@ -142,3 +145,16 @@ def factor_generator_by_lifts(
         carrier = ModuleHom(omega2, k, socle_row).require_intertwiner()
         return CocycleClass(2, carrier, tag=f"factor-{i+1} degree-2 generator")
     raise ValueError("factor generators are provided in degrees 1 and 2")
+
+
+def factor_generator_by_cover(
+    field: Field, r: int, i: int, degree: int, convention: Convention = Convention.PRIMITIVE
+) -> CocycleClass:
+    """The coordinate cocycle as row ``col`` of the kernel basis of a new
+    cover of Omega^(degree-1) k."""
+    p = field.p
+    col = p**i if degree == 1 else i * p**r + (p - 1) * p**i
+    row = _cover_kernel(omega_k(field, r, degree - 1, convention)).kernel_basis[[col]]
+    k = trivial_module(field, r, 1, convention)
+    carrier = ModuleHom(omega_k(field, r, degree, convention), k, row).require_intertwiner()
+    return CocycleClass(degree, carrier, tag=f"factor-{i+1} degree-{degree} generator")

@@ -1,9 +1,10 @@
 """Heller shifts and coordinate cocycles against the constructions they replaced.
 
-The library reads the coordinate cocycles off the minimal resolution,
-takes a negative shift as the dual of a positive one, and inverts I + N as
-a product of factors.  ``shift_oracle`` keeps the solving, stepping and
-geometric-series versions; every matrix must agree byte for byte.
+The library reads the coordinate cocycles off the minimal resolution as
+unit rows of its one cached tower, takes a negative shift as the dual of a
+positive one, and inverts I + N as a product of factors.  ``shift_oracle``
+keeps the solving, cover-reading, stepping and geometric-series versions;
+every matrix must agree byte for byte.
 """
 
 import sys
@@ -12,6 +13,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 from shift_oracle import (
+    factor_generator_by_cover,
     factor_generator_by_lifts,
     omega_k_minus_by_steps,
     omega_n_by_steps,
@@ -19,7 +21,7 @@ from shift_oracle import (
 )
 from test_consistency import _hide_free_summand
 
-from cjt import exactalg, modrep, syzygy
+from cjt import exactalg, modrep
 from cjt.exactalg import _unipotent_inverse, make_field
 from cjt.modrep import Convention, dual
 from cjt.syzygy import factor_generator, omega_k
@@ -54,6 +56,21 @@ def test_factor_generators_match_lifts(p, e):
                     assert _same_module(got.carrier.source, want.carrier.source)
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_factor_generators_match_cover_rows(p, e):
+    f = make_field(p, e)
+    for r in (1, 2, 3):
+        for conv in Convention:
+            for degree in (1, 2):
+                for i in range(r):
+                    got = factor_generator(f, r, i, degree, conv)
+                    want = factor_generator_by_cover(f, r, i, degree, conv)
+                    assert got.tag == want.tag
+                    assert got.carrier.matrix.dtype == want.carrier.matrix.dtype
+                    assert np.array_equal(got.carrier.matrix, want.carrier.matrix), (r, conv, degree, i)
+                    assert got.carrier.source is want.carrier.source
+
+
 def test_factor_generator_solves_nothing(monkeypatch):
     calls = []
     original = exactalg.solve_linear
@@ -65,7 +82,7 @@ def test_factor_generator_solves_nothing(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if (name == "cjt" or name.startswith("cjt.")) and getattr(mod, "solve_linear", None) is original:
             monkeypatch.setattr(mod, "solve_linear", counted)
-    monkeypatch.setattr(syzygy, "_omega_cache", OrderedDict())
+    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
     for f in (make_field(3, 1), make_field(3, 2)):
         for conv in Convention:
             for degree in (1, 2):
@@ -87,18 +104,79 @@ def test_negative_omega_k_matches_steps(p, e):
                 assert omega_k(f, r, -n, conv) is got
 
 
-def test_omega_k_at_zero_builds_no_cover(monkeypatch):
+def _count_covers(monkeypatch):
     calls = []
-    original = syzygy._cover_kernel
-    monkeypatch.setattr(syzygy, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
-    monkeypatch.setattr(syzygy, "_omega_cache", OrderedDict())
+    original = modrep._cover_kernel
+    monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
+    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    return calls
+
+
+def test_omega_k_at_zero_builds_no_cover(monkeypatch):
+    calls = _count_covers(monkeypatch)
     f = make_field(3, 1)
     for r in (1, 5, 11):
         assert omega_k(f, r, 0).dim == 1
     assert calls == []
     omega_k(f, 2, -2)
     assert calls == [1, 8]
-    assert sorted(syzygy._omega_cache[(3, 1, (0, 1), 2, Convention.PRIMITIVE)]) == [-2, 0, 1, 2]
+    k = modrep.trivial_module(f, 2, 1)
+    assert sorted(modrep._tower(k)) == [-2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("conv", list(Convention))
+def test_one_tower_serves_both_signs_and_the_cocycles(monkeypatch, conv):
+    calls = _count_covers(monkeypatch)
+    f = make_field(3, 1)
+    k = modrep.trivial_module(f, 2, 1, conv)
+    # the order of the benchmark's shift-types jobs: n = 1, -1, ..., 4, -4
+    shifts = {0: modrep.omega_n(k, 0)}
+    for n in range(1, 5):
+        shifts[n] = modrep.omega_n(k, n)
+        shifts[-n] = modrep.omega_n(k, -n)
+    assert calls == [1, 8, 10, 17]
+    # omega_k reads the same tower, and a hit returns the same object
+    assert all(omega_k(f, 2, n, conv) is shifts[n] for n in shifts)
+    calls.clear()
+    for degree in (1, 2):
+        for i in range(2):
+            factor_generator(f, 2, i, degree, conv)
+    assert calls == []
+
+
+def test_cleared_caches_rebuild_the_tower(monkeypatch):
+    # the rule by which the benchmark empties caches before each pass: every
+    # module-level dict of cjt with "cache" in its name, and functools caches
+    f = make_field(3, 1)
+    before = omega_k(f, 2, 2)
+    calls = []
+    original = modrep._cover_kernel
+    monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
+    for name, mod in list(sys.modules.items()):
+        if name == "cjt" or name.startswith("cjt."):
+            for attr, obj in list(vars(mod).items()):
+                if isinstance(obj, dict) and "cache" in attr.lower():
+                    obj.clear()
+                elif callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    after = omega_k(f, 2, 2)
+    assert calls == [1, 8]
+    assert after is not before and _same_module(after, before)
+
+
+def test_shared_shifts_are_read_only():
+    f = make_field(3, 1)
+    m = random_module(f, 2, 5, 3)
+    core = modrep.split_free(m).core
+    shifts = [omega_k(f, 2, n) for n in (-2, -1, 0, 1, 2)] + [modrep.omega_n(m, n) for n in (-1, 0, 1)]
+    for shift in shifts:
+        for a in shift.gens:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+    # level 0 is a copy: a later write to the caller's core does not reach it
+    kept = shifts[-2].gens[0].copy()
+    core.gens[0][...] = 1
+    assert np.array_equal(shifts[-2].gens[0], kept)
 
 
 @pytest.mark.parametrize("p,e,r", [(2, 1, 2), (3, 1, 2), (5, 1, 2), (2, 1, 3), (2, 2, 2), (3, 2, 2)])

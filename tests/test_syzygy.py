@@ -3,13 +3,12 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from cjt import syzygy
+from cjt import modrep
 from cjt.constancy import PiPoint, jordan_at, sweep_points
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType, stable
-from cjt.modrep import Convention, ModuleHom, factors_through_projective, hom_space
+from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleHom, factors_through_projective, hom_space
 from cjt.syzygy import (
-    OMEGA_CACHE_TOWERS,
     CocycleClass,
     cocycle_product,
     cohomology_basis,
@@ -223,17 +222,18 @@ class TestShiftAndProducts:
 
 class TestOmegaCache:
     def test_towers_are_bounded_and_recent_ones_hit(self, monkeypatch):
-        monkeypatch.setattr(syzygy, "_omega_cache", OrderedDict())
+        monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
         f3, f5 = make_field(3, 1), make_field(5, 1)
         first = omega_k(f3, 2, 2)
         keys = [(f, r, conv) for r in range(1, 12) for f in (f3, f5) for conv in Convention]
         assert len(keys) > 4 * OMEGA_CACHE_TOWERS
+        zeros = {}
         for f, r, conv in keys:
-            omega_k(f, r, 0, conv)
-            assert len(syzygy._omega_cache) <= OMEGA_CACHE_TOWERS
+            zeros[f, r, conv] = omega_k(f, r, 0, conv)
+            assert len(modrep._shift_cache) <= OMEGA_CACHE_TOWERS
             # a tower in use stays cached: the same module, not a rebuilt one
             assert omega_k(f3, 2, 2) is first
-        assert len(syzygy._omega_cache) == OMEGA_CACHE_TOWERS
+        assert len(modrep._shift_cache) == OMEGA_CACHE_TOWERS
         # the least recently used towers were dropped, and rebuild on demand
-        assert (5, 1, (0, 1), 1, Convention.PRIMITIVE) not in syzygy._omega_cache
-        assert omega_k(f5, 1, 0).dim == 1
+        rebuilt = omega_k(f5, 1, 0)
+        assert rebuilt is not zeros[f5, 1, Convention.PRIMITIVE] and rebuilt.dim == 1

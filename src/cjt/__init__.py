@@ -17,6 +17,7 @@ from cjt.constancy import (
     evaluate,
     gamma_locus,
     generic_type,
+    is_isomorphic,
     jordan_at,
     pi_support,
 )
@@ -40,7 +41,6 @@ from cjt.modrep import (
     free_module,
     hom,
     hom_space,
-    is_isomorphic,
     jordan_block_module,
     omega_n,
     projective_cover_omega,

@@ -149,6 +149,8 @@ def _cmd_omega(args) -> tuple[dict, int]:
 
 
 def _cmd_carlson(args) -> tuple[dict, int]:
+    if args.rank < 1:
+        raise UsageError("--rank must be >= 1")
     field = make_field(args.p, 1)
     degrees = [int(d) for d in args.degrees.split(",") if d]
     if not degrees:

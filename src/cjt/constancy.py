@@ -1,4 +1,4 @@
-"""Restriction points, generic Jordan type, and the constancy checker.
+"""Restriction points, generic Jordan type, constancy and isomorphism tests.
 
 A linear restriction point is a nonzero vector of coefficients over some
 GF(p^e): the module generators combine into a single nilpotent matrix
@@ -10,12 +10,14 @@ powers) and tested by point sweeps otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, product
 
 import numpy as np
 
-from cjt.exactalg import STACK_CELLS, Field, Matrix, _frobenius_minus_x, _poly_gcd, make_field
+from cjt import exactalg
+from cjt.exactalg import Field, Matrix, _frobenius_minus_x, _poly_gcd, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
-from cjt.modrep import ModuleRep
+from cjt.modrep import ModuleHom, ModuleRep, hom_space
 from cjt.polymat import PolyMatrix, _chart_divisor, _orbit_blocks, generic_rank
 
 __all__ = [
@@ -32,7 +34,8 @@ __all__ = [
     "pi_support",
     "sweep_points",
     "level_types",
-    "STACK_CELLS",
+    "IsoResult",
+    "is_isomorphic",
 ]
 
 
@@ -47,20 +50,22 @@ class PiPoint:
     tail: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", tuple(int(c) for c in self.linear))
+        f = self.field
+        object.__setattr__(self, "linear", _codes(f, self.linear))
         if not any(self.linear):
             raise ValueError("the linear part of a restriction point must be nonzero")
-        p = self.field.p
         tail = []
-        for exps, coef in self.tail:
+        for exps, _ in self.tail:
             exps = tuple(int(x) for x in exps)
             if len(exps) != len(self.linear):
                 raise ValueError("tail exponent length must match the number of generators")
             if sum(exps) < 2:
                 raise ValueError("tail terms must have total degree >= 2")
-            if any(x >= p or x < 0 for x in exps):
-                raise ValueError(f"tail exponents must lie in [0, {p})")
-            tail.append((exps, int(coef)))
+            if any(x >= f.p or x < 0 for x in exps):
+                raise ValueError(f"tail exponents must lie in [0, {f.p})")
+            tail.append(exps)
+        if tail:
+            tail = zip(tail, _codes(f, [coef for _, coef in self.tail]))
         object.__setattr__(self, "tail", tuple(tail))
 
     @property
@@ -82,6 +87,16 @@ class PiPoint:
     def __str__(self) -> str:
         inner = ":".join(str(self.field.serialize_code(c)) for c in self.linear)
         return f"[{inner}]" + (f"+tail({len(self.tail)})" if self.tail else "")
+
+
+def _codes(field: Field, values) -> tuple[int, ...]:
+    """Codes as ``Field.code_of`` reads integers: mod p, or in [0, q) over GF(p^e)."""
+    codes = tuple(map(int, values))
+    if codes and (min(codes) < 0 or max(codes) >= field.q):
+        if not field.is_prime_field:
+            raise ValueError(f"element codes for GF({field.p}^{field.e}) must lie in [0, {field.q})")
+        codes = tuple(c % field.p for c in codes)
+    return codes
 
 
 def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
@@ -162,12 +177,12 @@ def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     """Jordan type at every sweep point of extension level e, in sweep order.
 
     Each point's matrix comes from ``evaluate``, over the field it lives
-    in; the matrices are typed in stacks of at most ``STACK_CELLS`` entries
-    by the batched kernel ``jordan_types``, which falls back to one matrix
-    at a time above ``BATCH_DIM_CUTOFF``.
+    in; the matrices are typed in stacks of at most ``exactalg.STACK_CELLS``
+    entries by the batched kernel ``jordan_types``, which falls back to one
+    matrix at a time above ``exactalg.BATCH_DIM_CUTOFF``.
     """
     points = sweep_points(m.field, m.r, e)
-    per_stack = max(1, STACK_CELLS // max(1, m.dim * m.dim))
+    per_stack = max(1, exactalg.STACK_CELLS // max(1, m.dim * m.dim))
     types: list[JordanType] = []
     for i in range(0, len(points), per_stack):
         mats = [evaluate(m, q) for q in points[i : i + per_stack]]
@@ -372,3 +387,57 @@ def pi_support(m: ModuleRep, e: int) -> list[PiPoint]:
 def _support(typed: list[tuple[PiPoint, JordanType]]) -> list[PiPoint]:
     """Points whose type has a block smaller than p."""
     return [q for q, t in typed if any(t.counts[:-1])]
+
+
+# ---------------------------------------------------------------------------
+# isomorphism testing
+# ---------------------------------------------------------------------------
+
+@dataclass
+class IsoResult:
+    isomorphic: bool
+    inconclusive: bool = False
+    witness: ModuleHom | None = None
+
+    def __bool__(self) -> bool:
+        return self.isomorphic
+
+
+def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:
+    """Las Vegas isomorphism test.
+
+    Fast false on dimension mismatch or on Jordan types that differ at some
+    point of the level-1 sweep; then searches hom_space(m, n) for an
+    invertible element: basis elements, seeded random combinations (200
+    draws), then exhaustive combinations when the field has at most 9
+    elements and the hom space has dimension at most 4.  A miss is reported
+    as inconclusive.
+    """
+    if m.dim != n.dim:
+        return IsoResult(False)
+    if m.field != n.field or m.r != n.r or m.convention != n.convention:
+        raise ValueError("modules live in different categories")
+    if m.dim == 0:
+        return IsoResult(True)
+    if [t for _, t in level_types(m, 1)] != [t for _, t in level_types(n, 1)]:
+        return IsoResult(False)
+    f = m.field
+    basis = hom_space(m, n)
+    for h in basis:
+        if rank_array(f, h.matrix) == m.dim:
+            return IsoResult(True, witness=h)
+    if not basis:
+        return IsoResult(False, inconclusive=True)
+    # row j is the j-th basis map, so a combination is one product
+    stacked = np.stack([h.matrix for h in basis]).reshape(len(basis), -1)
+    rng = np.random.default_rng(seed)
+    exhaustive = f.q <= 9 and len(basis) <= 4
+    draws = chain(
+        (rng.integers(0, f.q, len(basis)) for _ in range(200)),
+        product(range(f.q), repeat=len(basis)) if exhaustive else (),
+    )
+    for coeffs in draws:
+        mat = f.matmul(np.array([coeffs], dtype=np.int64), stacked).reshape(n.dim, m.dim)
+        if rank_array(f, mat) == m.dim:
+            return IsoResult(True, witness=ModuleHom(m, n, mat))
+    return IsoResult(False, inconclusive=not exhaustive)

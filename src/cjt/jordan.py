@@ -12,7 +12,8 @@ from enum import Enum
 
 import numpy as np
 
-from cjt.exactalg import BATCH_DIM_CUTOFF, Field, Matrix, _echelonize, stack_ranks
+from cjt import exactalg
+from cjt.exactalg import Field, Matrix, _echelonize, stack_ranks
 
 __all__ = [
     "JordanType",
@@ -23,7 +24,6 @@ __all__ = [
     "tensor_type",
     "power_ranks",
     "jordan_types",
-    "BATCH_DIM_CUTOFF",
 ]
 
 
@@ -136,14 +136,14 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     The ranks of A^1, ..., A^(p-1) come from one elimination per power that
     runs over every slice at once; a slice leaves the stack once its power
     is zero.  Like from_nilpotent, raises ValueError when some A^p != 0.
-    Matrices larger than BATCH_DIM_CUTOFF go through from_nilpotent one by
-    one, whose image chain shrinks with the ranks.
+    Matrices larger than exactalg.BATCH_DIM_CUTOFF go through from_nilpotent
+    one by one, whose image chain shrinks with the ranks.
     """
     stack = np.asarray(stack, dtype=np.int64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("need a (points, n, n) stack of square matrices")
     count, n = stack.shape[0], stack.shape[1]
-    if n > BATCH_DIM_CUTOFF:
+    if n > exactalg.BATCH_DIM_CUTOFF:
         return [from_nilpotent(Matrix(field, a), p) for a in stack]
     if count == 0:
         return []

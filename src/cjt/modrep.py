@@ -16,23 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from itertools import product as _iproduct
-
 from cjt.exactalg import (
     Field,
     Matrix,
+    _back_substitute,
     _echelonize,
     _kernel_from_echelon,
     _unipotent_inverse,
     column_space,
-    make_field,
     nullspace_array,
     rank_array,
     rref_array,
-    solve_linear,
 )
-from cjt.jordan import jordan_types
-from cjt.polymat import _point_blocks
 
 __all__ = [
     "Convention",
@@ -54,7 +49,6 @@ __all__ = [
     "omega_n",
     "factors_through_projective",
     "build_extension",
-    "is_isomorphic",
 ]
 
 DIM_SOFT_CAP = 4000
@@ -498,33 +492,30 @@ def split_free(m: ModuleRep) -> SplitResult:
     vectors = np.zeros((m.dim, t), dtype=np.int64)
     vectors[piv_cols, np.arange(t)] = 1
     free_cols = _monomial_columns(m, vectors)
-    # one elimination of the free rows gives the rank and, at its pivots,
-    # the standard vectors that extend the free basis to the whole space
-    pivots = set(_echelonize(f, free_cols.T.copy(), m.dim))
-    if len(pivots) != t * count:
+    # psi_j, the coordinate functional of the socle column A^(p-1,...,p-1) v_j
+    # in the basis that extends the free columns by the standard vectors off
+    # the pivots of free_cols^T, vanishes off those pivots and solves
+    # free_cols^T psi = E there (E: unit columns at j count + count - 1).
+    # One elimination of [free_cols^T | E] gives the rank and that system.
+    n = t * count
+    aug = np.zeros((n, m.dim + t), dtype=np.int64)
+    aug[:, : m.dim] = free_cols.T
+    aug[np.arange(t) * count + count - 1, m.dim + np.arange(t)] = 1
+    pivots = _echelonize(f, aug, m.dim)
+    if len(pivots) != n:
         raise AssertionError("theta-independent vectors failed to generate freely")
-    complement = [j for j in range(m.dim) if j not in pivots]
-    g = np.zeros((m.dim, m.dim), dtype=np.int64)
-    g[:, : t * count] = free_cols
-    for k, j in enumerate(complement):
-        g[j, t * count + k] = 1
-    # psi_j, the coordinate functional of the socle column A^(p-1,...,p-1) v_j,
-    # is row j count + count - 1 of g^(-1): solve g^T X = E for those rows only
-    socle = np.arange(t) * count + count - 1
-    units = np.zeros((m.dim, t), dtype=np.int64)
-    units[socle, np.arange(t)] = 1
-    psi = solve_linear(Matrix(f, g.T), Matrix(f, units)).solution
-    assert psi is not None
+    psi = np.zeros((m.dim, t), dtype=np.int64)
+    psi[pivots] = _back_substitute(f, aug[:, pivots], aug[:, m.dim :])
     # the retraction is the sum over j and monomials mu of the column A^mu v_j
     # times the row psi_j A^(top - mu).  Those rows, transposed, are the
     # monomial columns of psi_j^T under the transposed actions, where the
     # column of top - mu sits at count - 1 - mu within block j.
     transposed = ModuleRep(f, [a.T for a in m.gens], allow_large=True)
-    dual_cols = _monomial_columns(transposed, psi.array)
-    rows = dual_cols.reshape(m.dim, t, count)[:, :, ::-1].reshape(m.dim, t * count).T
+    dual_cols = _monomial_columns(transposed, psi)
+    rows = dual_cols.reshape(m.dim, t, count)[:, :, ::-1].reshape(m.dim, n).T
     retraction = f.matmul(free_cols, rows)
     core_basis = nullspace_array(f, retraction)
-    if core_basis.shape[1] != m.dim - t * count:
+    if core_basis.shape[1] != m.dim - n:
         raise AssertionError("free splitting lost dimensions")
     sub = submodule(m, core_basis)
     if rank_array(f, _theta(sub.module)) != 0:
@@ -729,68 +720,3 @@ def build_extension(fmap: ModuleHom, right: ModuleRep) -> ExtensionResult:
     if np.any(f.matmul(proj_matrix, incl_matrix)):
         raise AssertionError("extension maps do not compose to zero")
     return ExtensionResult(middle, include, project)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IsoResult:
-    isomorphic: bool
-    inconclusive: bool = False
-    witness: ModuleHom | None = None
-
-    def __bool__(self) -> bool:
-        return self.isomorphic
-
-
-def _rational_type_signature(m: ModuleRep):
-    """Jordan types at all normalized rational linear points, for fast
-    non-isomorphism detection."""
-    f = m.field
-    points = np.concatenate(list(_point_blocks(make_field(f.p, 1), m.r)))
-    mats = f.matmul(points, np.stack(m.gens).reshape(m.r, -1))
-    return jordan_types(f, mats.reshape(-1, m.dim, m.dim), m.p)
-
-
-def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:
-    """Las Vegas isomorphism test.
-
-    Fast false on dimension or rational-point Jordan-type mismatch; then
-    searches hom_space(m, n) for an invertible element: basis elements,
-    seeded random combinations (200 draws), then exhaustive combinations
-    when the field has at most 9 elements and the hom space has dimension
-    at most 4.  A miss is reported as inconclusive.
-    """
-    if m.dim != n.dim:
-        return IsoResult(False)
-    if m.field != n.field or m.r != n.r or m.convention != n.convention:
-        raise ValueError("modules live in different categories")
-    if m.dim == 0:
-        return IsoResult(True)
-    if _rational_type_signature(m) != _rational_type_signature(n):
-        return IsoResult(False)
-    f = m.field
-    basis = hom_space(m, n)
-    for h in basis:
-        if rank_array(f, h.matrix) == m.dim:
-            return IsoResult(True, witness=h)
-    rng = np.random.default_rng(seed)
-    # row j is the j-th basis map, so a combination is one product
-    stacked = np.stack([h.matrix for h in basis]).reshape(len(basis), -1) if basis else None
-    if stacked is not None:
-        for _ in range(200):
-            coeffs = rng.integers(0, f.q, len(basis))
-            mat = f.matmul(coeffs[None], stacked).reshape(n.dim, m.dim)
-            if rank_array(f, mat) == m.dim:
-                return IsoResult(True, witness=ModuleHom(m, n, mat))
-        if f.q <= 9 and len(basis) <= 4:
-            for coeffs in _iproduct(range(f.q), repeat=len(basis)):
-                if not any(coeffs):
-                    continue
-                mat = f.matmul(np.array([coeffs], dtype=np.int64), stacked).reshape(n.dim, m.dim)
-                if rank_array(f, mat) == m.dim:
-                    return IsoResult(True, witness=ModuleHom(m, n, mat))
-            return IsoResult(False)
-    return IsoResult(False, inconclusive=True)

@@ -15,8 +15,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from cjt import exactalg
 from cjt.exactalg import (
-    STACK_CELLS,
     Field,
     _poly_divmod,
     _poly_gcd,
@@ -250,8 +250,8 @@ def _evaluate_stack(field: Field, m: PolyMatrix, points: np.ndarray, cells=None)
 
 def _stacked_ranks(m: PolyMatrix, field: Field, blocks):
     """(points, ranks) of the matrix over the field, for each block of
-    points cut into stacks of at most STACK_CELLS entries."""
-    per_stack = max(1, STACK_CELLS // (m.rows * m.cols))
+    points cut into stacks of at most exactalg.STACK_CELLS entries."""
+    per_stack = max(1, exactalg.STACK_CELLS // (m.rows * m.cols))
     for block in blocks:
         for i in range(0, block.shape[0], per_stack):
             points = block[i : i + per_stack]
@@ -516,7 +516,7 @@ def _orbit_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
     every completion of the prefix is kept.
     """
     if field.e == 1:
-        yield from _point_blocks(field, nvars)
+        yield from _point_blocks(field, nvars, chunk)
         return
     if nvars * np.log2(float(field.q)) >= 62:
         raise ValueError(
@@ -569,7 +569,7 @@ def _minor_sieve(m: PolyMatrix, field: Field, k: int, blocks):
         yield from blocks
         return
     cells = [0] if k == 1 else [0, 1, m.cols, m.cols + 1]
-    per_stack = STACK_CELLS // len(cells)
+    per_stack = exactalg.STACK_CELLS // len(cells)
     for block in blocks:
         for i in range(0, block.shape[0], per_stack):
             points = block[i : i + per_stack]

@@ -12,6 +12,7 @@ from cjt.constancy import (
     check_constant,
     gamma_locus,
     generic_type,
+    is_isomorphic,
     jordan_at,
     level_types,
     pi_support,
@@ -35,7 +36,6 @@ from cjt.modrep import (
     factors_through_projective,
     hom,
     hom_space,
-    is_isomorphic,
     jordan_block_module,
     tensor,
     trivial_module,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cjt.carlson import endotrivial_check, kernel_of_hom_matrix, l_xi
-from cjt.constancy import jordan_at, sweep_points
+from cjt.constancy import is_isomorphic, jordan_at, sweep_points
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType, stable
-from cjt.modrep import ModuleHom, hom, is_isomorphic, omega_n, split_free, trivial_module
+from cjt.modrep import ModuleHom, hom, omega_n, split_free, trivial_module
 from cjt.syzygy import CocycleClass, _onto_on_cores, cocycle_product, factor_generator, omega_k
 from cjt.zoo import ke_mod_i2, v_module, w_module
 

@@ -202,6 +202,22 @@ class TestOtherCommands:
             assert code == 1
             assert out == {"error": "max_e must be >= 1"}
 
+    def test_rank_below_one_is_an_error(self, capsys):
+        for rank in ("0", "-1"):
+            code, out = run(capsys, ["carlson", "--p", "3", "--rank", rank, "--degrees", "1,1"])
+            assert code == 1
+            assert out == {"error": "--rank must be >= 1"}
+
+    def test_module_above_the_soft_cap_is_an_error(self, capsys, monkeypatch, tmp_path):
+        from cjt import modrep
+
+        path = tmp_path / "dim4.json"
+        path.write_text(json.dumps(module_to_json(ke_mod_i2(make_field(3, 1), 3))))
+        monkeypatch.setattr(modrep, "DIM_SOFT_CAP", 3)
+        code, out = run(capsys, ["jordan", "--module", str(path), "--point", "1,0,0"])
+        assert code == 1
+        assert list(out) == ["error"] and "soft cap 3" in out["error"]
+
     def test_carlson_command(self, capsys):
         code, out = run(
             capsys, ["carlson", "--p", "3", "--rank", "2", "--degrees", "2,2"]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from minor_scan_oracle import chart, minor_scan_gcd
 
-from cjt.constancy import PiPoint, jordan_at, sweep_points
+from cjt.constancy import PiPoint, is_isomorphic, jordan_at, sweep_points
 from cjt.exactalg import Matrix, make_field, rank_array, solve_linear
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
@@ -23,7 +23,6 @@ from cjt.modrep import (
     dual,
     free_module,
     hom_space,
-    is_isomorphic,
     omega_n,
     split_free,
     tensor,

@@ -55,6 +55,21 @@ class TestPiPoint:
         q = PiPoint(f, (1, 4))
         assert q.serialize() == {"e": 2, "coords": [[1, 0], [1, 1]]}
 
+    def test_codes_are_read_like_field_code_of(self):
+        # over GF(p) integers are reduced mod p; over GF(p^e) a code must
+        # lie in [0, q), in the linear part and in tail coefficients alike
+        f3, f9 = make_field(3, 1), make_field(3, 2)
+        q = PiPoint(f3, (4, 1), (((1, 1), -1),))
+        assert q == PiPoint(f3, (1, 1), (((1, 1), 2),))
+        assert q.serialize() == {"e": 1, "coords": [1, 1], "tail": [{"exps": [1, 1], "coef": 2}]}
+        for coords in ((-9, 1), (-1, 1), (9, 1)):
+            with pytest.raises(ValueError, match=r"\[0, 9\)"):
+                PiPoint(f9, coords)
+        with pytest.raises(ValueError, match=r"\[0, 9\)"):
+            PiPoint(f9, (1, 1), (((1, 1), 9),))
+        with pytest.raises(ValueError, match="nonzero"):
+            PiPoint(f3, (3, -3))
+
 
 class TestEvaluate:
     def test_first_coordinate_point_returns_first_generator(self):
@@ -414,3 +429,15 @@ class TestProperExtensionModules:
             wide = ModuleRep(f9, m.gens)
             assert level_types(wide, 1) == level_types(m, 1)
             assert check_constant(wide, max_e=1).serialize() == check_constant(m, max_e=1).serialize()
+
+
+class TestIsIsomorphic:
+    def test_differing_level_one_types_decide_without_hom_space(self, monkeypatch):
+        def no_hom_space(m, n):
+            raise AssertionError("hom_space called")
+
+        monkeypatch.setattr(constancy, "hom_space", no_hom_space)
+        f = make_field(3, 1)
+        m = ModuleRep(f, [np.zeros((3, 3), dtype=np.int64)] * 2)
+        res = constancy.is_isomorphic(m, ke_mod_i2(f, 2))
+        assert not res.isomorphic and not res.inconclusive and res.witness is None

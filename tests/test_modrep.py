@@ -3,7 +3,7 @@ import pytest
 
 from split_free_oracle import split_free_by_rows
 
-from cjt.constancy import restrict_to_point, sweep_points
+from cjt.constancy import is_isomorphic, restrict_to_point, sweep_points
 from cjt.exactalg import Field, Matrix, make_field, rank_array
 from cjt.jordan import JordanType, from_nilpotent
 from cjt.modrep import (
@@ -16,7 +16,6 @@ from cjt.modrep import (
     free_module,
     hom,
     hom_space,
-    is_isomorphic,
     jordan_block_module,
     omega_n,
     projective_cover_omega,
@@ -304,6 +303,26 @@ class TestSplitFree:
         assert m.dim == res.free_rank * 9 + res.core.dim
         assert validate(res.core).ok
 
+    def test_one_elimination_gives_rank_and_socle_functionals(self, monkeypatch):
+        # theta, [free columns^T | E], the retraction's kernel, the core's
+        # row reduction and the core's theta rank: five eliminations
+        from cjt import exactalg, modrep
+
+        f = make_field(3, 1)
+        m = direct_sum([omega_n(trivial_module(f, 2, 1), 1), free_module(f, 2, 2)])
+        calls = []
+        original = exactalg._echelonize
+
+        def counted(field, a, width):
+            calls.append(a.shape)
+            return original(field, a, width)
+
+        monkeypatch.setattr(exactalg, "_echelonize", counted)
+        monkeypatch.setattr(modrep, "_echelonize", counted)
+        res = split_free(m)
+        assert res.free_rank == 2 and res.core.dim == m.dim - 18
+        assert len(calls) == 5 and (18, m.dim + 2) in calls
+
 
 def assert_same_split(got, want):
     assert got.free_rank == want.free_rank
@@ -537,3 +556,35 @@ class TestIsIsomorphic:
                 break
         res = is_isomorphic(m, n, seed=0)
         assert res.isomorphic and np.array_equal(res.witness.matrix, mat)
+
+
+class TestSoftCap:
+    def test_cap_binds_direct_construction_only(self, monkeypatch):
+        from cjt import modrep
+        from cjt.modrep import ModuleRep
+
+        f = make_field(3, 1)
+        small = ke_mod_i2(f, 2)  # dim 3
+        monkeypatch.setattr(modrep, "DIM_SOFT_CAP", 3)
+        gens = [np.zeros((4, 4), dtype=np.int64)] * 2
+        with pytest.raises(ValueError, match="soft cap 3"):
+            ModuleRep(f, gens)
+        assert ModuleRep(f, gens, allow_large=True).dim == 4
+        assert direct_sum([small, small]).dim == 6
+        assert tensor(small, small).dim == 9
+
+
+def test_modrep_imports_from_exactalg_only():
+    import ast
+    from pathlib import Path
+
+    from cjt import modrep
+
+    tree = ast.parse(Path(modrep.__file__).read_text(encoding="utf-8"))
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sources.add(node.module)
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+    assert {s for s in sources if s == "cjt" or s.startswith("cjt.")} == {"cjt.exactalg"}

@@ -2,7 +2,7 @@
 
 ``constancy.level_types`` and the kernel ``jordan.jordan_types`` must give
 exactly the Jordan types that ``jordan_at`` (one ``from_nilpotent`` per
-point) gives, on either side of ``jordan.BATCH_DIM_CUTOFF``.
+point) gives, on either side of ``exactalg.BATCH_DIM_CUTOFF``.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cjt import exactalg, jordan
+from cjt import exactalg
 from cjt.constancy import (
     PiPoint,
     evaluate,
@@ -20,8 +20,8 @@ from cjt.constancy import (
     pi_support,
     sweep_points,
 )
-from cjt.exactalg import Matrix, make_field
-from cjt.jordan import BATCH_DIM_CUTOFF, JordanType, from_nilpotent, jordan_types
+from cjt.exactalg import BATCH_DIM_CUTOFF, Matrix, make_field
+from cjt.jordan import JordanType, from_nilpotent, jordan_types
 from cjt.modrep import omega_n, trivial_module
 from cjt.zoo import random_module, w_module
 
@@ -81,7 +81,6 @@ def test_engine_matches_per_point_types(p, r, e, dim, seed):
 
 def test_stacked_elimination_above_the_cutoff(monkeypatch):
     # force the stacked kernel on matrices the sweeps type one by one
-    monkeypatch.setattr(jordan, "BATCH_DIM_CUTOFF", 10**6)
     monkeypatch.setattr(exactalg, "BATCH_DIM_CUTOFF", 10**6)
     f3 = make_field(3, 1)
     cases = [

@@ -1,6 +1,8 @@
 """Orbit enumeration, first-zero search and extension-field kernels against
 point-by-point and polynomial oracles."""
 
+from itertools import islice
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,16 @@ class TestOrbitBlocks:
         blocks = list(_orbit_blocks(field, 4, chunk=5))
         assert max(len(b) for b in blocks) <= 9  # one prefix of q = 9 tails at a time
         assert np.array_equal(np.concatenate(blocks), whole)
+
+    def test_level_one_streams_blocks_of_at_most_chunk_points(self):
+        field = make_field(101, 1)
+        blocks = list(_orbit_blocks(field, 3, chunk=50))
+        assert max(len(b) for b in blocks) <= 50
+        got = [tuple(x) for b in blocks for x in b.tolist()]
+        assert got == list(projective_points(field, 3))
+        # a level-1 sweep of a large prime field starts without building it whole
+        first_two = list(islice(_orbit_blocks(make_field(1000003, 1), 2), 2))
+        assert [len(b) for b in first_two] == [1, 1 << 15]
 
 
 def _first_zero_oracle(m, k, max_e):

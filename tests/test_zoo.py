@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cjt.constancy import check_constant
+from cjt.constancy import check_constant, is_isomorphic
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType
-from cjt.modrep import is_isomorphic, validate
+from cjt.modrep import validate
 from cjt.zoo import build_example, ke_mod_i2, random_module, truncated_module, v_module, w_module
 
 

@@ -15,7 +15,7 @@ from itertools import chain, product
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import Field, Matrix, _frobenius_minus_x, _poly_gcd, make_field, rank_array
+from cjt.exactalg import Field, Matrix, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
 from cjt.modrep import ModuleHom, ModuleRep, hom_space
 from cjt.polymat import PolyMatrix, _chart_divisor, _orbit_blocks, generic_rank
@@ -288,20 +288,6 @@ def _dominance_max(types: list[JordanType]) -> JordanType:
     return best
 
 
-def _min_witness_extension(g0: np.ndarray, b: int, p: int) -> int:
-    """Smallest extension degree carrying a projective zero of the
-    nonconstant binary form x2^b G, G the homogenization of a monic g0 over
-    GF(p): 1 if x2 divides it (a zero at [1:0]), else the least degree of
-    an irreducible factor of g0."""
-    if b:
-        return 1
-    poly = tuple(int(c) for c in g0)
-    for d in range(1, len(poly)):
-        if len(_poly_gcd(_frobenius_minus_x(d, poly, p), poly, p)) > 1:
-            return d
-    raise AssertionError("a nonconstant polynomial has roots in some extension")
-
-
 def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtReport:
     """Decide or test whether the Jordan type is the same at every linear
     restriction point.
@@ -319,7 +305,7 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
         q = PiPoint(m.field, (1,))
         return CjtReport("CONSTANT_EXACT", jordan_at(m, q), [], "SWEEP", [1])
     exact_known_nonconstant = False
-    witness_level = None
+    witness_bound = None
     if exact and m.r == 2 and m.field.is_prime_field and m.dim > 0:
         # one Smith reduction per power gives its rank and its minor gcd
         ranks = []
@@ -327,9 +313,11 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
             rho, g0, b = _chart_divisor(power)
             ranks.append(rho)
             if g0.size > 1 or b:
-                lvl = _min_witness_extension(g0, b, m.p)
-                witness_level = lvl if witness_level is None else min(witness_level, lvl)
-        if witness_level is None:
+                # the form x2^b G vanishes at [1:0] if b > 0, else at the
+                # roots of g0, which lie over GF(p^deg g0) or a subfield
+                bound = 1 if b else g0.size - 1
+                witness_bound = bound if witness_bound is None else min(witness_bound, bound)
+        if witness_bound is None:
             jt = JordanType.from_power_ranks(m.p, [m.dim] + ranks)
             return CjtReport("CONSTANT_EXACT", jt, [], "RANK2_GCD", [])
         exact_known_nonconstant = True
@@ -337,9 +325,10 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     observed: dict[JordanType, PiPoint] = {}
     per_point: list[tuple[PiPoint, JordanType]] = []
     extensions = []
-    # an exact nonconstancy certificate pins an extension where a witness
-    # point must show up; sweep at least that deep
-    limit = max_e if witness_level is None else max(max_e, witness_level)
+    # a point has a nongeneric type exactly where some power's form vanishes,
+    # and a level-e point lies over no smaller field than GF(p^e): the sweep
+    # stops at the least level of such a zero, which the bound is at least
+    limit = max_e if witness_bound is None else max(max_e, witness_bound)
     for e in range(1, limit + 1):
         extensions.append(e)
         for q, t in level_types(m, e):

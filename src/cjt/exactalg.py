@@ -51,6 +51,14 @@ def _check_range(p: int, e: int) -> None:
 # digit loops and discrete logs instead.
 TABLE_CAP = 1024
 
+# The discrete-log tables of GF(p^e), e >= 2, take about 8 q (e + 2) bytes
+# while they are built: q int64 logs, q - 1 int64 powers and the (q - 1) x e
+# int64 digits of the powers.  Elementwise arithmetic that needs them (mul
+# above TABLE_CAP, inv, pow, frobenius) refuses a field whose tables would
+# exceed 1 GiB, q (e + 2) > 2^27: GF(2^22) and GF(5791^2) are the largest
+# binary and quadratic fields it accepts.  Matrix products never need them.
+LOG_TABLE_BYTES = 1 << 30
+
 # Matrix entries (points x rows x cols) per stack handed to stack_ranks by
 # the sweeps; bounds the kernel's working memory.
 STACK_CELLS = 1 << 13
@@ -237,6 +245,12 @@ class Field:
     # -- discrete log tables (e >= 2 only) ----------------------------------
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
+        size = 8 * q * (e + 2)
+        if size > LOG_TABLE_BYTES:
+            raise ValueError(
+                f"elementwise arithmetic over GF({p}^{e}) needs discrete-log tables of "
+                f"{size} bytes for q = {q}, above the {LOG_TABLE_BYTES}-byte limit"
+            )
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         factors = _prime_factors(q - 1)
@@ -357,23 +371,10 @@ class Field:
         return self._log_mul(a, b)
 
     def _digit_add(self, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        x, y = a.copy(), b.copy()
-        for k in range(self.e):
-            out += ((x + y) % self.p) * self.p**k
-            x //= self.p
-            y //= self.p
-        return out
+        return self._recompose([self._mod_p(x + y) for x, y in zip(self._planes(a), self._planes(b))])
 
     def _digit_neg(self, a):
-        a = np.asarray(a)
-        out = np.zeros(a.shape, dtype=np.int64)
-        x = a.copy()
-        for k in range(self.e):
-            out += ((-x) % self.p) * self.p**k
-            x //= self.p
-        return out
+        return self._recompose([self._mod_p(-x) for x in self._planes(a)])
 
     def _log_mul(self, a, b):
         exp, log = self._tables()
@@ -564,11 +565,7 @@ class Field:
         codes = np.arange(self.q, dtype=np.int64)
         if self.e == 1:
             return codes
-        key = np.zeros(self.q, dtype=np.int64)
-        x = codes.copy()
-        for _ in range(self.e):
-            key = key * self.p + x % self.p
-            x //= self.p
+        key = self._recompose(self._planes(codes)[::-1])
         return codes[np.argsort(key, kind="stable")]
 
 
@@ -709,22 +706,15 @@ def _echelonize(field: Field, a: np.ndarray, width: int) -> list[int]:
     return piv_cols
 
 
-def _reduce_above(field: Field, a: np.ndarray, piv_cols: list[int]) -> None:
-    """Clear entries above each pivot, completing reduced row echelon form."""
-    for r in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[r]
-        above = np.nonzero(a[:r, c])[0]
-        if above.size:
-            factors = a[above, c]
-            a[above, c:] = field.sub(a[above, c:], field.mul(factors[:, None], a[r, c:][None, :]))
-
-
 def rref_array(field: Field, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (unit pivots, zeros above and below)."""
     a = np.array(arr, dtype=np.int64)
     piv = _echelonize(field, a, a.shape[1])
-    _reduce_above(field, a, piv)
-    return a[: len(piv)], piv
+    free, x = _reduce_free(field, a, piv, a.shape[1])
+    rows = np.zeros((len(piv), a.shape[1]), dtype=np.int64)
+    rows[np.arange(len(piv)), piv] = 1
+    rows[:, free] = x
+    return rows, piv
 
 
 def column_space(field: Field, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -788,7 +778,7 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
         if touched.size == 0:
             continue
         # row i -= (a[i, c] / pivot) * pivot row, for the open rows i > r
-        scale = field.neg(field.pow_array(col[idx, piv], field.q - 2))
+        scale = field.neg(field.inv(col[idx, piv]))
         factors = field.mul(factors[:, touched], scale[:, None])
         block = (idx[:, None], touched[None, :], slice(c + 1, None))
         a[block] = field.add(a[block], field.mul(factors[:, :, None], prow[:, None, :]))
@@ -835,6 +825,24 @@ def _back_substitute(field: Field, u: np.ndarray, rhs: np.ndarray) -> np.ndarray
     return x
 
 
+def _reduce_free(
+    field: Field, a: np.ndarray, piv_cols: list[int], ncols: int
+) -> tuple[list[int], np.ndarray]:
+    """The free columns of an echelonized matrix and the reduced row echelon
+    form on them.
+
+    With U the pivot rows of a, the form is the identity on the pivot
+    columns and X = U_piv^(-1) U_free on the free ones; U_piv is unit upper
+    triangular, so X is one back-substitution of the free columns alone.
+    """
+    pivots = set(piv_cols)
+    free = [c for c in range(ncols) if c not in pivots]
+    u = a[: len(piv_cols)]
+    if not free:
+        return free, np.zeros((len(piv_cols), 0), dtype=np.int64)
+    return free, _back_substitute(field, u[:, piv_cols], u[:, free])
+
+
 def _kernel_from_echelon(
     field: Field, a: np.ndarray, piv_cols: list[int], ncols: int
 ) -> np.ndarray:
@@ -842,19 +850,13 @@ def _kernel_from_echelon(
 
     Each free column f yields the basis vector with coordinate 1 at f, 0 at
     the other free columns, making the basis order (and the row-identity
-    structure on free coordinates) deterministic.
+    structure on free coordinates) deterministic.  Its pivot coordinates are
+    minus column f of the reduced row echelon form.
     """
-    k = len(piv_cols)
-    pivots = set(piv_cols)
-    free = [c for c in range(ncols) if c not in pivots]
-    nf = len(free)
-    basis = np.zeros((ncols, nf), dtype=np.int64)
-    if nf == 0:
-        return basis
-    basis[free, np.arange(nf)] = 1
-    if k:
-        # the pivot coordinates solve U x = -(free part), U unit upper triangular
-        basis[piv_cols] = _back_substitute(field, a[:k][:, piv_cols], field.neg(a[:k][:, free]))
+    free, x = _reduce_free(field, a, piv_cols, ncols)
+    basis = np.zeros((ncols, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[piv_cols] = field.neg(x)
     return basis
 
 

@@ -246,17 +246,8 @@ def free_module(
 ) -> ModuleRep:
     """Free module of the given rank: regular representation per generator."""
     p = field.p
-    count = _monomial_count(p, r)
-    dim = count * rank_
-    gens = []
-    for i in range(r):
-        shift = _monomial_shift_index(p, r, i)
-        a = np.zeros((dim, dim), dtype=np.int64)
-        for j in range(rank_):
-            base = j * count
-            src = np.nonzero(shift >= 0)[0]
-            a[base + shift[src], base + src] = 1
-        gens.append(a)
+    eye = np.eye(_monomial_count(p, r) * rank_, dtype=np.int64)
+    gens = [_apply_free_generator(field, p, r, rank_, i, eye) for i in range(r)]
     return ModuleRep(field, gens, convention, allow_large=True)
 
 
@@ -564,7 +555,10 @@ def _cover_kernel(m: ModuleRep) -> CoverData:
     p, r = m.p, m.r
     count = _monomial_count(p, r)
     # the pivots of the rows of hstack(gens)^T, which span rad m, mark the
-    # coordinates that rad m covers; the others lift a basis of m / rad m
+    # coordinates that rad m covers; the others lift a basis of m / rad m.
+    # _echelonize alone gives the same pivots, but the benchmark's
+    # exactalg.elim counters hook only the public elimination entry points,
+    # and on shift-types this is the one such call (see CHANGES.md)
     _, rad_piv = rref_array(f, np.vstack([a.T for a in m.gens]))
     rad_pivots = set(rad_piv)
     lift_idx = [j for j in range(m.dim) if j not in rad_pivots]

@@ -43,6 +43,23 @@ def _monomials_of_degrees(r: int, p: int, lo: int, hi: int) -> list[tuple[int, .
     return sorted(out, key=lambda mu: (sum(mu), mu))
 
 
+def _shift_operators(basis: list[tuple[int, ...]], nvars: int) -> list[np.ndarray]:
+    """Multiplication by each variable on the span of a list of monomials,
+    one matrix per variable: a monomial goes to its product if that is in
+    the list, else to zero."""
+    index = {mu: i for i, mu in enumerate(basis)}
+    dim = len(basis)
+    out = []
+    for i in range(nvars):
+        a = np.zeros((dim, dim), dtype=np.int64)
+        for mu, src in index.items():
+            nxt = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
+            if nxt in index:
+                a[index[nxt], src] = 1
+        out.append(a)
+    return out
+
+
 def truncated_module(
     field: Field, r: int, m: int, n: int, convention: Convention = Convention.PRIMITIVE
 ) -> ModuleRep:
@@ -53,19 +70,7 @@ def truncated_module(
     basis = _monomials_of_degrees(r, p, m, n)
     if not basis:
         raise ValueError(f"no monomials of degree in [{m}, {n}) with exponents below {p}")
-    index = {mu: i for i, mu in enumerate(basis)}
-    dim = len(basis)
-    gens = []
-    for i in range(r):
-        a = np.zeros((dim, dim), dtype=np.int64)
-        for mu, src in index.items():
-            nxt = list(mu)
-            nxt[i] += 1
-            nxt = tuple(nxt)
-            if nxt[i] < p and sum(nxt) < n:
-                a[index[nxt], src] = 1
-        gens.append(a)
-    return ModuleRep(field, gens, convention)
+    return ModuleRep(field, _shift_operators(basis, r), convention)
 
 
 def ke_mod_i2(field: Field, r: int, convention: Convention = Convention.PRIMITIVE) -> ModuleRep:
@@ -160,18 +165,7 @@ def random_module(
     nvars = 2
     while p**nvars < dim:
         nvars += 1
-    basis = _random_staircase(rng, p, nvars, dim)
-    index = {mu: i for i, mu in enumerate(basis)}
-    shifts = []
-    for i in range(nvars):
-        a = np.zeros((dim, dim), dtype=np.int64)
-        for mu, src in index.items():
-            nxt = list(mu)
-            nxt[i] += 1
-            nxt = tuple(nxt)
-            if nxt in index:
-                a[index[nxt], src] = 1
-        shifts.append(a)
+    shifts = _shift_operators(_random_staircase(rng, p, nvars, dim), nvars)
     # nonconstant monomials in the shifts, low degree first
     monos = [mu for mu in _monomials_of_degrees(nvars, p, 1, 3)]
     gens = []

@@ -116,6 +116,13 @@ class TestOtherCommands:
         assert code == 0
         assert out["type"] == "4[3] + 1[1]"
 
+    def test_jordan_over_a_field_too_large_for_log_tables(self, capsys, tmp_path):
+        path = tmp_path / "ke2.json"
+        path.write_text(json.dumps(module_to_json(ke_mod_i2(make_field(2, 1), 2))))
+        code, out = run(capsys, ["jordan", "--module", str(path), "--point", "1,1", "--ext", "40"])
+        assert code == 1
+        assert "discrete-log tables" in out["error"] and "GF(2^40)" in out["error"]
+
     def test_omega_dimension(self, capsys):
         code, out = run(capsys, ["omega", "--p", "5", "--rank", "2", "--n", "2"])
         assert code == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from witness_level_oracle import witness_level
 
 from cjt import constancy
 from cjt.constancy import (
@@ -252,6 +253,59 @@ class TestCheckConstant:
                 assert len(calls) == 0
                 if rep.verdict == "CONSTANT_EXACT":
                     assert rep.type == gen
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_exact_path_sweeps_past_max_e_to_the_witness_level(self, p):
+        # x1 A + x2 B drops rank where det(x1 I + x2 N) = 0, at the roots of
+        # an irreducible quadratic and cubic: no GF(p) point is a witness
+        f = make_field(p, 1)
+        m = quadratic_cubic_module(f)
+        rep = check_constant(m, max_e=1, exact=True)
+        assert rep.verdict == "NOT_CONSTANT" and rep.method == "RANK2_GCD"
+        assert rep.extensions == [1, 2] == [1, witness_level(m)]
+        assert {q.field.e for q, _ in rep.witnesses} == {2}
+
+    def test_exact_path_stops_at_the_oracle_witness_level(self):
+        mods = [quadratic_cubic_module(make_field(p, 1)) for p in (2, 3, 5)]
+        mods += [w_module(make_field(p, 1)) for p in (3, 7)]
+        mods += [
+            random_module(make_field(p, 1), 2, dim, seed)
+            for p in (2, 3, 5)
+            for dim in (4, 9)
+            for seed in range(3)
+        ]
+        checked = 0
+        for m in mods:
+            level = witness_level(m)
+            rep = check_constant(m, max_e=1, exact=True)
+            if level is None:
+                assert rep.verdict == "CONSTANT_EXACT"
+                continue
+            assert rep.verdict == "NOT_CONSTANT"
+            assert rep.extensions[-1] == level
+            checked += 1
+        assert checked >= 10
+
+
+def quadratic_cubic_module(field):
+    """Generators [[0, 0], [I, 0]] and [[0, 0], [N, 0]], N the companion
+    matrices of an irreducible quadratic and an irreducible cubic over
+    GF(p) on the diagonal."""
+    p = field.p
+    n = np.zeros((5, 5), dtype=np.int64)
+    start = 0
+    for e in (2, 3):
+        modulus = make_field(p, e).modulus
+        for i in range(e):
+            if i:
+                n[start + i, start + i - 1] = 1
+            n[start + i, start + e - 1] = -modulus[i] % p
+        start += e
+    a = np.zeros((10, 10), dtype=np.int64)
+    b = np.zeros((10, 10), dtype=np.int64)
+    a[5:, :5] = np.eye(5, dtype=np.int64)
+    b[5:, :5] = n
+    return ModuleRep(field, [a, b])
 
 
 class TestGammaAndSupport:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,29 @@ class TestWordSize:
         with pytest.raises(ValueError, match="2\\^63"):
             make_field(2, 63)
         assert make_field(2, 62).q == 2**62
+
+    def test_elementwise_arithmetic_refuses_oversized_log_tables(self):
+        # the discrete-log tables of GF(2^40) would take 8 q (e + 2) bytes,
+        # about 336 TiB: refused before anything is allocated
+        f = make_field(2, 40)
+        start = time.perf_counter()
+        calls = [
+            lambda: f.mul(3, 5),
+            lambda: f.inv(3),
+            lambda: f.inv_scalar(3),
+            lambda: f.pow_scalar(3, 5),
+            lambda: f.pow_array(3, 5),
+            lambda: f.frobenius(3),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"GF\\(2\\^40\\).*q = {2**40}"):
+                call()
+        assert time.perf_counter() - start < 1
+        assert f._exp is None
+        g = make_field(1009, 2)
+        a = np.arange(1, 2000, dtype=np.int64) * 509
+        assert np.all(g.mul(a, g.inv(a)) == 1)
+        assert np.array_equal(g.frobenius(g.frobenius(a)), a)
 
     @settings(max_examples=80)
     @given(
@@ -474,8 +499,8 @@ ORACLE_PRIMES = [2, 3, 5, 7, NEAR_BOUND[0]]
 
 
 class TestSympyOracle:
-    """rank_array, solve_linear and nullspace_array against sympy's
-    DomainMatrix rref.
+    """rank_array, rref_array, solve_linear and nullspace_array against
+    sympy's DomainMatrix rref.
 
     The pivot counts cross the edges of the BACK_SUB_BLOCK-row blocks of
     the triangular solve.  The particular solution sets every free variable
@@ -503,6 +528,8 @@ class TestSympyOracle:
         reduced, piv = _sympy_rref(p, np.hstack([a, b]))
         a_piv = [c for c in piv if c < cols]
         assert len(a_piv) == k == rank_array(f, a)
+        rows_a, piv_a = rref_array(f, a)
+        assert piv_a == a_piv and np.array_equal(rows_a, reduced[:k, :cols])
         free = [c for c in range(cols) if c not in a_piv]
         kernel = np.zeros((cols, len(free)), dtype=np.int64)
         kernel[free, np.arange(len(free))] = 1

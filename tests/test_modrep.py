@@ -578,7 +578,7 @@ def test_modrep_imports_from_exactalg_only():
     import ast
     from pathlib import Path
 
-    from cjt import modrep
+    from cjt import constancy, modrep
 
     tree = ast.parse(Path(modrep.__file__).read_text(encoding="utf-8"))
     sources = set()
@@ -588,3 +588,13 @@ def test_modrep_imports_from_exactalg_only():
         elif isinstance(node, ast.Import):
             sources.update(alias.name for alias in node.names)
     assert {s for s in sources if s == "cjt" or s.startswith("cjt.")} == {"cjt.exactalg"}
+    # constancy reaches exactalg through its public names only
+    tree = ast.parse(Path(constancy.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "cjt.exactalg"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -27,6 +27,7 @@ from cjt.modrep import (
     submodule,
     validate,
 )
+from cjt.polymat import _admit_depth
 from cjt.syzygy import CocycleClass, _onto_on_cores
 
 __all__ = [
@@ -66,10 +67,9 @@ def kernel_of_hom_matrix(
     at every swept rational point that the restricted map still has full
     stable rank; a failure is recorded, not raised.
     """
-    if max_e < 1:
-        raise ValueError("max_e must be >= 1")
     if not grid or not sources or not targets:
         raise ValueError("grid, sources and targets must be nonempty")
+    _admit_depth(sources[0].p, sources[0].r, max_e)
     if len(grid) != len(targets) or any(len(row) != len(sources) for row in grid):
         raise ValueError("grid shape must be (targets) x (sources)")
     for i, row in enumerate(grid):
@@ -139,8 +139,7 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
     local test asks the stable type at every swept point to be a single
     block of size 1 or p-1.  The two must agree.
     """
-    if max_e < 1:
-        raise ValueError("max_e must be >= 1")
+    _admit_depth(m.p, m.r, max_e)
     endo = hom(m, m)
     free_rank = rank_array(m.field, _theta(endo))
     core_dim = endo.dim - free_rank * m.p**m.r
@@ -148,7 +147,7 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
     p = m.p
     allowed = {
         JordanType.from_blocks(p, {1: 1}),
-        JordanType.from_blocks(p, {p - 1: 1}) if p > 1 else None,
+        JordanType.from_blocks(p, {p - 1: 1}),
     }
     local_ok = True
     types = []

@@ -70,24 +70,16 @@ def _parse_point(m, text: str, ext: int, tail_json: str | None):
         raise UsageError(f"bad point {text!r}: {exc}")
     if len(values) != m.r:
         raise UsageError(f"point needs {m.r} coefficients, got {len(values)}")
-    try:
-        coords = [field.code_of(v) for v in values]
-    except ValueError as exc:
-        raise UsageError(f"bad point {text!r}: {exc}")
     tail = ()
     if tail_json:
         try:
-            parsed = json.loads(tail_json)
-            tail = tuple(
-                (tuple(int(x) for x in t["exps"]), field.code_of(t["coef"]))
-                for t in parsed
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            tail = tuple((t["exps"], t["coef"]) for t in json.loads(tail_json))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise UsageError(f"bad tail {tail_json!r}: {exc}")
     try:
-        return PiPoint(field, tuple(coords), tail)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        return PiPoint(field, tuple(values), tail)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad point {text!r}: {exc}")
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -300,11 +292,8 @@ def execute(argv: list[str]) -> int:
     pretty = args.pretty
     try:
         payload, code = args.func(args)
-    except UsageError as exc:
-        _emit({"error": str(exc)}, pretty)
-        return 1
-    except (ValueError, AssertionError) as exc:
-        _emit({"error": str(exc)}, pretty)
+    except (UsageError, ValueError, AssertionError, MemoryError) as exc:
+        _emit({"error": str(exc) or type(exc).__name__}, pretty)
         return 1
     _emit(payload, pretty)
     return code

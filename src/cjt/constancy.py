@@ -17,8 +17,8 @@ import numpy as np
 from cjt import exactalg
 from cjt.exactalg import Field, Matrix, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
-from cjt.modrep import ModuleHom, ModuleRep, hom_space
-from cjt.polymat import PolyMatrix, _chart_divisor, _orbit_blocks, generic_rank
+from cjt.modrep import ModuleHom, ModuleRep, _monomial, hom_space
+from cjt.polymat import PolyMatrix, _admit_depth, _chart_divisor, _orbit_blocks, generic_rank
 
 __all__ = [
     "PiPoint",
@@ -43,7 +43,8 @@ __all__ = [
 class PiPoint:
     """A restriction point: linear coefficients over an extension field,
     plus an optional higher-order tail of (exponent vector, coefficient)
-    terms with total degree >= 2 and each exponent below p."""
+    terms with total degree >= 2 and each exponent below p.  Coordinates
+    and tail coefficients are read by ``Field.code_of``."""
 
     field: Field
     linear: tuple[int, ...]
@@ -51,11 +52,11 @@ class PiPoint:
 
     def __post_init__(self):
         f = self.field
-        object.__setattr__(self, "linear", _codes(f, self.linear))
+        object.__setattr__(self, "linear", tuple(map(f.code_of, self.linear)))
         if not any(self.linear):
             raise ValueError("the linear part of a restriction point must be nonzero")
         tail = []
-        for exps, _ in self.tail:
+        for exps, coef in self.tail:
             exps = tuple(int(x) for x in exps)
             if len(exps) != len(self.linear):
                 raise ValueError("tail exponent length must match the number of generators")
@@ -63,9 +64,7 @@ class PiPoint:
                 raise ValueError("tail terms must have total degree >= 2")
             if any(x >= f.p or x < 0 for x in exps):
                 raise ValueError(f"tail exponents must lie in [0, {f.p})")
-            tail.append(exps)
-        if tail:
-            tail = zip(tail, _codes(f, [coef for _, coef in self.tail]))
+            tail.append((exps, f.code_of(coef)))
         object.__setattr__(self, "tail", tuple(tail))
 
     @property
@@ -87,16 +86,6 @@ class PiPoint:
     def __str__(self) -> str:
         inner = ":".join(str(self.field.serialize_code(c)) for c in self.linear)
         return f"[{inner}]" + (f"+tail({len(self.tail)})" if self.tail else "")
-
-
-def _codes(field: Field, values) -> tuple[int, ...]:
-    """Codes as ``Field.code_of`` reads integers: mod p, or in [0, q) over GF(p^e)."""
-    codes = tuple(map(int, values))
-    if codes and (min(codes) < 0 or max(codes) >= field.q):
-        if not field.is_prime_field:
-            raise ValueError(f"element codes for GF({field.p}^{field.e}) must lie in [0, {field.q})")
-        codes = tuple(c % field.p for c in codes)
-    return codes
 
 
 def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
@@ -126,13 +115,8 @@ def evaluate(m: ModuleRep, q: PiPoint) -> Matrix:
         if c:
             out = f.add(out, f.mul(np.int64(c), a))
     for exps, coef in q.tail:
-        if not coef:
-            continue
-        mono = np.eye(m.dim, dtype=np.int64)
-        for a, x in zip(m.gens, exps):
-            for _ in range(x):
-                mono = f.matmul(mono, a)
-        out = f.add(out, f.mul(np.int64(coef), mono))
+        if coef:
+            out = f.add(out, f.mul(np.int64(coef), _monomial(f, m.gens, exps)))
     return Matrix(f, out)
 
 
@@ -297,10 +281,9 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     the gcd of the maximal minors of the pencil power is constant.
     Otherwise all normalized points over GF(p^e), e = 1..max_e, are swept;
     a deviation is reported with witnesses after its extension level
-    completes.
+    completes.  A max_e whose level cannot be swept is refused up front.
     """
-    if max_e < 1:
-        raise ValueError("max_e must be >= 1")
+    _admit_depth(m.p, m.r, max_e)
     if m.r == 1:
         q = PiPoint(m.field, (1,))
         return CjtReport("CONSTANT_EXACT", jordan_at(m, q), [], "SWEEP", [1])

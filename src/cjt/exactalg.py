@@ -59,6 +59,19 @@ TABLE_CAP = 1024
 # binary and quadratic fields it accepts.  Matrix products never need them.
 LOG_TABLE_BYTES = 1 << 30
 
+
+def _check_log_tables(p: int, e: int) -> None:
+    """Refuse GF(p^e), e >= 2, whose discrete-log tables would exceed
+    LOG_TABLE_BYTES, from p and e alone: nothing is built."""
+    q = p**e
+    size = 8 * q * (e + 2)
+    if size > LOG_TABLE_BYTES:
+        raise ValueError(
+            f"elementwise arithmetic over GF({p}^{e}) needs discrete-log tables of "
+            f"{size} bytes for q = {q}, above the {LOG_TABLE_BYTES}-byte limit"
+        )
+
+
 # Matrix entries (points x rows x cols) per stack handed to stack_ranks by
 # the sweeps; bounds the kernel's working memory.
 STACK_CELLS = 1 << 13
@@ -245,12 +258,7 @@ class Field:
     # -- discrete log tables (e >= 2 only) ----------------------------------
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
-        size = 8 * q * (e + 2)
-        if size > LOG_TABLE_BYTES:
-            raise ValueError(
-                f"elementwise arithmetic over GF({p}^{e}) needs discrete-log tables of "
-                f"{size} bytes for q = {q}, above the {LOG_TABLE_BYTES}-byte limit"
-            )
+        _check_log_tables(p, e)
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         factors = _prime_factors(q - 1)
@@ -538,7 +546,7 @@ class Field:
                 return int(value) % self.p
             v = int(value)
             if not 0 <= v < self.q:
-                raise ValueError(f"code {v} out of range for GF({self.p}^{self.e})")
+                raise ValueError(f"element codes for GF({self.p}^{self.e}) must lie in [0, {self.q}), got {v}")
             return v
         # coefficient list, low degree first
         coeffs = [int(c) % self.p for c in value]
@@ -643,15 +651,6 @@ class Matrix:
             raise ValueError("field mismatch")
         return Matrix(self.field, self.field.matmul(self.array, other.array))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.field.add(self.array, other.array))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, self.field.sub(self.array, other.array))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.field.neg(self.array))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -662,9 +661,6 @@ class Matrix:
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("matrices are not hashable")
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.array.copy())
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over GF({self.field.p}^{self.field.e}))"

@@ -54,6 +54,15 @@ __all__ = [
 DIM_SOFT_CAP = 4000
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse a dimension above DIM_SOFT_CAP, before anything is built."""
+    if dim > DIM_SOFT_CAP:
+        raise ValueError(
+            f"module dimension {dim} exceeds the soft cap {DIM_SOFT_CAP}; "
+            "pass allow_large=True to override"
+        )
+
+
 class Convention(Enum):
     """Coproduct convention for the generator elements t_i.
 
@@ -89,11 +98,8 @@ class ModuleRep:
         dim = arrays[0].shape[0]
         if any(a.shape[0] != dim for a in arrays):
             raise ValueError("generator actions must share one dimension")
-        if dim > DIM_SOFT_CAP and not allow_large:
-            raise ValueError(
-                f"module dimension {dim} exceeds the soft cap {DIM_SOFT_CAP}; "
-                "pass allow_large=True to override"
-            )
+        if not allow_large:
+            _check_dim(dim)
         self.field = field
         self.r = len(arrays)
         self.dim = dim
@@ -185,6 +191,17 @@ def _mat_pow(field: Field, a: np.ndarray, n: int) -> np.ndarray:
         if n:
             a = field.matmul(a, a)
     return np.eye(a.shape[0], dtype=np.int64) if out is None else out
+
+
+def _monomial(field: Field, gens: Sequence[np.ndarray], exps: Sequence[int]) -> np.ndarray:
+    """The product of gens[i]^exps[i] over the nonzero exponents, or the
+    identity if there are none; the actions commute, so order is free."""
+    out = None
+    for a, x in zip(gens, exps):
+        if x:
+            power = _mat_pow(field, a, x)
+            out = power if out is None else field.matmul(out, power)
+    return np.eye(gens[0].shape[0], dtype=np.int64) if out is None else out
 
 
 def validate(m: ModuleRep) -> ValidationReport:
@@ -446,11 +463,7 @@ def _monomial_columns(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:
 
 def _theta(m: ModuleRep) -> np.ndarray:
     """Product of all generator actions, each to the (p-1)-st power."""
-    f = m.field
-    out = _mat_pow(f, m.gens[0], m.p - 1)
-    for a in m.gens[1:]:
-        out = f.matmul(out, _mat_pow(f, a, m.p - 1))
-    return out
+    return _monomial(m.field, m.gens, [m.p - 1] * m.r)
 
 
 @dataclass

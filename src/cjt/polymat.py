@@ -18,6 +18,7 @@ import numpy as np
 from cjt import exactalg
 from cjt.exactalg import (
     Field,
+    _check_log_tables,
     _poly_divmod,
     _poly_gcd,
     _poly_mul,
@@ -498,6 +499,22 @@ def _point_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
             yield block
 
 
+def _admit_depth(p: int, nvars: int, max_e: int) -> None:
+    """Refuse a sweep of levels 1..max_e in nvars coordinates before any
+    level is built: level max_e needs q^nvars < 2^62, q = p^max_e, and above
+    level 1 discrete-log tables within the size limit.  Both bounds grow
+    with the level, so the top level admits every level below it."""
+    if max_e < 1:
+        raise ValueError("max_e must be >= 1")
+    if max_e * nvars >= 62 or p ** (max_e * nvars) >= 1 << 62:
+        raise ValueError(
+            f"cannot sweep GF({p}^{max_e}) with r = {nvars}: {p}^{max_e * nvars} coordinate "
+            "tuples are too many to enumerate (a sweep needs q^r < 2^62)"
+        )
+    if max_e > 1:
+        _check_log_tables(p, max_e)
+
+
 def _orbit_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
     """Sweep-ordered normalized points of P^(nvars-1) defined over the field
     and over no proper subfield, one per Frobenius orbit (its first point
@@ -515,14 +532,10 @@ def _orbit_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
     with a prefix is decided by a later coordinate, and once none ties,
     every completion of the prefix is kept.
     """
+    _admit_depth(field.p, nvars, field.e)
     if field.e == 1:
         yield from _point_blocks(field, nvars, chunk)
         return
-    if nvars * np.log2(float(field.q)) >= 62:
-        raise ValueError(
-            f"cannot sweep GF({field.p}^{field.e}) with r = {nvars}: {field.q}^{nvars} coordinate "
-            "tuples are too many to enumerate (a sweep needs q^r < 2^62)"
-        )
     q = field.q
     ordered = np.asarray(field.ordered_codes(), dtype=np.int64)
     position = np.empty(q, dtype=np.int64)

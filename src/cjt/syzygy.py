@@ -28,7 +28,6 @@ from cjt.modrep import (
     _monomial_count,
     _shift,
     _tower,
-    factors_through_projective,
     free_module,
     hom_space,
     trivial_module,
@@ -85,18 +84,18 @@ def cohomology_basis(
 ) -> list[CocycleClass]:
     """Basis of degree-n cocycles as maps out of the n-th Heller shift.
 
-    All intertwiners to the trivial module are stably nonzero here (the
-    shift is a minimal kernel), which the binomial count certifies.
+    Every nonzero intertwiner to the trivial module is stably nonzero
+    here: the shift has no projective summand, and a map to k through a
+    projective would need a map onto kE, which would split off.  The
+    binomial count certifies the basis.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     source = omega_k(field, r, n, convention)
     k = trivial_module(field, r, 1, convention)
-    classes = []
-    for idx, h in enumerate(hom_space(source, k)):
-        if factors_through_projective(h):
-            continue
-        classes.append(CocycleClass(n, h, tag=f"deg{n}-basis-{idx}"))
+    classes = [
+        CocycleClass(n, h, tag=f"deg{n}-basis-{idx}") for idx, h in enumerate(hom_space(source, k))
+    ]
     expected = comb(n + r - 1, r - 1)
     if len(classes) != expected:
         raise AssertionError(

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from cjt.exactalg import Field
-from cjt.modrep import Convention, ModuleRep, jordan_block_module
+from cjt.modrep import Convention, ModuleRep, _check_dim, _monomial, jordan_block_module
 
 __all__ = [
     "build_example",
@@ -70,6 +70,7 @@ def truncated_module(
     basis = _monomials_of_degrees(r, p, m, n)
     if not basis:
         raise ValueError(f"no monomials of degree in [{m}, {n}) with exponents below {p}")
+    _check_dim(len(basis))
     return ModuleRep(field, _shift_operators(basis, r), convention)
 
 
@@ -160,6 +161,7 @@ def random_module(
     """
     if r < 1 or dim < 1:
         raise ValueError("need r >= 1 and dim >= 1")
+    _check_dim(dim)
     p = field.p
     rng = np.random.default_rng(seed)
     nvars = 2
@@ -173,13 +175,8 @@ def random_module(
         a = np.zeros((dim, dim), dtype=np.int64)
         for mu in monos:
             c = int(rng.integers(0, p))
-            if not c:
-                continue
-            term = np.eye(dim, dtype=np.int64)
-            for sh, e in zip(shifts, mu):
-                for _ in range(e):
-                    term = field.matmul(term, sh)
-            a = field.add(a, field.mul(np.int64(c), term))
+            if c:
+                a = field.add(a, field.mul(np.int64(c), _monomial(field, shifts, mu)))
         gens.append(a)
     return ModuleRep(field, gens, convention)
 

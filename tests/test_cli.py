@@ -291,6 +291,55 @@ class TestOptions:
         assert pretty.count("\n") > 1
 
 
+# argv of each usage error; "@w5"/"@w7" name the module fixtures and "@poly"
+# a polynomial-matrix file with no entries
+USAGE_ERRORS = {
+    "no such file": ["check", "--module", "@missing"],
+    "malformed point JSON": ["jordan", "--module", "@w7", "--point", "1,]"],
+    "wrong coordinate count": ["jordan", "--module", "@w7", "--point", "1,1,1"],
+    "null coordinate": ["jordan", "--module", "@w7", "--point", "null,1"],
+    "bad tail": ["jordan", "--module", "@w7", "--point", "1,1", "--tail", '[{"coef":1}]'],
+    "no degrees": ["carlson", "--p", "3", "--rank", "2", "--degrees", ""],
+    "degree outside 1, 2": ["carlson", "--p", "3", "--rank", "2", "--degrees", "1,3"],
+    "malformed polynomial matrix": ["ranks-search", "--poly", "@poly", "--minor", "1"],
+    "malformed params": ["zoo", "--name", "W", "--p", "5", "--params", "{r:"],
+    "unknown fixture": ["zoo", "--name", "NOPE", "--p", "5"],
+    "tensor over different p": ["tensor", "--a", "@w5", "--b", "@w7"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_prints_one_error_object(self, case, capsys, tmp_path, w5_file, w7_file):
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"p": 3, "nvars": 2, "rows": 1, "cols": 1}))
+        files = {"@w5": w5_file, "@w7": w7_file, "@poly": str(poly), "@missing": str(tmp_path / "none.json")}
+        assert execute([files.get(a, a) for a in USAGE_ERRORS[case]]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        out = json.loads(lines[0])
+        assert list(out) == ["error"] and out["error"]
+
+    def test_point_coordinates_are_read_as_codes_or_coefficient_lists(self, capsys, w5_file):
+        # over GF(25) the code 6 is 1 + x, the coefficient list [1, 1]
+        outs = [
+            run(capsys, ["jordan", "--module", w5_file, "--point", point, "--ext", "2"])
+            for point in ("6,1", "[1,1],1")
+        ]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    @pytest.mark.parametrize("message", ["", "Unable to allocate 27.8 TiB"], ids=["bare", "numpy"])
+    def test_memory_error_prints_one_error_object(self, message, capsys, monkeypatch):
+        from cjt import cli
+
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "omega_k", exhausted)
+        code, out = run(capsys, ["omega", "--p", "5", "--rank", "9", "--n", "1"])
+        assert code == 1 and out == {"error": message or "MemoryError"}
+
+
 class TestSingleSweeps:
     def test_carlson_builds_the_kernel_once(self, capsys, monkeypatch):
         from cjt import carlson

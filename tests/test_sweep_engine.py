@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cjt import exactalg
+from cjt import carlson, constancy, exactalg
+from cjt.carlson import endotrivial_check, l_xi
 from cjt.constancy import (
     PiPoint,
+    check_constant,
     evaluate,
     gamma_locus,
     jordan_at,
@@ -20,9 +22,10 @@ from cjt.constancy import (
     pi_support,
     sweep_points,
 )
-from cjt.exactalg import BATCH_DIM_CUTOFF, Matrix, make_field
+from cjt.exactalg import BATCH_DIM_CUTOFF, Field, Matrix, make_field
 from cjt.jordan import JordanType, from_nilpotent, jordan_types
 from cjt.modrep import omega_n, trivial_module
+from cjt.syzygy import factor_generator
 from cjt.zoo import random_module, w_module
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -122,3 +125,53 @@ def test_kernel_mixes_types_in_one_stack():
 def test_gamma_locus_support_is_pi_support(p, e):
     m = w_module(make_field(p, 1))
     assert gamma_locus(m, e).support == pi_support(m, e)
+
+
+class TestDepthAdmission:
+    """An exhaustive sweep refuses a depth it cannot reach before it sweeps
+    any level: level max_e must keep q^r below 2^62 and, above level 1,
+    the discrete-log tables of GF(p^max_e) within exactalg.LOG_TABLE_BYTES.
+    Sweeping stands in for a run that would take minutes, or exhaust
+    memory, before the old per-level checks refused it."""
+
+    # at p = 3, r = 2: 3^80 coordinate tuples; tables of 1.95e9 bytes for GF(3^15)
+    DEPTHS = pytest.mark.parametrize(
+        "max_e,message", [(40, "q\\^r < 2\\^62"), (15, "discrete-log tables")], ids=["tuples", "tables"]
+    )
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a level was swept")
+
+        for module in (constancy, carlson):
+            monkeypatch.setattr(module, "level_types", refuse)
+            monkeypatch.setattr(module, "sweep_points", refuse)
+
+    @DEPTHS
+    def test_check_constant(self, no_sweep, max_e, message):
+        # W is nonconstant at level 1, which once stopped the sweep there
+        with pytest.raises(ValueError, match=message):
+            check_constant(w_module(make_field(3, 1)), max_e=max_e)
+
+    @DEPTHS
+    def test_endotrivial_check(self, no_sweep, max_e, message):
+        with pytest.raises(ValueError, match=message):
+            endotrivial_check(w_module(make_field(3, 1)), max_e=max_e)
+
+    @DEPTHS
+    def test_l_xi(self, no_sweep, max_e, message):
+        f = make_field(3, 1)
+        classes = [factor_generator(f, 2, 0, 1), factor_generator(f, 2, 1, 1)]
+        with pytest.raises(ValueError, match=message):
+            l_xi(classes, max_e=max_e)
+
+    def test_level_is_checked_before_its_codes_are_built(self, monkeypatch):
+        # GF(2^25) has 2^50 coordinate pairs, but its Frobenius needs 7.2 GB
+        # of log tables; its ordered codes alone took 25 planes of 2^25 codes
+        def refuse(self):
+            raise AssertionError("codes built")
+
+        monkeypatch.setattr(Field, "ordered_codes", refuse)
+        with pytest.raises(ValueError, match="discrete-log tables"):
+            sweep_points(make_field(2, 1), 2, 25)

@@ -5,6 +5,17 @@ per-layer metrics) and ``ELEMENTWISE`` (``Field`` methods).  A rename or
 deletion in cjt would otherwise surface only when the traced benchmark
 runs.  The file is parsed, not imported, so nothing under ``perfbench/``
 is written.
+
+The benchmark's self-test also asks the layer each workload stresses
+(``STRESSED`` in ``perfbench/workloads.py``) to read nonzero, and those
+counters are counted at function calls: zoo-sweep's ``constancy.points``
+at ``constancy.evaluate``, shift-types' elimination calls at the public
+entry points of ``GROUPS["exactalg.elim"]``, and so on.  A refactor that
+routes around the counted function (block evaluation in ``level_types``,
+an internal elimination kernel in ``_cover_kernel``) fails the self-test;
+the probes below make such a pin fail in the test suite instead.  They
+are lifted by the counters of ROADMAP item 1, counted where the work is
+done rather than at function boundaries.
 """
 
 from __future__ import annotations
@@ -12,21 +23,29 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import sys
+from collections import OrderedDict
 from pathlib import Path
 
-from cjt.exactalg import Field
+import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from cjt import cli, constancy, modrep
+from cjt.exactalg import Field, make_field
+from cjt.zoo import w_module
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
-def _constant(name: str):
-    tree = ast.parse(TRACING.read_text())
+def _constant(name: str, path: Path = TRACING):
+    tree = ast.parse(path.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"{name} not found in {TRACING.name}")
+    raise AssertionError(f"{name} not found in {path.name}")
 
 
 def test_every_traced_function_exists():
@@ -41,3 +60,58 @@ def test_every_traced_function_exists():
 def test_every_traced_field_method_exists():
     for name in _constant("ELEMENTWISE"):
         assert callable(getattr(Field, name, None)), f"Field.{name}"
+
+
+# workload -> (its stressed metric, a tiny input on the workload's route)
+PROBES = {
+    "zoo-sweep": (
+        "constancy.points",
+        lambda: constancy.level_types(w_module(make_field(3, 1)), 1),
+    ),
+    "pencil-exact": (
+        "polymat.generic_rank.calls",
+        lambda: constancy.generic_type(w_module(make_field(3, 1))),
+    ),
+    "shift-types": (
+        "exactalg.elim.calls",
+        lambda: modrep.omega_n(modrep.trivial_module(make_field(5, 1), 2), 1),
+    ),
+    "cli-carlson": (
+        "carlson.kernel.calls",
+        lambda: cli.execute(["carlson", "--p", "3", "--rank", "2", "--degrees", "1,1"]),
+    ),
+}
+
+
+def _counted_functions(metric: str) -> tuple[str, tuple[str, ...]]:
+    """(layer, function names) whose calls the tracer turns into the metric;
+    ``constancy.points`` is the evaluation count of the ``evaluate`` hook."""
+    group = "constancy.evaluate" if metric == "constancy.points" else metric.removesuffix(".calls")
+    return _constant("GROUPS")[group]
+
+
+@pytest.mark.parametrize("workload", sorted(PROBES))
+def test_stressed_layer_is_reached_by_its_route(workload, monkeypatch, capsys):
+    stressed = _constant("STRESSED", WORKLOADS)
+    assert set(stressed) == set(PROBES)
+    metric, probe = PROBES[workload]
+    assert stressed[workload] == metric
+    layer, names = _counted_functions(metric)
+    calls = []
+    module = importlib.import_module(f"cjt.{layer}")
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(_original.__name__)
+            return _original(*args, **kwargs)
+
+        # every cjt module that imported the function by name, as the tracer does
+        for modname, mod in list(sys.modules.items()):
+            if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counted)
+    # a cached Heller-shift tower would build no cover
+    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    probe()
+    capsys.readouterr()
+    assert calls, f"{workload}: no call to cjt.{layer}.{{{', '.join(names)}}}"

@@ -101,3 +101,28 @@ class TestTruncatedConstancy:
             else:
                 rep = check_constant(mod, max_e=2)
                 assert rep.verdict == "CONSTANT_ON_TESTED"
+
+
+class TestSoftCapBeforeBuilding:
+    """Fixtures check the dimension cap before they allocate: a RANDOM
+    fixture of dim 5000 once spent minutes on its staircase, and TRUNCATED
+    at p = 7, r = 6 asked numpy for 103 GiB of shift operators."""
+
+    @pytest.fixture
+    def tiny_cap(self, monkeypatch):
+        from cjt import modrep, zoo
+
+        def refuse(*args):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(modrep, "DIM_SOFT_CAP", 3)
+        monkeypatch.setattr(zoo, "_random_staircase", refuse)
+        monkeypatch.setattr(zoo, "_shift_operators", refuse)
+
+    def test_random_module(self, tiny_cap):
+        with pytest.raises(ValueError, match="dimension 5 exceeds the soft cap 3"):
+            random_module(make_field(3, 1), 2, 5, 0)
+
+    def test_truncated_module(self, tiny_cap):
+        with pytest.raises(ValueError, match="dimension 6 exceeds the soft cap 3"):
+            truncated_module(make_field(3, 1), 2, 0, 3)

@@ -25,6 +25,7 @@ from cjt.jordan import from_nilpotent
 from cjt.modrep import Convention, tensor, validate
 from cjt.polymat import CommonZeroWitness, common_zero_search
 from cjt.serialize import (
+    cocycle_to_json,
     jordan_type_to_json,
     module_from_json,
     module_to_json,
@@ -154,8 +155,6 @@ def _cmd_carlson(args) -> tuple[dict, int]:
         for i, d in enumerate(degrees)
     ]
     result = l_xi(classes, max_e=args.max_ext)
-    from cjt.serialize import cocycle_to_json
-
     payload = {
         "module": module_to_json(result.kernel),
         "classes": [cocycle_to_json(c) for c in classes],

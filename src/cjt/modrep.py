@@ -241,30 +241,12 @@ def jordan_block_module(
     return ModuleRep(field, [a], convention)
 
 
-def _monomial_count(p: int, r: int) -> int:
-    return p**r
-
-
-def _monomial_shift_index(p: int, r: int, i: int) -> np.ndarray:
-    """For each monomial index, the index of its product with t_i (-1 if zero).
-
-    Monomial exponents are mixed-radix base p, exponent of t_1 least
-    significant.
-    """
-    count = p**r
-    idx = np.arange(count)
-    digit = (idx // p**i) % p
-    out = np.where(digit < p - 1, idx + p**i, -1)
-    return out
-
-
 def free_module(
     field: Field, r: int, rank_: int, convention: Convention = Convention.PRIMITIVE
 ) -> ModuleRep:
     """Free module of the given rank: regular representation per generator."""
-    p = field.p
-    eye = np.eye(_monomial_count(p, r) * rank_, dtype=np.int64)
-    gens = [_apply_free_generator(field, p, r, rank_, i, eye) for i in range(r)]
+    eye = np.eye(field.p**r * rank_, dtype=np.int64)
+    gens = [_free_shift(field.p, r, i, eye) for i in range(r)]
     return ModuleRep(field, gens, convention, allow_large=True)
 
 
@@ -431,34 +413,19 @@ def _monomial_columns(m: ModuleRep, vectors: np.ndarray) -> np.ndarray:
     """Columns A^mu v_j for all monomials mu and the given vectors v_j.
 
     Column order: vector index outermost, monomial index (mixed radix,
-    exponent of t_1 least significant) innermost.  Columns are produced one
-    total-degree level at a time so each generator is applied in a single
-    batched product per level.
+    exponent of t_1 least significant) innermost.  The columns are built
+    one generator at a time: the columns so far, then their images under
+    A_i, A_i^2, ..., A_i^(p-1), which makes the exponent of t_i the next
+    more significant digit.
     """
-    f = m.field
-    p, r = m.p, m.r
-    count = _monomial_count(p, r)
-    nvec = vectors.shape[1]
-    if m.dim == 0 or nvec == 0:
-        return np.zeros((m.dim, nvec * count), dtype=np.int64)
-    degrees = np.zeros(count, dtype=np.int64)
-    first_gen = np.zeros(count, dtype=np.int64)
-    for i in range(r):
-        digit = (np.arange(count) // p**i) % p
-        degrees += digit
-        first_gen[(first_gen == 0) & (digit > 0) & (np.arange(count) > 0)] = i + 1
-    max_deg = int(degrees.max())
-    by_level: dict[int, dict[int, list[int]]] = {}
-    for idx in range(1, count):
-        by_level.setdefault(int(degrees[idx]), {}).setdefault(int(first_gen[idx]) - 1, []).append(idx)
-    blocks = np.zeros((m.dim, count, nvec), dtype=np.int64)
-    blocks[:, 0, :] = vectors
-    for level in range(1, max_deg + 1):
-        for i, idxs in by_level.get(level, {}).items():
-            srcs = [idx - p**i for idx in idxs]
-            prod = f.matmul(m.gens[i], blocks[:, srcs, :].reshape(m.dim, -1))
-            blocks[:, idxs, :] = prod.reshape(m.dim, len(idxs), nvec)
-    return blocks.transpose(0, 2, 1).reshape(m.dim, nvec * count)
+    cols = vectors
+    for a in m.gens:
+        powers = [cols]
+        for _ in range(m.p - 1):
+            powers.append(m.field.matmul(a, powers[-1]))
+        cols = np.hstack(powers)
+    count, nvec = m.p**m.r, vectors.shape[1]
+    return cols.reshape(m.dim, count, nvec).transpose(0, 2, 1).reshape(m.dim, nvec * count)
 
 
 def _theta(m: ModuleRep) -> np.ndarray:
@@ -484,8 +451,7 @@ def split_free(m: ModuleRep) -> SplitResult:
     system; the remaining summand is the kernel of that retraction.
     """
     f = m.field
-    p, r = m.p, m.r
-    count = _monomial_count(p, r)
+    count = m.p**m.r
     theta = _theta(m)
     work = theta.copy()
     piv_cols = _echelonize(f, work, m.dim)
@@ -550,23 +516,20 @@ class CoverData:
     omega: ModuleRep
 
 
-def _apply_free_generator(field: Field, p: int, r: int, rank_: int, i: int, mat: np.ndarray) -> np.ndarray:
-    """Left-multiply a (rank * p^r)-row matrix by the free generator t_i."""
-    count = p**r
-    shift = _monomial_shift_index(p, r, i)
-    out = np.zeros_like(mat)
-    src = np.nonzero(shift >= 0)[0]
-    for j in range(rank_):
-        base = j * count
-        out[base + shift[src]] = mat[base + src]
-    return out
+def _free_shift(p: int, r: int, i: int, mat: np.ndarray) -> np.ndarray:
+    """t_i applied to the rows of a matrix on a free module: rows are rank
+    blocks of p^r monomials, and t_i raises the exponent of t_i by one, so
+    rows with exponent p - 1 go to zero."""
+    rows, cols = mat.shape
+    blocks = mat.reshape(rows // p**r, p ** (r - 1 - i), p, p**i, cols)
+    out = np.zeros_like(blocks)
+    out[:, :, 1:] = blocks[:, :, :-1]
+    return out.reshape(rows, cols)
 
 
 def _cover_kernel(m: ModuleRep) -> CoverData:
     """Minimal projective cover of m and the kernel with its induced action."""
     f = m.field
-    p, r = m.p, m.r
-    count = _monomial_count(p, r)
     # the pivots of the rows of hstack(gens)^T, which span rad m, mark the
     # coordinates that rad m covers; the others lift a basis of m / rad m.
     # _echelonize alone gives the same pivots, but the benchmark's
@@ -587,10 +550,7 @@ def _cover_kernel(m: ModuleRep) -> CoverData:
     # the nullspace basis carries an identity block on the free columns
     pivots = set(piv)
     kernel_piv_rows = [j for j in range(cover.shape[1]) if j not in pivots]
-    gens = []
-    for i in range(r):
-        shifted = _apply_free_generator(f, p, r, d, i, kernel)
-        gens.append(shifted[kernel_piv_rows])
+    gens = [_free_shift(m.p, m.r, i, kernel)[kernel_piv_rows] for i in range(m.r)]
     omega = ModuleRep(f, gens, m.convention, allow_large=True)
     return CoverData(d, cover, kernel, kernel_piv_rows, omega)
 

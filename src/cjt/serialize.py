@@ -22,6 +22,7 @@ __all__ = [
     "polymatrix_to_json",
     "polymatrix_from_json",
     "hom_to_json",
+    "cocycle_to_json",
     "field_for",
 ]
 

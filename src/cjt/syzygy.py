@@ -25,7 +25,6 @@ from cjt.modrep import (
     _cover_kernel,
     _mat_pow,
     _monomial_columns,
-    _monomial_count,
     _shift,
     _tower,
     free_module,
@@ -189,14 +188,13 @@ def shift_hom(fmap: ModuleHom) -> ModuleHom:
     f = src.field
     data_s = _cover_kernel(src)
     data_t = _cover_kernel(tgt)
-    p, r = src.p, src.r
-    count = _monomial_count(p, r)
+    count = src.p**src.r
     rhs_all = f.matmul(fmap.matrix, data_s.cover_matrix)
     sol = solve_linear(Matrix(f, data_t.cover_matrix), Matrix(f, rhs_all[:, ::count]))
     if not sol.consistent:
         raise AssertionError("covers are surjective; generator images must lift")
     # extend to all monomial columns through the free-module action
-    free = free_module(f, r, data_t.rank, src.convention)
+    free = free_module(f, src.r, data_t.rank, src.convention)
     lifted = _monomial_columns(free, sol.solution.array)
     shifted = f.matmul(lifted, data_s.kernel_basis)[data_t.kernel_pivot_rows]
     return ModuleHom(data_s.omega, data_t.omega, shifted).require_intertwiner()

@@ -17,8 +17,6 @@ Names accepted by build_example:
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from cjt.exactalg import Field
@@ -35,12 +33,19 @@ __all__ = [
 
 
 def _monomials_of_degrees(r: int, p: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    out = [
-        mu
-        for mu in product(range(p), repeat=r)
-        if lo <= sum(mu) < hi
-    ]
-    return sorted(out, key=lambda mu: (sum(mu), mu))
+    """Exponent tuples of length r with entries below p and total degree in
+    [lo, hi), by degree, then lexicographic.  Each degree is enumerated
+    coordinate by coordinate, and a coordinate takes only the values that
+    leave a reachable degree for the rest, so the work follows the output."""
+
+    def of_degree(n: int, k: int) -> list[tuple[int, ...]]:
+        if k == 0:
+            return [()]
+        low = max(0, n - (p - 1) * (k - 1))
+        top = min(p - 1, n)
+        return [(x,) + rest for x in range(low, top + 1) for rest in of_degree(n - x, k - 1)]
+
+    return [mu for n in range(lo, min(hi, r * (p - 1) + 1)) for mu in of_degree(n, r)]
 
 
 def _shift_operators(basis: list[tuple[int, ...]], nvars: int) -> list[np.ndarray]:

@@ -15,10 +15,9 @@ import numpy as np
 from cjt.exactalg import Matrix, rank_array, solve_linear
 from cjt.modrep import (
     ModuleHom,
-    _apply_free_generator,
     _cover_kernel,
-    _monomial_count,
     _theta,
+    free_module,
 )
 
 
@@ -41,7 +40,7 @@ def factors_through_projective(fmap: ModuleHom) -> bool:
         stacked = np.vstack([theta, fmap.matrix])
         return rank_array(f, stacked) == base
     data = _cover_kernel(n)
-    fdim = data.rank * _monomial_count(m.p, m.r)
+    fdim = data.rank * m.p**m.r
     # unknowns: h (fdim x m.dim), row-major vec
     blocks = []
     rhs_blocks = []
@@ -49,7 +48,7 @@ def factors_through_projective(fmap: ModuleHom) -> bool:
     for i in range(m.r):
         # h A_i = F_i h where F_i is the free-source generator
         left = np.kron(i_f, m.gens[i].T)
-        fi = _apply_free_generator(f, m.p, m.r, data.rank, i, i_f)
+        fi = free_module(f, m.r, data.rank, m.convention).gens[i]
         right = np.kron(fi, np.eye(m.dim, dtype=np.int64))
         blocks.append(f.sub(left, right))
         rhs_blocks.append(np.zeros((fdim * m.dim, 1), dtype=np.int64))

@@ -28,7 +28,6 @@ from cjt.modrep import (
     ModuleRep,
     _cover_kernel,
     _monomial_columns,
-    _monomial_count,
     dual,
     radical_socle,
     split_free,
@@ -84,7 +83,7 @@ def _rank_one_quotient(field: Field, r: int, i: int, convention: Convention) -> 
         shift[s + 1, s] = 1
     gens = [shift if j == i else np.zeros((p, p), dtype=np.int64) for j in range(r)]
     v = ModuleRep(field, gens, convention)
-    count = _monomial_count(p, r)
+    count = p**r
     proj = np.zeros((p, count), dtype=np.int64)
     for idx in range(count):
         exps = [(idx // p**j) % p for j in range(r)]
@@ -110,7 +109,7 @@ def factor_generator_by_lifts(
     if degree == 1:
         omega1 = omega_k(field, r, 1, convention)
         data1 = _cover_kernel(k)
-        count = _monomial_count(p, r)
+        count = p**r
         tvecs = np.zeros((count, r), dtype=np.int64)
         for j in range(r):
             tvecs[p**j, j] = 1
@@ -131,7 +130,7 @@ def factor_generator_by_lifts(
         data2 = _cover_kernel(omega1)
         # psi: second cover -> rank-one quotient, through the first kernel
         psi = field.matmul(proj, field.matmul(data1.kernel_basis, data2.cover_matrix))
-        count = _monomial_count(p, r)
+        count = p**r
         # lift the generator images through the shift, then extend the lifts
         # to every monomial column through the quotient's action
         sol = solve_linear(Matrix(field, v.gens[i]), Matrix(field, psi[:, ::count]))

@@ -16,7 +16,6 @@ from cjt.modrep import (
     ModuleRep,
     SplitResult,
     _monomial_columns,
-    _monomial_count,
     _theta,
     submodule,
 )
@@ -46,7 +45,7 @@ def _inverse_by_rows(field: Field, g: np.ndarray) -> np.ndarray:
 def split_free_by_rows(m: ModuleRep) -> SplitResult:
     f = m.field
     p, r = m.p, m.r
-    count = _monomial_count(p, r)
+    count = p**r
     work = _theta(m).copy()
     piv_cols = _echelonize(f, work, m.dim)
     t = len(piv_cols)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,10 @@ from cjt.jordan import JordanType, from_nilpotent
 from cjt.modrep import (
     Convention,
     ModuleHom,
+    ModuleRep,
+    _free_shift,
+    _monomial,
+    _monomial_columns,
     build_extension,
     direct_sum,
     dual,
@@ -35,8 +41,6 @@ def ke_mod_i2(field, r, convention=Convention.PRIMITIVE):
         a = np.zeros((r + 1, r + 1), dtype=np.int64)
         a[i + 1, 0] = 1
         gens.append(a)
-    from cjt.modrep import ModuleRep
-
     return ModuleRep(field, gens, convention)
 
 
@@ -268,6 +272,58 @@ class TestRadicalSocle:
         m = ke_mod_i2(f, 3)
         rad, _ = radical_socle(m)
         assert m.dim - rad.cols == 1
+
+
+def monomial_index(p, mu):
+    """The layout of kE's monomials: mixed radix, exponent of t_1 least significant."""
+    return sum(x * p**i for i, x in enumerate(mu))
+
+
+class TestMonomialLayout:
+    """Cover columns and the free action against references built from
+    exponent tuples, which share no index arithmetic with the code."""
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("conv", [Convention.PRIMITIVE, Convention.GROUP])
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("dim,nvec", [(5, 2), (0, 2), (5, 0)])
+    def test_columns_and_free_shift(self, p, e, conv, transposed, dim, nvec):
+        from cjt.zoo import random_module
+
+        f = make_field(p, e)
+        r = 3
+        rng = np.random.default_rng(p * e + dim + nvec)
+        if dim:
+            # scaling by extension codes keeps the actions commuting and nilpotent
+            base = random_module(make_field(p, 1), r, dim, seed=p + nvec)
+            gens = [f.mul(np.int64(rng.integers(1, f.q)), a) for a in base.gens]
+        else:
+            gens = [np.zeros((0, 0), dtype=np.int64)] * r
+        if transposed:
+            gens = [a.T for a in gens]
+        m = ModuleRep(f, gens, conv, allow_large=True)
+        assert validate(m).ok
+        vectors = rng.integers(0, f.q, size=(dim, nvec)).astype(np.int64)
+        count = p**r
+        cols = _monomial_columns(m, vectors)
+        assert cols.shape == (dim, nvec * count)
+        for j in range(nvec):
+            for mu in product(range(p), repeat=r):
+                want = f.matmul(_monomial(f, m.gens, mu), vectors[:, [j]])
+                assert np.array_equal(cols[:, [j * count + monomial_index(p, mu)]], want)
+
+        rank_ = 2
+        for i in range(r):
+            regular = np.zeros((rank_ * count, rank_ * count), dtype=np.int64)
+            for j in range(rank_):
+                for mu in product(range(p), repeat=r):
+                    if mu[i] < p - 1:
+                        up = mu[:i] + (mu[i] + 1,) + mu[i + 1 :]
+                        regular[j * count + monomial_index(p, up), j * count + monomial_index(p, mu)] = 1
+            mat = rng.integers(0, f.q, size=(rank_ * count, 3)).astype(np.int64)
+            assert np.array_equal(_free_shift(p, r, i, mat), f.matmul(regular, mat))
+            assert np.array_equal(free_module(f, r, rank_, conv).gens[i], regular)
+            assert _free_shift(p, r, i, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
 
 
 class TestSplitFree:

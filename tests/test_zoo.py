@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,31 @@ class TestSoftCapBeforeBuilding:
     def test_truncated_module(self, tiny_cap):
         with pytest.raises(ValueError, match="dimension 6 exceeds the soft cap 3"):
             truncated_module(make_field(3, 1), 2, 0, 3)
+
+
+class TestMonomialsOfDegrees:
+    """TRUNCATED's basis is enumerated degree by degree: a scan of all p^r
+    exponent tuples took 10.8 s for a dim-10 module at p = 7, r = 9."""
+
+    def test_matches_the_tuple_scan(self):
+        from cjt.zoo import _monomials_of_degrees
+
+        for p in (2, 3, 5, 7):
+            for r in range(1, 6):
+                scan = sorted(product(range(p), repeat=r), key=lambda mu: (sum(mu), mu))
+                for lo in range(r * (p - 1) + 2):
+                    for hi in range(lo, lo + 6):
+                        expected = [mu for mu in scan if lo <= sum(mu) < hi]
+                        assert _monomials_of_degrees(r, p, lo, hi) == expected, (p, r, lo, hi)
+
+    def test_no_scan_of_all_tuples(self, monkeypatch):
+        from cjt import zoo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned all p^r exponent tuples")
+
+        # a scan would draw the 7^9 tuples from itertools.product
+        monkeypatch.setattr(zoo, "product", refuse, raising=False)
+        m = build_example(make_field(7, 1), "TRUNCATED", r=9, m=0, n=2)
+        assert m.dim == 10
+        assert validate(m).ok

@@ -64,7 +64,7 @@ def _load_module(path: str):
 
 
 def _parse_point(m, text: str, ext: int, tail_json: str | None):
-    field = make_field(m.field.p, ext)
+    field = m.field if ext == m.field.e else make_field(m.field.p, ext)
     try:
         values = json.loads(f"[{text}]")
     except json.JSONDecodeError as exc:

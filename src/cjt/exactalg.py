@@ -10,6 +10,7 @@ comparison in this package is exact equality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -82,8 +83,8 @@ STACK_CELLS = 1 << 13
 # stacks of STACK_CELLS entries, stacked over per-matrix time: Jordan types
 # of level sweeps (against from_nilpotent) 0.84 at dim 32, 1.0-1.4 at dim
 # 40 and 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2);
-# ranks alone (against rank_array) 0.5-0.7 at dim 32 and 0.9-1.15 at dim 48
-# (GF(3), GF(5), GF(25)).
+# ranks alone (against rank_array) 0.46-0.53 at dim 32, 0.65-0.79 at dim 40
+# and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).
 BATCH_DIM_CUTOFF = 32
 
 # Rows per block of the triangular solve ``_back_substitute``: each block
@@ -400,10 +401,7 @@ class Field:
     def inv_scalar(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.e == 1:
-            return pow(int(a), self.p - 2, self.p)
-        exp, log = self._tables()
-        return int(exp[(-log[a]) % (self.q - 1)])
+        return self.pow_scalar(a, self.q - 2)
 
     def pow_scalar(self, a: int, n: int) -> int:
         if n == 0:
@@ -590,21 +588,9 @@ def make_field(p: int, e: int) -> Field:
     # candidates (c_0, ..., c_{e-1}, 1) in lexicographic order on the low-first
     # coefficient list: the last index moves fastest.  They start at c_0 = 1,
     # because a constant term 0 makes x a factor.
-    def candidates():
-        idx = [1] + [0] * (e - 1)
-        while True:
-            yield tuple(idx) + (1,)
-            j = e - 1
-            while j >= 0 and idx[j] == p - 1:
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                return
-            idx[j] += 1
-
-    for cand in candidates():
-        if _is_irreducible(cand, p):
-            return Field(p, e, cand)
+    for head in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+        if _is_irreducible(head + (1,), p):
+            return Field(p, e, head + (1,))
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")
 
 
@@ -692,9 +678,10 @@ def _echelonize(field: Field, a: np.ndarray, width: int) -> list[int]:
         pivot = int(a[r, c])
         if pivot != 1:
             a[r, c:] = field.mul(a[r, c:], field.inv_scalar(pivot))
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            idx = r + 1 + below
+        # the pivot is the first nonzero at or below row r, so a swap moves a
+        # zero into row i and the rows left to clear are the other nonzeros
+        idx = r + nz[1:]
+        if idx.size:
             factors = a[idx, c]
             a[idx, c:] = field.sub(a[idx, c:], field.mul(factors[:, None], a[r, c:][None, :]))
         piv_cols.append(c)
@@ -736,12 +723,15 @@ def rank_array(field: Field, arr: np.ndarray) -> int:
 def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     """Rank of every slice of a (points, rows, cols) stack.
 
-    Column by column, each slice takes its first nonzero row at or below
-    its current rank as pivot and clears the rows below it.  Rows above a
-    slice's rank are finished and are not kept up to date, and only rows
-    with a nonzero entry under some pivot are touched.  Stacks whose
-    matrices have a side above BATCH_DIM_CUTOFF are eliminated slice by
-    slice with ``rank_array``.
+    Each slice keeps a mask of open rows.  Column by column, a slice with
+    an open row nonzero in the column takes the first such row as pivot and
+    closes it; every other open row i with a nonzero entry there becomes
+    pivot * row i - a[i, c] * pivot row (the one-step fraction-free update,
+    which keeps the row space), so no row moves and no pivot is inverted.
+    Only rows with a nonzero entry under some pivot are touched.  A slice's
+    rank is its number of closed rows.  Stacks whose matrices have a side
+    above BATCH_DIM_CUTOFF are eliminated slice by slice with
+    ``rank_array``.
     """
     a = np.array(stack, dtype=np.int64)
     if a.ndim != 3:
@@ -749,36 +739,27 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     count, n_rows, n_cols = a.shape
     if max(n_rows, n_cols) > BATCH_DIM_CUTOFF:
         return np.array([rank_array(field, s) for s in a], dtype=np.int64)
-    rank = np.zeros(count, dtype=np.int64)
-    rows = np.arange(n_rows)
+    open_rows = np.ones((count, n_rows), dtype=bool)
     for c in range(n_cols):
         col = a[:, :, c]
-        cand = (col != 0) & (rows >= rank[:, None])
+        cand = (col != 0) & open_rows
         has = cand.any(axis=1)
         if not has.any():
             continue
         idx = np.nonzero(has)[0]
-        r = rank[idx]
-        rank[idx] += 1
+        piv = cand[idx].argmax(axis=1)
+        open_rows[idx, piv] = False
         if c + 1 == n_cols:
             break
-        piv = cand[idx].argmax(axis=1)
-        # the pivot row leaves the open rows; row r takes its place
-        at = np.arange(idx.size)
-        prow = a[idx, piv, c + 1 :]
-        a[idx, piv, c + 1 :] = a[idx, r, c + 1 :]
-        factors = col[idx]
-        factors[at, piv] = factors[at, r]
-        factors[rows[None, :] <= r[:, None]] = 0
+        factors = col[idx] * open_rows[idx]
         touched = np.flatnonzero(factors.any(axis=0))
         if touched.size == 0:
             continue
-        # row i -= (a[i, c] / pivot) * pivot row, for the open rows i > r
-        scale = field.neg(field.inv(col[idx, piv]))
-        factors = field.mul(factors[:, touched], scale[:, None])
+        pivot = col[idx, piv][:, None, None]
+        prow = a[idx, piv, c + 1 :][:, None, :]
         block = (idx[:, None], touched[None, :], slice(c + 1, None))
-        a[block] = field.add(a[block], field.mul(factors[:, :, None], prow[:, None, :]))
-    return rank
+        a[block] = field.sub(field.mul(pivot, a[block]), field.mul(factors[:, touched, None], prow))
+    return n_rows - open_rows.sum(axis=1)
 
 
 def _unipotent_inverse(field: Field, nil: np.ndarray) -> np.ndarray:

@@ -565,8 +565,6 @@ def _orbit_blocks(field: Field, nvars: int, chunk: int = 1 << 15):
         for s in range(0, prefixes.shape[0], per):
             keep = ~(tied[s : s + per, :, None] & ~later[None]).any(axis=1)
             rows, t = np.nonzero(keep)
-            if rows.size == 0:
-                continue
             block = np.zeros((rows.size, nvars), dtype=np.int64)
             block[:, pivot] = 1
             block[:, pivot + 1 : -1] = ordered[prefixes[s + rows]]

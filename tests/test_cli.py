@@ -2,15 +2,17 @@ import json
 
 import pytest
 
+from cjt import PiPoint, jordan_at
 from cjt.cli import execute
 from cjt.exactalg import make_field
 from cjt.serialize import (
+    field_for,
     jordan_type_from_json,
     module_from_json,
     module_to_json,
     polymatrix_to_json,
 )
-from cjt.zoo import ke_mod_i2, w_module
+from cjt.zoo import ke_mod_i2, random_module, w_module
 
 
 @pytest.fixture
@@ -57,6 +59,23 @@ class TestRoundTrips:
         assert data["generators"][0][1] == [0, 1]
         back = module_from_json(data)
         assert np.array_equal(back.gens[0], a)
+
+    def test_field_for_without_modulus_is_make_field(self):
+        assert field_for(5, 2) is make_field(5, 2)
+        assert field_for(5, 2, make_field(5, 2).modulus) is make_field(5, 2)
+
+    def test_non_default_modulus_round_trips(self):
+        import numpy as np
+
+        # x^2 + x + 2 is irreducible over GF(3); make_field picks x^2 + 1
+        f = field_for(3, 2, [2, 1, 1])
+        assert f.modulus == (2, 1, 1) and f != make_field(3, 2)
+        m = random_module(f, 2, 5, seed=1)
+        data = module_to_json(m)
+        assert data["modulus"] == [2, 1, 1]
+        back = module_from_json(json.loads(json.dumps(data)))
+        assert back.field == f
+        assert all(np.array_equal(a, b) for a, b in zip(back.gens, m.gens))
 
     def test_group_convention_roundtrip(self):
         from cjt.modrep import Convention
@@ -122,6 +141,18 @@ class TestOtherCommands:
         code, out = run(capsys, ["jordan", "--module", str(path), "--point", "1,1", "--ext", "40"])
         assert code == 1
         assert "discrete-log tables" in out["error"] and "GF(2^40)" in out["error"]
+
+    @pytest.mark.parametrize("modulus", [(2, 1, 1), (1, 0, 1)], ids=["other-modulus", "default-modulus"])
+    def test_jordan_at_a_point_over_the_module_field(self, capsys, tmp_path, modulus):
+        # a GF(9) module takes --ext 2 points over its own field, whatever
+        # its modulus; code 4 is 1 + x, outside GF(3)
+        f = field_for(3, 2, modulus)
+        m = random_module(f, 2, 6, seed=4)
+        path = tmp_path / "m9.json"
+        path.write_text(json.dumps(module_to_json(m)))
+        code, out = run(capsys, ["jordan", "--module", str(path), "--point", "1,4", "--ext", "2"])
+        assert code == 0
+        assert out["type"] == str(jordan_at(m, PiPoint(f, (1, 4))))
 
     def test_omega_dimension(self, capsys):
         code, out = run(capsys, ["omega", "--p", "5", "--rank", "2", "--n", "2"])

@@ -117,8 +117,9 @@ class TestMakeField:
         assert make_field(p, e).modulus == brute_force_smallest_irreducible(p, e)
 
     def test_rejects_composite_p(self):
-        with pytest.raises(ValueError):
-            make_field(6, 1)
+        for p in (6, 0, 1, -3):
+            with pytest.raises(ValueError, match="not prime"):
+                make_field(p, 1)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):

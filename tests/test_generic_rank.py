@@ -198,8 +198,10 @@ def test_sweep_stops_where_p_to_the_e_equals_the_minor_degree(case, seed):
 
 @SEEDED
 @given(
-    e=st.integers(1, 2),
-    p=st.sampled_from([2, 3, 5, 7]),
+    # e = 3 and p = 37 (GF(37^2) lies above TABLE_CAP) run the update through
+    # the digit loops and discrete logs as well as the prime-field and table routes
+    e=st.integers(1, 3),
+    p=st.sampled_from([2, 3, 5, 7, 37]),
     count=st.integers(0, 12),
     rows=st.sampled_from([0, 1, 2, 5, 9, BATCH_DIM_CUTOFF, BATCH_DIM_CUTOFF + 3]),
     cols=st.sampled_from([0, 1, 3, 8, BATCH_DIM_CUTOFF, BATCH_DIM_CUTOFF + 1]),

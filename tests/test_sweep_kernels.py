@@ -62,6 +62,8 @@ class TestOrbitBlocks:
         whole = np.concatenate(list(_orbit_blocks(field, 4)))
         blocks = list(_orbit_blocks(field, 4, chunk=5))
         assert max(len(b) for b in blocks) <= 9  # one prefix of q = 9 tails at a time
+        # every prefix keeps a last coordinate: the first point of an orbit
+        assert min(len(b) for b in blocks) > 0
         assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_level_one_streams_blocks_of_at_most_chunk_points(self):

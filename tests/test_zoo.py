@@ -1,12 +1,15 @@
+import json
 from itertools import product
 
 import numpy as np
 import pytest
 
+from cjt.cli import execute
 from cjt.constancy import check_constant, is_isomorphic
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType
 from cjt.modrep import validate
+from cjt.serialize import module_to_json
 from cjt.zoo import build_example, ke_mod_i2, random_module, truncated_module, v_module, w_module
 
 
@@ -156,3 +159,25 @@ class TestMonomialsOfDegrees:
         m = build_example(make_field(7, 1), "TRUNCATED", r=9, m=0, n=2)
         assert m.dim == 10
         assert validate(m).ok
+
+
+class TestRandomByName:
+    def test_matches_random_module_and_ignores_case(self):
+        f = make_field(5, 1)
+        want = random_module(f, 3, 7, 11)
+        for name in ("RANDOM", "random", "Random"):
+            got = build_example(f, name, r=3, dim=7, seed=11)
+            assert (got.r, got.dim) == (3, 7)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.gens, want.gens))
+
+    def test_omitted_seed_is_zero(self):
+        f = make_field(3, 1)
+        got = build_example(f, "RANDOM", r=2, dim=6)
+        want = random_module(f, 2, 6, 0)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.gens, want.gens))
+
+    def test_cli_emits_the_module(self, capsys):
+        code = execute(["zoo", "--name", "RANDOM", "--p", "3", "--params", '{"r":2,"dim":6,"seed":3}'])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == module_to_json(random_module(make_field(3, 1), 2, 6, 3))

@@ -136,8 +136,12 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
     norm element theta = (t_1 ... t_r)^(p-1) on it; the module is
     endotrivial iff the rest, the projective-free core, has dimension one
     (a one-dimensional module has zero action, so that core is k).  The
-    local test asks the stable type at every swept point to be a single
-    block of size 1 or p-1.  The two must agree.
+    global test is the verdict.  The local test, evidence beside it, asks
+    the stable type at every swept point to be a single block of size 1 or
+    p-1.  Global implies local: at every point the restriction of hom(m, m)
+    is k plus free.  The converse needs every point over the algebraic
+    closure, so a finite sweep may pass the local test on a module that is
+    not endotrivial; only a global pass with a local failure is an error.
     """
     _admit_depth(m.p, m.r, max_e)
     endo = hom(m, m)
@@ -157,9 +161,9 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
             types.append((q, st))
             if st not in allowed:
                 local_ok = False
-    if global_ok != local_ok:
+    if global_ok and not local_ok:
         raise AssertionError(
-            "global and local endotriviality tests disagree: "
-            f"global={global_ok}, local={local_ok}"
+            "the module is endotrivial but a swept point has a stable type "
+            "other than [1] or [p-1]"
         )
     return global_ok, EndoEvidence(global_ok, local_ok, free_rank, core_dim, types)

@@ -197,7 +197,7 @@ def _cmd_ranks_search(args) -> tuple[dict, int]:
         payload = {
             "found": True,
             "extension": res.extension,
-            "point": [res.field.serialize_code(c) for c in res.coords],
+            "point": res.field.serialize_codes(res.coords),
         }
         return payload, 0
     return {"found": False, "extensions_tested": res.extensions_tested}, 2

@@ -74,7 +74,7 @@ class PiPoint:
     def serialize(self):
         out = {
             "e": self.field.e,
-            "coords": [self.field.serialize_code(c) for c in self.linear],
+            "coords": self.field.serialize_codes(self.linear),
         }
         if self.tail:
             out["tail"] = [
@@ -287,7 +287,6 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     if m.r == 1:
         q = PiPoint(m.field, (1,))
         return CjtReport("CONSTANT_EXACT", jordan_at(m, q), [], "SWEEP", [1])
-    exact_known_nonconstant = False
     witness_bound = None
     if exact and m.r == 2 and m.field.is_prime_field and m.dim > 0:
         # one Smith reduction per power gives its rank and its minor gcd
@@ -303,7 +302,6 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
         if witness_bound is None:
             jt = JordanType.from_power_ranks(m.p, [m.dim] + ranks)
             return CjtReport("CONSTANT_EXACT", jt, [], "RANK2_GCD", [])
-        exact_known_nonconstant = True
 
     observed: dict[JordanType, PiPoint] = {}
     per_point: list[tuple[PiPoint, JordanType]] = []
@@ -320,9 +318,9 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
         if len(observed) > 1:
             break
     types = [t for _, t in per_point]
-    method = "RANK2_GCD" if exact_known_nonconstant else "SWEEP"
+    method = "SWEEP" if witness_bound is None else "RANK2_GCD"
     if len(observed) == 1:
-        if exact_known_nonconstant:
+        if witness_bound is not None:
             raise AssertionError(
                 "exact path certified nonconstancy but the sweep found no witness"
             )
@@ -398,8 +396,6 @@ def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:
     for h in basis:
         if rank_array(f, h.matrix) == m.dim:
             return IsoResult(True, witness=h)
-    if not basis:
-        return IsoResult(False, inconclusive=True)
     # row j is the j-th basis map, so a combination is one product
     stacked = np.stack([h.matrix for h in basis]).reshape(len(basis), -1)
     rng = np.random.default_rng(seed)

@@ -55,9 +55,10 @@ TABLE_CAP = 1024
 # The discrete-log tables of GF(p^e), e >= 2, take about 8 q (e + 2) bytes
 # while they are built: q int64 logs, q - 1 int64 powers and the (q - 1) x e
 # int64 digits of the powers.  Elementwise arithmetic that needs them (mul
-# above TABLE_CAP, inv, pow, frobenius) refuses a field whose tables would
-# exceed 1 GiB, q (e + 2) > 2^27: GF(2^22) and GF(5791^2) are the largest
-# binary and quadratic fields it accepts.  Matrix products never need them.
+# above TABLE_CAP and the powers built on it, pow_scalar) refuses a field
+# whose tables would exceed 1 GiB, q (e + 2) > 2^27: GF(2^22) and GF(5791^2)
+# are the largest binary and quadratic fields it accepts.  Matrix products
+# never need them.
 LOG_TABLE_BYTES = 1 << 30
 
 
@@ -207,6 +208,21 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
 # ---------------------------------------------------------------------------
 # the field itself
 # ---------------------------------------------------------------------------
+
+def _power(mul, x, n: int):
+    """x^n for n >= 1 by square-and-multiply under the product ``mul``
+    (``Field.mul`` for elementwise powers, ``Field.matmul`` for matrix
+    powers): the first factor is x itself, and nothing is squared past the
+    top bit of n."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
 
 class Field:
     """GF(p^e) with an explicit monic modulus polynomial.
@@ -366,10 +382,7 @@ class Field:
     def sub(self, a, b):
         if self.e == 1:
             return self._mod_p(np.asarray(a) - np.asarray(b))
-        tables = self._arith_tables()
-        if tables is not None:
-            return tables[0][np.asarray(a) * self.q + tables[2][np.asarray(b)]]
-        return self._digit_add(a, self._digit_neg(b))
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self.e == 1:
@@ -418,25 +431,11 @@ class Field:
         a = np.asarray(a)
         if n == 0:
             return np.ones(a.shape, dtype=np.int64)
-        if self.e == 1:
-            out = np.ones(a.shape, dtype=np.int64)
-            base = self._mod_p(a)
-            k = n
-            while k:
-                if k & 1:
-                    out = self._mod_p(out * base)
-                base = self._mod_p(base * base)
-                k >>= 1
-            return out
-        exp, log = self._tables()
-        out = np.zeros(a.shape, dtype=np.int64)
-        m = a != 0
-        out[m] = exp[(log[a[m]] * n) % (self.q - 1)]
-        return out
+        return _power(self.mul, a, n)
 
     def frobenius(self, a):
         """x -> x^p, vectorized over code arrays."""
-        return self.pow_array(a, self.p) if self.e > 1 else np.asarray(a)
+        return self.pow_array(a, self.p)
 
     # -- matrix kernels ------------------------------------------------------
     def _mod_p(self, x: np.ndarray) -> np.ndarray:
@@ -512,9 +511,10 @@ class Field:
         return self._fold(ap, bp, np.matmul if fused else self._exact_product)
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.e == 1:
-            return self._mod_p(np.kron(a, b))
-        return self._fold(self._planes(a), self._planes(b), np.kron)
+        """Kronecker product of two matrices, in ``np.kron``'s layout."""
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.mul(a[:, None, :, None], b[None, :, None, :])
+        return prod.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
     def _fold(self, ap: list[np.ndarray], bp: list[np.ndarray], product) -> np.ndarray:
         """Codes of a bilinear product over GF(p^e) from the digit planes of
@@ -553,13 +553,11 @@ class Field:
         return self._poly_to_code(coeffs)
 
     def serialize_code(self, code: int):
-        if self.e == 1:
-            return int(code)
-        coeffs = list(self._code_to_poly(int(code)))
-        return coeffs + [0] * (self.e - len(coeffs))
+        return self.serialize_codes([code])[0]
 
     def serialize_codes(self, array) -> list:
-        """``serialize_code`` of every entry of a code array, row-major."""
+        """The JSON form of every entry of a code array, row-major: the code
+        itself over GF(p), else its e coefficients, low degree first."""
         flat = np.asarray(array).ravel()
         if self.e == 1:
             return flat.tolist()
@@ -644,9 +642,6 @@ class Matrix:
             and self.array.shape == other.array.shape
             and bool(np.array_equal(self.array, other.array))
         )
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("matrices are not hashable")
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over GF({self.field.p}^{self.field.e}))"

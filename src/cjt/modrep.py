@@ -22,6 +22,7 @@ from cjt.exactalg import (
     _back_substitute,
     _echelonize,
     _kernel_from_echelon,
+    _power,
     _unipotent_inverse,
     column_space,
     nullspace_array,
@@ -180,26 +181,13 @@ class ValidationReport:
         return self.ok
 
 
-def _mat_pow(field: Field, a: np.ndarray, n: int) -> np.ndarray:
-    """a^n by repeated squaring, with no product by the identity and no
-    squaring past the top bit of n."""
-    out = None
-    while n:
-        if n & 1:
-            out = a if out is None else field.matmul(out, a)
-        n >>= 1
-        if n:
-            a = field.matmul(a, a)
-    return np.eye(a.shape[0], dtype=np.int64) if out is None else out
-
-
 def _monomial(field: Field, gens: Sequence[np.ndarray], exps: Sequence[int]) -> np.ndarray:
     """The product of gens[i]^exps[i] over the nonzero exponents, or the
     identity if there are none; the actions commute, so order is free."""
     out = None
     for a, x in zip(gens, exps):
         if x:
-            power = _mat_pow(field, a, x)
+            power = _power(field.matmul, a, x)
             out = power if out is None else field.matmul(out, power)
     return np.eye(gens[0].shape[0], dtype=np.int64) if out is None else out
 
@@ -214,7 +202,7 @@ def validate(m: ModuleRep) -> ValidationReport:
             if not np.array_equal(ab, ba):
                 return ValidationReport(False, "generators do not commute", (i, j))
     for i in range(m.r):
-        if np.any(_mat_pow(f, m.gens[i], m.p)):
+        if np.any(_power(f.matmul, m.gens[i], m.p)):
             return ValidationReport(False, "generator is not nilpotent of order <= p", (i,))
     return ValidationReport(True)
 
@@ -281,7 +269,8 @@ def tensor(m: ModuleRep, n: ModuleRep) -> ModuleRep:
     in_ = np.eye(n.dim, dtype=np.int64)
     gens = []
     for a, b in zip(m.gens, n.gens):
-        g = f.add(f.kron(a, in_), f.kron(im, b))
+        # the identity holds only 0s and 1s, so np.kron places its factors exactly
+        g = f.add(np.kron(a, in_), np.kron(im, b))
         if m.convention is Convention.GROUP:
             g = f.add(g, f.kron(a, b))
         gens.append(g)

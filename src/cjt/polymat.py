@@ -118,9 +118,6 @@ class HomPoly:
             and (self.p, self.nvars, self.terms) == (other.p, other.nvars, other.terms)
         )
 
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("HomPoly is not hashable")
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"

@@ -17,13 +17,12 @@ from math import comb
 import numpy as np
 
 from cjt.constancy import PiPoint, evaluate
-from cjt.exactalg import Field, Matrix, _echelonize, rank_array, solve_linear
+from cjt.exactalg import Field, Matrix, _echelonize, _power, rank_array, solve_linear
 from cjt.modrep import (
     Convention,
     ModuleHom,
     ModuleRep,
     _cover_kernel,
-    _mat_pow,
     _monomial_columns,
     _shift,
     _tower,
@@ -134,8 +133,8 @@ def _onto_on_cores(phi: ModuleHom, q: PiPoint) -> bool:
     a = evaluate(phi.source, q)
     b = evaluate(phi.target, q)
     field = a.field
-    top_a = _mat_pow(field, a.array, field.p - 1)
-    top_b = _mat_pow(field, b.array, field.p - 1)
+    top_a = _power(field.matmul, a.array, field.p - 1)
+    top_b = _power(field.matmul, b.array, field.p - 1)
     # reduced as codes of the modules' field: mod p over GF(p), and kept
     # whole over GF(p^e), where a residue mod p is another element
     codes = phi.matrix % phi.source.field.q

@@ -130,7 +130,11 @@ def v_module(field: Field, n: int, convention: Convention = Convention.PRIMITIVE
 
 
 def _random_staircase(rng: np.random.Generator, p: int, nvars: int, size: int) -> list[tuple[int, ...]]:
-    """Random order ideal of monomials with exponents below p."""
+    """Random order ideal of ``size`` monomials with exponents below p.
+
+    Needs size <= p^nvars: an order ideal smaller than the whole box always
+    has a monomial to add.
+    """
     chosen = {(0,) * nvars}
     while len(chosen) < size:
         candidates = []
@@ -149,8 +153,6 @@ def _random_staircase(rng: np.random.Generator, p: int, nvars: int, size: int) -
                 if below:
                     candidates.append(nxt)
         candidates = sorted(set(candidates))
-        if not candidates:
-            raise ValueError(f"no staircase of size {size} with exponents below {p}")
         chosen.add(candidates[int(rng.integers(0, len(candidates)))])
     return sorted(chosen, key=lambda mu: (sum(mu), mu))
 

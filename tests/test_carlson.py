@@ -6,8 +6,30 @@ from cjt.constancy import is_isomorphic, jordan_at, sweep_points
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType, stable
 from cjt.modrep import ModuleHom, hom, omega_n, split_free, trivial_module
+from cjt.serialize import module_from_json
 from cjt.syzygy import CocycleClass, _onto_on_cores, cocycle_product, factor_generator, omega_k
 from cjt.zoo import ke_mod_i2, v_module, w_module
+
+
+# Modules that are not endotrivial but whose stable type is 1[2] at every
+# level-1 point: over GF(3) a GF(9)-point has another stable type, and over
+# GF(9) the point where x + c y vanishes lies over GF(9) itself.
+LOCAL_ONLY = {
+    "gf3": {
+        "p": 3, "e": 1, "modulus": [0, 1], "r": 2, "dim": 5, "convention": "primitive",
+        "generators": [
+            [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0],
+        ],
+    },
+    "gf9": {
+        "p": 3, "e": 2, "modulus": [1, 0, 1], "r": 2, "dim": 2, "convention": "primitive",
+        "generators": [
+            [[0, 0], [0, 0], [1, 0], [0, 0]],
+            [[0, 0], [0, 0], [1, 1], [0, 0]],
+        ],
+    },
+}
 
 
 def jt(p, blocks):
@@ -172,6 +194,17 @@ class TestEndotrivial:
         f = make_field(5, 1)
         assert not endotrivial_check(v_module(f, 2))[0]
         assert not endotrivial_check(w_module(f))[0]
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_ONLY))
+    def test_a_local_pass_is_evidence_not_a_verdict(self, name):
+        verdict, ev = endotrivial_check(module_from_json(LOCAL_ONLY[name]))
+        assert verdict is False and ev.global_verdict is False
+        assert ev.local_verdict is True
+        assert all(str(t) == "1[2]" for _, t in ev.stable_types)
+
+    def test_level_two_finds_the_failing_point(self):
+        verdict, ev = endotrivial_check(module_from_json(LOCAL_ONLY["gf3"]), max_e=2)
+        assert (verdict, ev.global_verdict, ev.local_verdict) == (False, False, False)
 
     @pytest.mark.parametrize("max_e", [0, -1])
     def test_rejects_max_e_below_one(self, max_e):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_carlson import LOCAL_ONLY
 
 from cjt import PiPoint, jordan_at
 from cjt.cli import execute
@@ -229,6 +230,14 @@ class TestOtherCommands:
         path.write_text(json.dumps(module_to_json(omega_k(f, 2, 1))))
         code, out = run(capsys, ["endotrivial", "--module", str(path)])
         assert code == 0 and out["endotrivial"] is True
+
+    @pytest.mark.parametrize("name", sorted(LOCAL_ONLY))
+    def test_endotrivial_local_pass_exits_two(self, capsys, tmp_path, name):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(LOCAL_ONLY[name]))
+        code, out = run(capsys, ["endotrivial", "--module", str(path)])
+        assert code == 2 and out["endotrivial"] is False
+        assert out["evidence"]["global"] is False and out["evidence"]["local"] is True
 
     def test_max_ext_below_one_is_an_error(self, capsys, w5_file):
         for argv in (

@@ -16,6 +16,7 @@ from cjt.exactalg import (
     _poly_divmod,
     _poly_mod,
     _poly_mul,
+    _power,
     make_field,
     nullspace,
     nullspace_array,
@@ -284,7 +285,7 @@ class TestFieldArithmetic:
                 want[i, j] = acc
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (3, 2), (5, 2), (37, 2)])
     def test_kron_extension_field_matches_elementwise(self, p, e):
         f = make_field(p, e)
         rng = np.random.default_rng(p)
@@ -295,6 +296,12 @@ class TestFieldArithmetic:
             for j, l in np.ndindex(b.shape):
                 want[5 * i + j, 2 * k + l] = f.mul(a[i, k], b[j, l])
         assert np.array_equal(f.kron(a, b), want)
+
+    def test_power_matches_python_pow(self):
+        m = 1009
+        for x in (2, 5, 1008):
+            for n in range(1, 201):
+                assert _power(lambda a, b: a * b % m, x, n) == pow(x, n, m)
 
     def test_ordered_codes_prime_field(self):
         assert list(make_field(5, 1).ordered_codes()) == [0, 1, 2, 3, 4]
@@ -389,6 +396,14 @@ def J(field, n):
     for i in range(n - 1):
         a[i + 1, i] = 1
     return Matrix(field, a)
+
+
+def test_matrices_are_not_hashable():
+    # Matrix defines __eq__ and no __hash__, so Python sets __hash__ = None
+    m = Matrix.identity(make_field(3, 1), 2)
+    assert Matrix.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(m)
 
 
 class TestRank:

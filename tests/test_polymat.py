@@ -53,6 +53,13 @@ def brute_minor_gcd_terms(m, k):
     return minors
 
 
+def test_hompoly_is_not_hashable():
+    # HomPoly defines __eq__ and no __hash__, so Python sets __hash__ = None
+    assert HomPoly.__hash__ is None
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(var(3, 2, 0))
+
+
 class TestGenericRank:
     def test_symmetric_pencil_full_rank(self):
         p = 3

@@ -9,6 +9,7 @@ powers) and tested by point sweeps otherwise.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, product
 
@@ -17,7 +18,7 @@ import numpy as np
 from cjt import exactalg
 from cjt.exactalg import Field, Matrix, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
-from cjt.modrep import ModuleHom, ModuleRep, _monomial, hom_space
+from cjt.modrep import ModuleHom, ModuleRep, _module_memo, _monomial, hom_space
 from cjt.polymat import PolyMatrix, _admit_depth, _chart_divisor, _orbit_blocks, generic_rank
 
 __all__ = [
@@ -157,6 +158,10 @@ def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
     ]
 
 
+# The typed levels of level_types, at most OMEGA_CACHE_TOWERS of them.
+_level_cache: OrderedDict[tuple, tuple[tuple[PiPoint, JordanType], ...]] = OrderedDict()
+
+
 def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     """Jordan type at every sweep point of extension level e, in sweep order.
 
@@ -164,14 +169,24 @@ def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     in; the matrices are typed in stacks of at most ``exactalg.STACK_CELLS``
     entries by the batched kernel ``jordan_types``, which falls back to one
     matrix at a time above ``exactalg.BATCH_DIM_CUTOFF``.
+
+    The typed level is kept in ``_level_cache``, keyed like a Heller tower
+    (field, convention, dim and generator bytes of m) plus e, so the
+    sweeps of check_constant, gamma_locus, pi_support and is_isomorphic
+    type a module at a level once.  Each call returns a new list; its
+    points and types are frozen.
     """
-    points = sweep_points(m.field, m.r, e)
-    per_stack = max(1, exactalg.STACK_CELLS // max(1, m.dim * m.dim))
-    types: list[JordanType] = []
-    for i in range(0, len(points), per_stack):
-        mats = [evaluate(m, q) for q in points[i : i + per_stack]]
-        types += jordan_types(mats[0].field, np.stack([a.array for a in mats]), m.p)
-    return list(zip(points, types))
+
+    def build():
+        points = sweep_points(m.field, m.r, e)
+        per_stack = max(1, exactalg.STACK_CELLS // max(1, m.dim * m.dim))
+        types: list[JordanType] = []
+        for i in range(0, len(points), per_stack):
+            mats = [evaluate(m, q) for q in points[i : i + per_stack]]
+            types += jordan_types(mats[0].field, np.stack([a.array for a in mats]), m.p)
+        return tuple(zip(points, types))
+
+    return list(_module_memo(_level_cache, m, (e,), build))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +347,10 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
 
 def gamma_locus(m: ModuleRep, e: int) -> GammaLocus:
     """Rational points of the given extension whose type is below generic,
-    and the support at that level, from one sweep."""
+    and the support at that level, from one sweep.
+
+    The sweep is ``level_types(m, e)``, so a level that check_constant
+    typed before, or pi_support after, is typed once."""
     gen = generic_type(m)
     typed = level_types(m, e)
     points = []
@@ -350,7 +368,10 @@ def gamma_locus(m: ModuleRep, e: int) -> GammaLocus:
 
 
 def pi_support(m: ModuleRep, e: int) -> list[PiPoint]:
-    """Points where the restricted module is not projective."""
+    """Points of level e where the restricted module is not projective.
+
+    Read from ``level_types(m, e)``: after gamma_locus(m, e) or
+    check_constant(m, e) on the same module this types no point again."""
     return _support(level_types(m, e))
 
 
@@ -376,17 +397,19 @@ class IsoResult:
 def is_isomorphic(m: ModuleRep, n: ModuleRep, seed: int = 0) -> IsoResult:
     """Las Vegas isomorphism test.
 
+    Modules of different categories (field, r or convention) are refused.
     Fast false on dimension mismatch or on Jordan types that differ at some
-    point of the level-1 sweep; then searches hom_space(m, n) for an
+    point of the level-1 sweep (from ``level_types``, so a module swept
+    there before is not typed again); then searches hom_space(m, n) for an
     invertible element: basis elements, seeded random combinations (200
     draws), then exhaustive combinations when the field has at most 9
     elements and the hom space has dimension at most 4.  A miss is reported
     as inconclusive.
     """
+    if not m.same_category(n):
+        raise ValueError("modules live in different categories")
     if m.dim != n.dim:
         return IsoResult(False)
-    if m.field != n.field or m.r != n.r or m.convention != n.convention:
-        raise ValueError("modules live in different categories")
     if m.dim == 0:
         return IsoResult(True)
     if [t for _, t in level_types(m, 1)] != [t for _, t in level_types(n, 1)]:

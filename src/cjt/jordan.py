@@ -100,7 +100,8 @@ class JordanType:
 def power_ranks(m: Matrix, p: int) -> list[int]:
     """Ranks of m^0, m^1, ..., m^p via the image chain im(A^{j+1}) = A im(A^j).
 
-    Cheaper than eliminating each power separately: the bases shrink.
+    Cheaper than eliminating each power separately: the bases shrink, and
+    the first zero image ends the chain without an elimination.
     """
     field = m.field
     n = m.rows
@@ -108,15 +109,14 @@ def power_ranks(m: Matrix, p: int) -> list[int]:
     basis = None
     for _ in range(p):
         img = m.array if basis is None else field.matmul(m.array, basis)
+        if not img.any():
+            break
         work = img.T.copy()
         piv = _echelonize(field, work, n)
         r = len(piv)
         basis = work[:r].T.copy()
         ranks.append(r)
-        if r == 0:
-            ranks.extend([0] * (p - len(ranks) + 1))
-            break
-    return ranks
+    return ranks + [0] * (p + 1 - len(ranks))
 
 
 def from_nilpotent(a: Matrix, p: int) -> JordanType:

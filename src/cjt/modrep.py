@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -569,10 +569,27 @@ def projective_cover_omega(m: ModuleRep) -> CoverResult:
     return CoverResult(cover, data.omega, inclusion)
 
 
-# One tower {n: (Omega^n core, free rows)} per projective-free core; past
-# this many the least recently used tower is dropped.
+# Module-keyed caches (the Heller towers below, the level types of
+# constancy.level_types) keep this many entries; past it the least recently
+# used one is dropped.
 OMEGA_CACHE_TOWERS = 8
+# One tower {n: (Omega^n core, free rows)} per projective-free core.
 _shift_cache: OrderedDict[tuple, dict[int, tuple[ModuleRep, list[int]]]] = OrderedDict()
+_T = TypeVar("_T")
+
+
+def _module_memo(cache: OrderedDict, m: ModuleRep, extra: tuple, build: Callable[[], _T]) -> _T:
+    """The entry of (m, *extra) in an LRU cache, built on a miss and marked
+    most recently used.  The key holds m's field, convention, dim and full
+    generator bytes, so a generator written in place after an entry was
+    made misses it; a dict lookup compares the whole bytes, not a hash alone."""
+    key = (m.field, m.convention, m.dim, tuple(a.tobytes() for a in m.gens)) + extra
+    if key not in cache:
+        cache[key] = build()
+        if len(cache) > OMEGA_CACHE_TOWERS:
+            cache.popitem(last=False)
+    cache.move_to_end(key)
+    return cache[key]
 
 
 def _read_only(m: ModuleRep) -> ModuleRep:
@@ -582,17 +599,15 @@ def _read_only(m: ModuleRep) -> ModuleRep:
 
 
 def _tower(core: ModuleRep) -> dict[int, tuple[ModuleRep, list[int]]]:
-    """The tower of a core, keyed by its full generator matrices and marked
-    most recently used.  Level 0 is a read-only copy of the core; level
-    n > 0 keeps the rows where its kernel basis in the cover is the identity."""
-    key = (core.field, core.convention, core.dim, tuple(a.tobytes() for a in core.gens))
-    if key not in _shift_cache:
+    """The tower of a core in ``_shift_cache``.  Level 0 is a read-only copy
+    of the core; level n > 0 keeps the rows where its kernel basis in the
+    cover is the identity."""
+
+    def build():
         copy = ModuleRep(core.field, [a.copy() for a in core.gens], core.convention, allow_large=True)
-        _shift_cache[key] = {0: (_read_only(copy), [])}
-        if len(_shift_cache) > OMEGA_CACHE_TOWERS:
-            _shift_cache.popitem(last=False)
-    _shift_cache.move_to_end(key)
-    return _shift_cache[key]
+        return {0: (_read_only(copy), [])}
+
+    return _module_memo(_shift_cache, core, (), build)
 
 
 def _shift(core: ModuleRep, n: int) -> ModuleRep:

@@ -65,6 +65,9 @@ CASES = [
      r"modules over a proper extension only accept points over the same field or the prime field"),
     ("isomorphic-across-categories", lambda: is_isomorphic(K, trivial_module(F9, 2)), ValueError,
      r"modules live in different categories"),
+    ("isomorphic-across-categories-and-dims",
+     lambda: is_isomorphic(trivial_module(F3, 2, 1), trivial_module(make_field(5, 1), 3, 2)),
+     ValueError, r"modules live in different categories"),
     # exactalg
     ("field-degree-one-modulus", lambda: Field(3, 1, (1, 1)), ValueError,
      r"degree-1 modulus must be x"),

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cjt import jordan
 from cjt.exactalg import Matrix, make_field, rank
 from cjt.jordan import (
     Dominance,
     JordanType,
     dominance_compare,
     from_nilpotent,
+    power_ranks,
     stable,
     tensor_type,
 )
@@ -85,6 +87,19 @@ class TestFromNilpotent:
         for j in range(1, 6):
             power = power @ m
             assert rank(power) == t.power_rank(j)
+
+    @pytest.mark.parametrize("sizes", [[3, 1], [5], [2, 2, 1], [1, 1]])
+    def test_image_chain_eliminates_only_nonzero_images(self, monkeypatch, sizes):
+        # the first zero power ends the chain: one elimination per nonzero power
+        f = make_field(5, 1)
+        calls = []
+        original = jordan._echelonize
+        monkeypatch.setattr(jordan, "_echelonize", lambda *a: calls.append(1) or original(*a))
+        m = block_diag_nilpotent(f, sizes)
+        ranks = power_ranks(m, 5)
+        assert ranks == [jt(5, sizes).power_rank(j) for j in range(6)]
+        assert len(calls) == max(sizes) - 1
+        assert from_nilpotent(m, 5) == jt(5, sizes)
 
     def test_from_power_ranks_pads_with_zeros(self):
         t = jt(5, [4, 2, 1, 5])

@@ -21,7 +21,8 @@ from shift_oracle import (
 )
 from test_consistency import _hide_free_summand
 
-from cjt import exactalg, modrep
+from cjt import constancy, exactalg, modrep
+from cjt.constancy import level_types
 from cjt.exactalg import _unipotent_inverse, make_field
 from cjt.modrep import Convention, dual
 from cjt.syzygy import factor_generator, omega_k
@@ -149,9 +150,13 @@ def test_cleared_caches_rebuild_the_tower(monkeypatch):
     # module-level dict of cjt with "cache" in its name, and functools caches
     f = make_field(3, 1)
     before = omega_k(f, 2, 2)
-    calls = []
+    swept = level_types(before, 1)
+    calls, evaluated = [], []
     original = modrep._cover_kernel
     monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
+    evaluate = constancy.evaluate
+    monkeypatch.setattr(constancy, "evaluate", lambda m, q: evaluated.append(q) or evaluate(m, q))
+    assert level_types(before, 1) == swept and evaluated == []
     for name, mod in list(sys.modules.items()):
         if name == "cjt" or name.startswith("cjt."):
             for attr, obj in list(vars(mod).items()):
@@ -162,6 +167,7 @@ def test_cleared_caches_rebuild_the_tower(monkeypatch):
     after = omega_k(f, 2, 2)
     assert calls == [1, 8]
     assert after is not before and _same_module(after, before)
+    assert level_types(before, 1) == swept and len(evaluated) == len(swept)
 
 
 def test_shared_shifts_are_read_only():

@@ -2,8 +2,11 @@
 
 ``constancy.level_types`` and the kernel ``jordan.jordan_types`` must give
 exactly the Jordan types that ``jordan_at`` (one ``from_nilpotent`` per
-point) gives, on either side of ``exactalg.BATCH_DIM_CUTOFF``.
+point) gives, on either side of ``exactalg.BATCH_DIM_CUTOFF``, and type a
+module at a level once while its memo holds it.
 """
+
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from cjt.constancy import (
     check_constant,
     evaluate,
     gamma_locus,
+    is_isomorphic,
     jordan_at,
     level_types,
     pi_support,
@@ -24,8 +28,8 @@ from cjt.constancy import (
 )
 from cjt.exactalg import BATCH_DIM_CUTOFF, Field, Matrix, make_field
 from cjt.jordan import JordanType, from_nilpotent, jordan_types
-from cjt.modrep import omega_n, trivial_module
-from cjt.syzygy import factor_generator
+from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleRep, omega_n, trivial_module
+from cjt.syzygy import factor_generator, omega_k
 from cjt.zoo import random_module, w_module
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -175,3 +179,79 @@ class TestDepthAdmission:
         monkeypatch.setattr(Field, "ordered_codes", refuse)
         with pytest.raises(ValueError, match="discrete-log tables"):
             sweep_points(make_field(2, 1), 2, 25)
+
+
+class TestLevelMemo:
+    """``level_types`` keeps each typed (module, level) in ``_level_cache``,
+    a bounded LRU keyed by the module's field, convention, dim and
+    generator bytes plus the level."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """The points ``evaluate`` is called at, from an empty memo."""
+        monkeypatch.setattr(constancy, "_level_cache", OrderedDict())
+        points = []
+        original = constancy.evaluate
+        monkeypatch.setattr(constancy, "evaluate", lambda m, q: points.append(q) or original(m, q))
+        return points
+
+    def test_each_level_is_typed_once(self, evaluated):
+        f = make_field(3, 1)
+        m = omega_k(f, 2, 1)  # constant type, so check_constant sweeps both levels
+        assert check_constant(m, 2).verdict == "CONSTANT_ON_TESTED"
+        gamma_locus(m, 2)
+        pi_support(m, 2)
+        assert is_isomorphic(m, m)
+        swept = sweep_points(f, 2, 1) + sweep_points(f, 2, 2)
+        assert Counter(evaluated) == Counter(swept) and len(evaluated) == len(swept)
+
+    def test_a_hit_is_a_new_list_equal_to_a_fresh_sweep(self, evaluated, monkeypatch):
+        m = random_module(make_field(5, 1), 2, 6, 4)
+        first = level_types(m, 2)
+        count = len(evaluated)
+        hit = level_types(m, 2)
+        assert len(evaluated) == count
+        assert hit == first and hit is not first
+        hit.clear()
+        monkeypatch.setattr(constancy, "_level_cache", OrderedDict())
+        assert level_types(m, 2) == first == [(q, jordan_at(m, q)) for q, _ in first]
+
+    def test_a_write_into_a_generator_retypes(self, evaluated):
+        f = make_field(3, 1)
+        m = random_module(f, 2, 5, 11)
+        before = level_types(m, 1)
+        m.gens[1][...] = 0  # still commuting and nilpotent
+        after = level_types(m, 1)
+        assert len(evaluated) == 2 * len(before)
+        assert after != before
+        assert after == [(q, jordan_at(m, q)) for q in sweep_points(f, 2, 1)]
+
+    def test_equal_bytes_in_another_category_do_not_share(self, evaluated):
+        block = np.eye(3, k=-1, dtype=np.int64)  # one Jordan block of size 3
+        zero = np.zeros((3, 3), dtype=np.int64)
+        modules = [
+            ModuleRep(make_field(3, 1), [block, zero]),
+            ModuleRep(make_field(5, 1), [block, zero]),
+            ModuleRep(make_field(3, 2), [block, zero]),
+            ModuleRep(make_field(3, 1), [block, zero, zero]),
+            ModuleRep(make_field(3, 1), [block, zero], Convention.GROUP),
+        ]
+        for m in modules:
+            assert level_types(m, 1) == [(q, jordan_at(m, q)) for q in sweep_points(m.field, m.r, 1)]
+        assert len(constancy._level_cache) == len(modules)
+
+    def test_the_least_recently_used_level_is_evicted(self, evaluated):
+        f = make_field(3, 1)
+        pairs = [(random_module(f, 2, 3, seed), 1) for seed in range(OMEGA_CACHE_TOWERS - 1)]
+        pairs.append((pairs[0][0], 2))
+        for m, e in pairs:
+            level_types(m, e)
+        level_types(*pairs[0])  # now pairs[1] is the least recently used
+        level_types(random_module(f, 2, 3, 99), 1)  # the ninth pair
+        assert len(constancy._level_cache) == OMEGA_CACHE_TOWERS
+        count = len(evaluated)
+        for m, e in [pairs[0]] + pairs[2:]:
+            level_types(m, e)
+        assert len(evaluated) == count
+        level_types(*pairs[1])
+        assert len(evaluated) == count + len(sweep_points(f, 2, 1))

@@ -110,8 +110,9 @@ def test_stressed_layer_is_reached_by_its_route(workload, monkeypatch, capsys):
         for modname, mod in list(sys.modules.items()):
             if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
-    # a cached Heller-shift tower would build no cover
+    # a cached Heller-shift tower would build no cover, a cached level no point
     monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    monkeypatch.setattr(constancy, "_level_cache", OrderedDict())
     probe()
     capsys.readouterr()
     assert calls, f"{workload}: no call to cjt.{layer}.{{{', '.join(names)}}}"

@@ -10,9 +10,9 @@ comparison in this package is exact equality.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -82,7 +82,7 @@ STACK_CELLS = 1 << 13
 # a time.  Eliminating a whole stack pays a few numpy calls per column for
 # all slices at once, which wins while matrices are small.  Measured in
 # stacks of STACK_CELLS entries, stacked over per-matrix time: Jordan types
-# of level sweeps (against from_nilpotent) 0.84 at dim 32, 1.0-1.4 at dim
+# of level sweeps (against power_ranks) 0.84 at dim 32, 1.0-1.4 at dim
 # 40 and 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2);
 # ranks alone (against rank_array) 0.46-0.53 at dim 32, 0.65-0.79 at dim 40
 # and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).
@@ -195,8 +195,6 @@ def _frobenius_minus_x(k: int, poly: Sequence[int], p: int) -> tuple[int, ...]:
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Irreducibility of a monic polynomial over GF(p) via Frobenius gcds."""
     e = len(poly) - 1
-    if e == 1:
-        return True
     if _frobenius_minus_x(e, poly, p):
         return False
     for ell in _prime_factors(e):
@@ -327,26 +325,20 @@ class Field:
 
         Only for e >= 2 and q <= TABLE_CAP; ``None`` otherwise, and the
         caller falls back to digit loops and discrete logs.  Built on first
-        use from digit-wise sums and the discrete logs, as the fallbacks
-        compute them, so both paths give equal codes.
+        use by evaluating those fallbacks, ``_digit_add``, ``_log_mul`` and
+        ``_digit_neg``, on the grid of all codes, so both paths give equal
+        codes.
         """
         if self.e == 1 or self.q > TABLE_CAP:
             return None
         if self._code_tables is None:
-            p, e, q = self.p, self.e, self.q
-            # the add table as a (p,) * 2e array: axes e-1-k and 2e-1-k are
-            # digit k of the two summands, most significant digit first
-            small = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
-            add = np.zeros((p,) * (2 * e), dtype=np.int64)
-            for k in range(e):
-                shape = [1] * (2 * e)
-                shape[e - 1 - k] = shape[2 * e - 1 - k] = p
-                add += (small * p**k).reshape(shape)
-            exp, log = self._tables()
-            twice = np.concatenate([exp, exp])
-            mul = np.zeros((q, q), dtype=np.int64)
-            mul[1:, 1:] = twice[log[1:, None] + log[None, 1:]]
-            self._code_tables = (add.ravel(), mul.ravel(), self._digit_neg(np.arange(q, dtype=np.int64)))
+            codes = np.arange(self.q, dtype=np.int64)
+            row, col = codes[:, None], codes[None, :]
+            self._code_tables = (
+                self._digit_add(row, col).ravel(),
+                self._log_mul(row, col).ravel(),
+                self._digit_neg(codes),
+            )
         return self._code_tables
 
     def _code_to_poly(self, code: int) -> tuple[int, ...]:
@@ -444,15 +436,6 @@ class Field:
         remainder."""
         return x - self.p * (x // self.p)
 
-    def _residues(self, x: np.ndarray) -> np.ndarray:
-        """x mod p as float64.  Codes are residues already, so the division
-        runs only when a min/max scan (several times cheaper) finds an entry
-        outside [0, p)."""
-        x = np.asarray(x)
-        if x.size and (x.min() < 0 or x.max() >= self.p):
-            x = self._mod_p(x)
-        return x.astype(np.float64)
-
     def _planes(self, a: np.ndarray) -> list[np.ndarray]:
         out = []
         x = np.asarray(a)
@@ -463,10 +446,11 @@ class Field:
         return out
 
     def _recompose(self, planes: list[np.ndarray]) -> np.ndarray:
-        """Codes from digit planes already reduced mod p."""
+        """Codes from their lowest digit planes, already reduced mod p; the
+        digits past the last plane are zero."""
         out = planes[-1]
-        for k in range(self.e - 2, -1, -1):
-            out = out * self.p + planes[k]
+        for x in reversed(planes[:-1]):
+            out = out * self.p + x
         return out
 
     def _exact_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -474,7 +458,8 @@ class Field:
 
         A dot product of length k is exact in float64 while k (p - 1)^2 <
         2^53; a longer inner dimension is cut into chunks that stay below
-        that, reduced mod p one by one.
+        that, reduced mod p one by one.  ``matmul`` multiplies digit planes
+        here when their sum on one power of x could pass 2^53.
         """
         step = (_EXACT - 1) // (self.p - 1) ** 2
         inner = x.shape[-1]
@@ -485,57 +470,52 @@ class Field:
             out = self._mod_p(out + (x[..., s : s + step] @ y[..., s : s + step, :]).astype(np.int64))
         return out
 
+    def _factor_planes(self, a) -> list[np.ndarray]:
+        """A matmul factor as float64 digit planes, lowest digit first: one
+        plane when every entry lies in [0, p), else ``_planes``, which over
+        GF(p) is one plane of the entries mod p.  The max/min scan is
+        several times cheaper than the division it saves, and over GF(p^e)
+        a code at or above p ends it after the max."""
+        a = np.asarray(a)
+        if a.max(initial=0) < self.p and a.min(initial=0) >= 0:
+            return [a.astype(np.float64)]
+        return [x.astype(np.float64) for x in self._planes(a)]
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product; stacks (..., m, k) @ (..., k, n) multiply slice by slice.
 
-        Exact for every supported p: see ``_exact_product``.  Over GF(p^e)
-        the up to e products of digit planes that land on one power of x
-        share a float64 sum while e k (p - 1)^2 < 2^53, else each is reduced
-        on its own.  When one factor lies over the prime field, all digit
-        planes of the other go through one stacked product with it, and
-        nothing needs reducing.  A max scan (codes below p) finds such a
-        factor before anything is split.
+        Exact for every supported p.  Each factor is split into digit planes
+        (``_factor_planes``), and the plane products that land on one power
+        of x are summed: in float64 while that sum stays below 2^53, which
+        holds when min(#planes) k (p - 1)^2 < 2^53, else each product is
+        reduced on its own by ``_exact_product``.  The sums are reduced mod
+        p; when both factors have e planes, the powers x^m with m >= e are
+        folded down through the reduction rows.  The planes are then
+        recomposed into codes.
         """
-        if self.e == 1:
-            return self._exact_product(self._residues(a), self._residues(b))
-        a, b = np.asarray(a), np.asarray(b)
-        if b.max(initial=0) < self.p:
-            digits = np.stack(self._planes(a)).astype(np.float64)
-            return self._recompose(list(self._exact_product(digits, b.astype(np.float64))))
-        if a.max(initial=0) < self.p:
-            digits = np.stack(self._planes(b)).astype(np.float64)
-            return self._recompose(list(self._exact_product(a.astype(np.float64), digits)))
-        ap = [x.astype(np.float64) for x in self._planes(a)]
-        bp = [x.astype(np.float64) for x in self._planes(b)]
-        fused = self.e * a.shape[-1] * (self.p - 1) ** 2 < _EXACT
-        return self._fold(ap, bp, np.matmul if fused else self._exact_product)
+        ap, bp = self._factor_planes(a), self._factor_planes(b)
+        fused = min(len(ap), len(bp)) * ap[0].shape[-1] * (self.p - 1) ** 2 < _EXACT
+        product = np.matmul if fused else self._exact_product
+        # digit m: the plane products a_k b_(m-k), summed in place
+        planes = []
+        for m in range(len(ap) + len(bp) - 1):
+            ks = range(max(0, m + 1 - len(bp)), min(m + 1, len(ap)))
+            total = reduce(operator.iadd, (product(ap[k], bp[m - k]) for k in ks)).astype(np.int64)
+            planes.append(self._mod_p(total))
+        if len(planes) > self.e:
+            red = self._reduction_rows()
+            for m in range(self.e, len(planes)):
+                for k in range(self.e):
+                    if red[m, k]:
+                        planes[k] = planes[k] + int(red[m, k]) * planes[m]
+            planes = [self._mod_p(x) for x in planes[: self.e]]
+        return self._recompose(planes)
 
     def kron(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Kronecker product of two matrices, in ``np.kron``'s layout."""
         a, b = np.asarray(a), np.asarray(b)
         prod = self.mul(a[:, None, :, None], b[None, :, None, :])
         return prod.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-    def _fold(self, ap: list[np.ndarray], bp: list[np.ndarray], product) -> np.ndarray:
-        """Codes of a bilinear product over GF(p^e) from the digit planes of
-        its factors: the e^2 plane products landing on one power x^m are
-        summed and reduced mod p, the powers x^m with m >= e are folded down
-        through the reduction rows, and the planes are recomposed."""
-        acc = [None] * (2 * self.e - 1)
-        for k in range(self.e):
-            for l in range(self.e):
-                prod = product(ap[k], bp[l])
-                m = k + l
-                acc[m] = prod if acc[m] is None else acc[m] + prod
-        acc = [self._mod_p(x.astype(np.int64)) for x in acc]
-        planes = acc[: self.e]
-        red = self._reduction_rows()
-        for m in range(self.e, 2 * self.e - 1):
-            row = red[m]
-            for k in range(self.e):
-                if row[k]:
-                    planes[k] = planes[k] + int(row[k]) * acc[m]
-        return self._recompose([self._mod_p(x) for x in planes])
 
     # -- element bookkeeping -------------------------------------------------
     def code_of(self, value) -> int:
@@ -584,11 +564,13 @@ def make_field(p: int, e: int) -> Field:
     if e == 1:
         return Field(p, 1, (0, 1))
     # candidates (c_0, ..., c_{e-1}, 1) in lexicographic order on the low-first
-    # coefficient list: the last index moves fastest.  They start at c_0 = 1,
-    # because a constant term 0 makes x a factor.
-    for head in itertools.product(range(1, p), *[range(p)] * (e - 1)):
-        if _is_irreducible(head + (1,), p):
-            return Field(p, e, head + (1,))
+    # coefficient list: c_0 .. c_{e-1} are the base-p digits of n, most
+    # significant first.  They start at c_0 = 1, because a constant term 0
+    # makes x a factor.
+    for n in range(p ** (e - 1), p**e):
+        poly = tuple(n // p**k % p for k in range(e - 1, -1, -1)) + (1,)
+        if _is_irreducible(poly, p):
+            return Field(p, e, poly)
     raise RuntimeError("unreachable: irreducible polynomials exist in every degree")
 
 

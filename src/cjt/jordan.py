@@ -135,35 +135,33 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
 
     The ranks of A^1, ..., A^(p-1) come from one elimination per power that
     runs over every slice at once; a slice leaves the stack once its power
-    is zero.  Like from_nilpotent, raises ValueError when some A^p != 0.
-    Matrices larger than exactalg.BATCH_DIM_CUTOFF go through from_nilpotent
-    one by one, whose image chain shrinks with the ranks.
+    is zero.  Matrices larger than exactalg.BATCH_DIM_CUTOFF go through
+    power_ranks one by one, whose image chain shrinks with the ranks.  Like
+    from_nilpotent, raises ValueError when some A^p != 0.
     """
     stack = np.asarray(stack, dtype=np.int64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("need a (points, n, n) stack of square matrices")
     count, n = stack.shape[0], stack.shape[1]
+    # ranks[:, j] = rank of A^j, except that the stacked route only marks
+    # A^p != 0 in column p
+    ranks = np.zeros((count, p + 1), dtype=np.int64)
     if n > exactalg.BATCH_DIM_CUTOFF:
-        return [from_nilpotent(Matrix(field, a), p) for a in stack]
-    if count == 0:
-        return []
-    # ranks[:, j] = rank of A^j for j < p
-    ranks = np.zeros((count, p), dtype=np.int64)
-    ranks[:, 0] = n
-    live = np.arange(count)
-    power = stack
-    for j in range(1, p + 1):
-        if j > 1:
-            power = field.matmul(power, stack[live])
-        if j == p:
-            if np.any(power):
-                raise ValueError(f"matrix is not nilpotent of order <= {p}")
-            break
-        r = stack_ranks(field, power)
-        ranks[live, j] = r
-        live, power = live[r > 0], power[r > 0]
-        if live.size == 0:
-            break
+        for i, s in enumerate(stack):
+            ranks[i] = power_ranks(Matrix(field, s), p)
+    else:
+        ranks[:, 0] = n
+        live, power = np.arange(count), stack
+        for j in range(1, p + 1):
+            if live.size == 0:
+                break
+            if j > 1:
+                power = field.matmul(power, stack[live])
+            r = stack_ranks(field, power) if j < p else power.any(axis=(1, 2))
+            ranks[live, j] = r
+            live, power = live[r > 0], power[r > 0]
+    if ranks[:, p].any():
+        raise ValueError(f"matrix is not nilpotent of order <= {p}")
     distinct, which = np.unique(ranks, axis=0, return_inverse=True)
     types = [JordanType.from_power_ranks(p, row) for row in distinct.tolist()]
     return [types[i] for i in which.ravel().tolist()]

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ class TestMakeField:
         with pytest.raises(ValueError):
             Field(5, 2, (0, 0, 1))  # x^2 factors
 
+    def test_candidate_walk_takes_constant_memory(self):
+        # x^2 + 1 is the first candidate and is irreducible, as 1000003 = 3
+        # mod 4; the walk must not hold a tuple of every residue meanwhile
+        tracemalloc.start()
+        try:
+            f = make_field.__wrapped__(1000003, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.modulus == (1, 0, 1)
+        assert peak < 1 << 20
+
 
 # primes near the word-size bound: the largest supported one, and ones for
 # which float64 dot products of 2, 3 and 7 terms are exact
@@ -137,7 +150,10 @@ NEAR_BOUND = [94906249, 67108859, 54794149, 35871193]
 
 
 def _python_int_matmul(field, a, b):
-    """Matrix product of code arrays, entry by entry in Python integers."""
+    """Matrix product of code arrays, entry by entry in Python integers.
+    Stacks of different ndim are broadcast first, as numpy's matmul does."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a, b = np.broadcast_to(a, lead + a.shape[-2:]), np.broadcast_to(b, lead + b.shape[-2:])
     p, mod = field.p, field.modulus
     out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
     for idx in np.ndindex(out.shape):
@@ -150,6 +166,21 @@ def _python_int_matmul(field, a, b):
             acc = tuple((u + v) % p for u, v in zip(acc + (0,) * (width - len(acc)), term + (0,) * (width - len(term))))
         out[idx] = field._poly_to_code(_poly_mod(acc, mod, p) if field.e > 1 else acc)
     return out
+
+
+# which factors of a stacked product carry the stack axis: both, as in
+# stack_ranks' powers, only the left one, as in (count, m, k) @ (k, n) from
+# _pencil_powers and jordan_types, or only the right one
+STACKED = ["both", "left", "right"]
+
+
+def _factor_dims(shape, stacked):
+    """Shapes of the two factors of a product of (count,) stacks of m x k and
+    k x n matrices, from shape = (count, m, k, n); count 0 means plain
+    matrices."""
+    count, m, k, n = shape
+    lead = (count,) if count else ()
+    return (lead if stacked != "right" else ()) + (m, k), (lead if stacked != "left" else ()) + (k, n)
 
 
 @settings(max_examples=100)
@@ -215,16 +246,28 @@ class TestWordSize:
     @given(
         pe=st.sampled_from([(p, 1) for p in NEAR_BOUND] + [(94906249, 2), (35871193, 2)]),
         shape=st.tuples(st.integers(0, 3), st.integers(1, 4), st.integers(0, 9), st.integers(1, 4)),
+        stacked=st.sampled_from(STACKED),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matmul_near_the_bound_matches_python_ints(self, pe, shape, seed):
+    def test_matmul_near_the_bound_matches_python_ints(self, pe, shape, stacked, seed):
         f = make_field(*pe)
-        count, m, k, n = shape
-        lead = (count,) if count else ()
+        a_dims, b_dims = _factor_dims(shape, stacked)
         rng = np.random.default_rng(seed)
         # entries near q - 1 make every partial sum as large as it gets
-        a = f.q - 1 - rng.integers(0, 3, lead + (m, k))
-        b = rng.integers(0, f.q, lead + (k, n))
+        a = f.q - 1 - rng.integers(0, 3, a_dims)
+        b = rng.integers(0, f.q, b_dims)
+        assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
+
+    @pytest.mark.parametrize("p", [NEAR_BOUND[0], NEAR_BOUND[3]])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_plane_sums_on_one_power_stay_exact(self, p, k):
+        # a's digits are odd and b's are even then odd, so for odd k the two
+        # plane products landing on x^1 sum to an odd integer, which float64
+        # rounds once it passes 2^53 (at k = 1 for the top prime, k = 5 for
+        # 35871193)
+        f = make_field(p, 2)
+        a = np.full((2, k), (p - 2) + p * (p - 2))
+        b = np.full((k, 2), (p - 3) + p * (p - 2))
         assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
 
     def test_six_by_six_products_at_the_top_prime(self):

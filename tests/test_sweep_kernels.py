@@ -18,7 +18,7 @@ from cjt.polymat import (
     projective_points,
 )
 
-from test_exactalg import _python_int_matmul
+from test_exactalg import STACKED, _factor_dims, _python_int_matmul
 
 
 def _orbit_oracle(field, nvars):
@@ -127,15 +127,16 @@ class TestExtensionKernels:
     @given(
         pe=st.sampled_from(KERNEL_FIELDS),
         kinds=st.tuples(*[st.sampled_from(["full", "prime", "zero", "high"])] * 2),
-        shape=st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(1, 5), st.integers(1, 4)),
+        shape=st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(0, 5), st.integers(1, 4)),
+        stacked=st.sampled_from(STACKED),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matmul_with_zero_digit_planes(self, pe, kinds, shape, seed):
-        # factors over the prime field, zero factors and factors without a
-        # constant digit skip plane products; the result must not change
+    def test_matmul_with_zero_digit_planes(self, pe, kinds, shape, stacked, seed):
+        # factors over the prime field and zero factors take one digit
+        # plane, and factors without a constant digit e planes whose lowest
+        # is zero; the result must not change
         f = make_field(*pe)
-        count, m, k, n = shape
-        lead = (count,) if count else ()
+        a_dims, b_dims = _factor_dims(shape, stacked)
         rng = np.random.default_rng(seed)
 
         def draw(kind, dims):
@@ -147,7 +148,7 @@ class TestExtensionKernels:
                 return f.p * rng.integers(0, f.q // f.p, dims)
             return rng.integers(0, f.q, dims)
 
-        a, b = draw(kinds[0], lead + (m, k)), draw(kinds[1], lead + (k, n))
+        a, b = draw(kinds[0], a_dims), draw(kinds[1], b_dims)
         assert np.array_equal(f.matmul(a, b), _python_int_matmul(f, a, b))
 
     @settings(max_examples=60)

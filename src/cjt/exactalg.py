@@ -88,6 +88,17 @@ STACK_CELLS = 1 << 13
 # and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).
 BATCH_DIM_CUTOFF = 32
 
+# jordan.power_ranks takes the sparse route (COO powers, ranks by peeling)
+# for a matrix with at most this many nonzeros per row.  Measured as sparse
+# over dense time of power_ranks on point matrices of random modules (p = 5,
+# r = 2, dim 40-320), at points over GF(5): 0.46-1.03 at 2.2-3.1 nonzeros
+# per row, 0.27-1.24 at 3.4-5.0 and 0.81-1.68 at 5.1-7.0, so the crossover
+# lies at 4-5 per row; at points over GF(25), 0.65-0.82 at 3.6-3.8 and
+# 0.59-1.10 at 4.9-5.9.  At 3 no measured matrix is slower by more than 3 %.
+# The point matrices of the Heller shifts of k at p = 5, r = 3 (dim 124-751)
+# hold 2.4-2.6 per row, and the 40 of one benchmark pass take 0.36 of the time.
+SPARSE_NNZ_PER_ROW = 3
+
 # Rows per block of the triangular solve ``_back_substitute``: each block
 # costs one product for the update from the rows below it and a few
 # block-sized products for its own triangle.
@@ -737,6 +748,86 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
         block = (idx[:, None], touched[None, :], slice(c + 1, None))
         a[block] = field.sub(field.mul(pivot, a[block]), field.mul(factors[:, touched, None], prow))
     return n_rows - open_rows.sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices as COO triples (rows, cols, codes): distinct positions,
+# nonzero codes, sorted by row and then column
+# ---------------------------------------------------------------------------
+
+def _coo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def _sparse_product(field: Field, left: tuple, right: tuple, n: int, limit: int) -> tuple | None:
+    """left @ right for n x n COO triples, or None when the join would take
+    more than ``limit`` products.
+
+    Every entry (i, k) of left joins the entries of row k of right, one
+    ``Field.mul`` multiplies the joined values, and the products are sorted
+    by position and summed there digit plane by digit plane, which is one
+    rule over GF(p) and GF(p^e).  Zero sums are dropped.  The join holds
+    about seven int64 arrays of its length at its peak (nine over GF(p^e));
+    the index arrays are dropped as soon as they are used, which lowers that
+    peak by a fifth.
+    """
+    lr, lc, lv = left
+    rr, rc, rv = right
+    row_nnz = np.bincount(rr, minlength=n)
+    cnt = row_nnz[lc]
+    total = int(cnt.sum())
+    if total > limit:
+        return None
+    # join product t of left entry s reads right entry starts[lc[s]] + t
+    starts = np.cumsum(row_nnz) - row_nnz
+    idx = np.repeat(starts[lc] - np.cumsum(cnt) + cnt, cnt)
+    idx += np.arange(total)
+    key = np.repeat(lr * n, cnt)
+    key += rc[idx]
+    prod = field.mul(np.repeat(lv, cnt), rv[idx])
+    del idx
+    order = np.argsort(key, kind="stable")
+    key, prod = key[order], prod[order]
+    del order
+    heads = np.flatnonzero(np.diff(key, prepend=-1))
+    codes = field._recompose([field._mod_p(np.add.reduceat(x, heads)) for x in field._planes(prod)])
+    key = key[heads][codes != 0]
+    return key // n, key % n, codes[codes != 0]
+
+
+def _sparse_rank(field: Field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> int:
+    """Rank of the matrix with the COO triples, by peeling and then ``_echelonize``.
+
+    A column whose one nonzero lies in row i adds one to the rank of what
+    is left once row i and the column are deleted, and so does a row with
+    one nonzero, with the roles swapped.  Rounds delete every such column's
+    row at once, then every such row's column, until neither is left; this
+    reads only the pattern, so the entries left are those of a submatrix.
+    That core is eliminated densely.
+    """
+    lines, rank, idle, axis = [rows, cols], 0, 0, 1
+    while idle < 2 and codes.size:
+        along, other = lines[axis], lines[1 - axis]
+        single = np.bincount(along)[along] == 1
+        hit = np.zeros(other.max() + 1, dtype=bool)
+        hit[other[single]] = True
+        found = int(np.count_nonzero(hit))
+        if found:
+            keep = ~hit[other]
+            lines, codes = [x[keep] for x in lines], codes[keep]
+            rank, idle = rank + found, 0
+        else:
+            idle += 1
+        axis = 1 - axis
+    if not codes.size:
+        return rank
+    (_, r), (_, c) = (np.unique(x, return_inverse=True) for x in lines)
+    core = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int64)
+    core[r, c] = codes
+    if core.shape[1] > core.shape[0]:
+        core = core.T.copy()
+    return rank + len(_echelonize(field, core, core.shape[1]))
 
 
 def _unipotent_inverse(field: Field, nil: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import Field, Matrix, _echelonize, stack_ranks
+from cjt.exactalg import Field, Matrix, _coo, _echelonize, _sparse_product, _sparse_rank, stack_ranks
 
 __all__ = [
     "JordanType",
@@ -98,22 +98,45 @@ class JordanType:
 
 
 def power_ranks(m: Matrix, p: int) -> list[int]:
-    """Ranks of m^0, m^1, ..., m^p via the image chain im(A^{j+1}) = A im(A^j).
+    """Ranks of m^0, m^1, ..., m^p; powers past the first zero one are zero.
 
-    Cheaper than eliminating each power separately: the bases shrink, and
-    the first zero image ends the chain without an elimination.
+    A matrix with at most exactalg.SPARSE_NNZ_PER_ROW nonzeros per row takes
+    the sparse route: each power is the COO product of the previous one with
+    m, ranked by peeling and a dense elimination of what is left.  Once the
+    next product would join more than n^2 / 2 pairs (a join of that size
+    peaks at 0.7-0.9 of the memory of one dense n x n product), the powers
+    left go the dense route.  So do fields above exactalg.TABLE_CAP with
+    e >= 2, whose elementwise products need discrete-log tables that
+    Field.matmul does without.  The dense route is the image chain
+    im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks.
     """
-    field = m.field
-    n = m.rows
+    field, a, n = m.field, m.array, m.rows
     ranks = [n]
+    sparse = np.count_nonzero(a) <= exactalg.SPARSE_NNZ_PER_ROW * n and (
+        field.e == 1 or field.q <= exactalg.TABLE_CAP
+    )
+    # A^j as COO triples while the route stays sparse; on the dense route,
+    # the columns spanning im(A^(j-1))
+    power = first = _coo(a) if sparse else None
     basis = None
     for _ in range(p):
-        img = m.array if basis is None else field.matmul(m.array, basis)
-        if not img.any():
-            break
-        work = img.T.copy()
-        piv = _echelonize(field, work, n)
-        r = len(piv)
+        if power is not None:
+            if not power[2].size:
+                break
+            step = _sparse_product(field, power, first, n, n * n // 2)
+            if step is not None:
+                ranks.append(_sparse_rank(field, *power))
+                power = step
+                continue
+            work = np.zeros((n, n), dtype=np.int64)
+            work[power[1], power[0]] = power[2]
+            power = None
+        else:
+            img = a if basis is None else field.matmul(a, basis)
+            if not img.any():
+                break
+            work = img.T.copy()
+        r = len(_echelonize(field, work, n))
         basis = work[:r].T.copy()
         ranks.append(r)
     return ranks + [0] * (p + 1 - len(ranks))
@@ -136,8 +159,9 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     The ranks of A^1, ..., A^(p-1) come from one elimination per power that
     runs over every slice at once; a slice leaves the stack once its power
     is zero.  Matrices larger than exactalg.BATCH_DIM_CUTOFF go through
-    power_ranks one by one, whose image chain shrinks with the ranks.  Like
-    from_nilpotent, raises ValueError when some A^p != 0.
+    power_ranks one by one, which peels sparse powers and runs the shrinking
+    image chain on dense ones.  Like from_nilpotent, raises ValueError when
+    some A^p != 0.
     """
     stack = np.asarray(stack, dtype=np.int64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:

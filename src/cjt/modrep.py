@@ -299,9 +299,17 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleHom]:
     """Basis of module homomorphisms m -> n, in deterministic order.
 
     Solves the stacked intertwining system X A_i = B_i X over the field.
+    That system is dense, r (dim m dim n)^2 int64 entries, and a pair whose
+    system would pass 1 GiB is refused before anything is built.
     """
     if m.field != n.field or m.r != n.r:
         raise ValueError("hom_space requires matching field and r")
+    size, limit = 8 * m.r * (m.dim * n.dim) ** 2, 1 << 30
+    if size > limit:
+        raise ValueError(
+            f"hom_space({m.dim}-dim, {n.dim}-dim) needs a dense system of {size} bytes, "
+            f"above the {limit}-byte limit"
+        )
     f = m.field
     blocks = []
     i_n = np.eye(n.dim, dtype=np.int64)

@@ -117,6 +117,10 @@ CASES = [
      r"direct sum requires matching field, r and convention"),
     ("hom-space-categories", lambda: hom_space(K, trivial_module(F3, 3)), ValueError,
      r"hom_space requires matching field and r"),
+    ("hom-space-system-size",
+     lambda: hom_space(trivial_module(F3, 2, 200), trivial_module(F3, 2, 200)), ValueError,
+     r"hom_space\(200-dim, 200-dim\) needs a dense system of 25600000000 bytes, "
+     r"above the 1073741824-byte limit"),
     ("submodule-not-invariant", lambda: submodule(BLOCK2, E0), ValueError,
      r"subspace is not invariant under the generator actions"),
     ("quotient-not-invariant", lambda: quotient_module(BLOCK2, E0), ValueError,

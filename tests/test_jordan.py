@@ -1,8 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cjt import jordan
-from cjt.exactalg import Matrix, make_field, rank
+from cjt import exactalg, jordan
+from cjt.constancy import evaluate, sweep_points
+from cjt.exactalg import Field, Matrix, make_field, rank, solve_linear
 from cjt.jordan import (
     Dominance,
     JordanType,
@@ -12,6 +18,7 @@ from cjt.jordan import (
     stable,
     tensor_type,
 )
+from cjt.syzygy import omega_k
 
 
 def jt(p, blocks):
@@ -27,6 +34,33 @@ def block_diag_nilpotent(field, sizes):
             a[off + i + 1, off + i] = 1
         off += s
     return Matrix(field, a)
+
+
+def rebased(m, seed):
+    """g m g^(-1) for a seeded random invertible g: the same type, dense."""
+    f, n = m.field, m.rows
+    rng = np.random.default_rng(seed)
+    while True:
+        g = Matrix(f, rng.integers(0, f.q, (n, n)))
+        if rank(g) == n:
+            return g @ m @ solve_linear(g, Matrix.identity(f, n)).solution
+
+
+def count_rank_steps(monkeypatch):
+    """Count power_ranks' rank steps by route: a ``_sparse_rank`` call on the
+    sparse route, an ``_echelonize`` call on the dense image chain."""
+    steps = {"sparse": 0, "dense": 0}
+
+    def counted(route, fn):
+        def step(*args):
+            steps[route] += 1
+            return fn(*args)
+
+        return step
+
+    monkeypatch.setattr(jordan, "_sparse_rank", counted("sparse", jordan._sparse_rank))
+    monkeypatch.setattr(jordan, "_echelonize", counted("dense", jordan._echelonize))
+    return steps
 
 
 def parts_desc(t):
@@ -90,16 +124,22 @@ class TestFromNilpotent:
 
     @pytest.mark.parametrize("sizes", [[3, 1], [5], [2, 2, 1], [1, 1]])
     def test_image_chain_eliminates_only_nonzero_images(self, monkeypatch, sizes):
-        # the first zero power ends the chain: one elimination per nonzero power
+        # the first zero power ends either route: one rank step per nonzero
+        # power; a block-diagonal input takes the sparse route, its rebased
+        # (dense) conjugate the image chain
         f = make_field(5, 1)
-        calls = []
-        original = jordan._echelonize
-        monkeypatch.setattr(jordan, "_echelonize", lambda *a: calls.append(1) or original(*a))
+        steps = count_rank_steps(monkeypatch)
         m = block_diag_nilpotent(f, sizes)
-        ranks = power_ranks(m, 5)
-        assert ranks == [jt(5, sizes).power_rank(j) for j in range(6)]
-        assert len(calls) == max(sizes) - 1
+        want = [jt(5, sizes).power_rank(j) for j in range(6)]
+        assert power_ranks(m, 5) == want
+        assert steps == {"sparse": max(sizes) - 1, "dense": 0}
+        steps.update(sparse=0, dense=0)
+        dense = rebased(m, 1)
+        assert power_ranks(dense, 5) == want
+        assert steps == {"sparse": 0, "dense": max(sizes) - 1}
+        assert np.count_nonzero(dense.array) > exactalg.SPARSE_NNZ_PER_ROW * dense.rows or not dense.array.any()
         assert from_nilpotent(m, 5) == jt(5, sizes)
+        assert from_nilpotent(dense, 5) == jt(5, sizes)
 
     def test_from_power_ranks_pads_with_zeros(self):
         t = jt(5, [4, 2, 1, 5])
@@ -111,6 +151,172 @@ class TestFromNilpotent:
             JordanType.from_power_ranks(3, [3, 2])  # a negative count
         with pytest.raises(AssertionError):
             JordanType.from_power_ranks(2, [3, 2, 1])  # A^2 != 0 loses dimension
+
+
+def dense_route_ranks(m, cap):
+    """power_ranks with the sparse route switched off: the image chain."""
+    with mock.patch.object(exactalg, "SPARSE_NNZ_PER_ROW", -1):
+        return power_ranks(m, cap)
+
+
+def hub(n, rows, cols, value=1):
+    """Zero but for column 0 on ``rows`` and row 0 on ``cols``: 2n nonzeros at
+    most, yet A^2 joins len(rows) len(cols) pairs."""
+    a = np.zeros((n, n), dtype=np.int64)
+    a[rows, 0] = value
+    a[0, cols] = value
+    return a
+
+
+SPARSE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(3, 2), make_field(94906249, 1)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(field, matrix, cap) with at most SPARSE_NNZ_PER_ROW nonzeros per row:
+    scrambled nilpotent Jordan blocks, which peel completely; sums of two
+    scaled permutation matrices, whose rows and columns hold two nonzeros
+    each, so nothing peels; scattered entries with zero rows and columns;
+    and hubs whose squares fill in past the join limit."""
+    f = draw(st.sampled_from(SPARSE_FIELDS))
+    n = draw(st.integers(1, 30))
+    cap = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["blocks", "no-peel", "scattered", "hub"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(size):
+        return rng.integers(1, f.q, size)
+
+    a = np.zeros((n, n), dtype=np.int64)
+    if kind == "blocks":
+        sizes = [0]
+        while sum(sizes) < n:
+            sizes.append(int(rng.integers(1, min(cap, n - sum(sizes)) + 1)))
+        below = np.setdiff1d(np.arange(1, n), np.cumsum(sizes))
+        a[below, below - 1] = values(below.size)
+        perm = rng.permutation(n)
+        a = a[perm][:, perm]
+    elif kind == "no-peel":
+        for _ in range(2):
+            a[np.arange(n), rng.permutation(n)] = values(n)
+    elif kind == "scattered":
+        k = int(rng.integers(0, exactalg.SPARSE_NNZ_PER_ROW * n + 1))
+        a[rng.integers(0, n, k), rng.integers(0, n, k)] = values(k)
+    else:
+        a = hub(n, np.arange(n), np.arange(n), values(1)[0])
+        k = int(rng.integers(0, n // 2 + 1))
+        a[rng.integers(0, n, k), rng.integers(0, n, k)] = values(k)
+    return f, Matrix(f, a), cap
+
+
+class TestSparseRoute:
+    @settings(max_examples=150)
+    @given(sparse_matrices())
+    def test_sparse_route_matches_the_image_chain(self, drawn):
+        f, m, cap = drawn
+        assert np.count_nonzero(m.array) <= exactalg.SPARSE_NNZ_PER_ROW * m.rows
+        with mock.patch.object(jordan, "_coo", wraps=jordan._coo) as sparse_route:
+            ranks = power_ranks(m, cap)
+        assert sparse_route.called
+        want = dense_route_ranks(m, cap)
+        assert ranks == want
+        if want[cap]:
+            with pytest.raises(ValueError, match="not nilpotent"):
+                from_nilpotent(m, cap)
+        else:
+            assert from_nilpotent(m, cap) == JordanType.from_power_ranks(cap, want)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_heller_shifts_take_the_sparse_route(self, monkeypatch, p, r):
+        # every module of criterion 06, at its first and last rational points;
+        # at p = 5, r = 3 they include the dim-751 shifts of the benchmark
+        f = make_field(p, 1)
+        steps = count_rank_steps(monkeypatch)
+        points = sweep_points(f, r, 1)
+        for n in range(-4, 5):
+            shift = omega_k(f, r, n)
+            for q in (points[0], points[-1]):
+                a = evaluate(shift, q)
+                steps.update(sparse=0, dense=0)
+                ranks = power_ranks(a, p)
+                assert steps == {"sparse": sum(1 for x in ranks[1:] if x), "dense": 0}, (n, q.linear)
+                assert ranks == dense_route_ranks(a, p), (n, q.linear)
+
+    def test_fill_in_falls_back_to_the_image_chain(self, monkeypatch):
+        # A^2 of a hub joins n^2 pairs, past the limit of n^2 / 2, so A and
+        # every power after it are ranked by the image chain
+        f = make_field(5, 1)
+        n = 40
+        m = Matrix(f, hub(n, np.arange(n), np.arange(1, n), 2))
+        results = []
+        product = jordan._sparse_product
+        monkeypatch.setattr(jordan, "_sparse_product", lambda *a: results.append(product(*a)) or results[-1])
+        steps = count_rank_steps(monkeypatch)
+        ranks = power_ranks(m, 5)
+        assert results == [None]
+        assert steps["dense"] == 5 and steps["sparse"] == 0
+        assert ranks == dense_route_ranks(m, 5)
+
+    def test_join_at_its_limit_holds_no_more_than_a_dense_product(self, monkeypatch):
+        # the first hub's A^2 joins 149 * 299 + 149 = 44,700 pairs, just under
+        # the limit of n^2 / 2 = 45,000, and is made; the second's would join
+        # 89,700 and is refused.  No join made peaks higher than Field.matmul
+        # on n x n factors with entries in GF(p)
+        n = 300
+        peaks = []
+        product = jordan._sparse_product
+
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                out = product(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] if out is not None else None)
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(jordan, "_sparse_product", measured)
+        for f in (make_field(5, 1), make_field(3, 2)):
+            near, past = (hub(n, np.arange(1, stop), np.arange(1, n), f.p - 1) for stop in (n // 2, n))
+            f.mul(near, near)  # code tables outside the measurement
+            tracemalloc.start()
+            f.matmul(near, near)
+            dense_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            peaks.clear()
+            power_ranks(Matrix(f, near), 2)
+            power_ranks(Matrix(f, past), 2)
+            assert peaks[0] is not None and peaks[-1] is None
+            assert max(x for x in peaks if x is not None) <= dense_peak
+
+    def test_peeling_alternates_rows_and_columns(self, monkeypatch):
+        # no column holds one nonzero, but rows 0 and 2 do: the row round
+        # peels everything, and no core is left to eliminate
+        f = make_field(3, 1)
+        cores = []
+        monkeypatch.setattr(exactalg, "_echelonize", lambda *a: cores.append(a) or [])
+        rows, cols = np.array([0, 1, 1, 2]), np.array([0, 0, 1, 1])
+        codes = np.array([1, 2, 1, 2])
+        assert exactalg._sparse_rank(f, rows, cols, codes) == 2
+        assert exactalg._sparse_rank(f, cols, rows, codes) == 2
+        assert cores == []
+
+    def test_non_nilpotent_input_is_ranked_sparse_to_the_last_power(self, monkeypatch):
+        f = make_field(5, 1)
+        steps = count_rank_steps(monkeypatch)
+        m = Matrix(f, np.roll(np.eye(6, dtype=np.int64), 1, axis=1) * 3)
+        assert power_ranks(m, 5) == [6] * 6
+        assert steps == {"sparse": 5, "dense": 0}
+        with pytest.raises(ValueError, match="not nilpotent"):
+            from_nilpotent(m, 5)
+
+    def test_large_extension_fields_build_no_log_tables(self):
+        # GF(2^11) is above TABLE_CAP: a Jordan block keeps to Field.matmul
+        f = Field(2, 11, make_field(2, 11).modulus)
+        m = block_diag_nilpotent(f, [2, 1])
+        assert power_ranks(m, 2) == [3, 1, 0]
+        assert f._exp is None and f._log is None
 
 
 class TestDominance:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -248,6 +249,19 @@ class TestHomSpace:
         m, n = ke_mod_i2(f, 2), free_module(f, 2, 1)
         for h in hom_space(m, n):
             assert h.is_intertwiner()
+
+    def test_oversized_system_is_refused_before_anything_is_built(self):
+        # 8 * 108^4 bytes is the first r = 1 square system past 1 GiB
+        f = make_field(3, 1)
+        m = trivial_module(f, 1, 108)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1088391168 bytes"):
+                hom_space(m, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRadicalSocle:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cjt.constancy import PiPoint, level_types, sweep_points
+from cjt.constancy import PiPoint, _admit_sweep, level_types, sweep_points
 from cjt.exactalg import nullspace_array, rank_array
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
@@ -27,7 +27,6 @@ from cjt.modrep import (
     submodule,
     validate,
 )
-from cjt.polymat import _admit_depth
 from cjt.syzygy import CocycleClass, _onto_on_cores
 
 __all__ = [
@@ -69,7 +68,7 @@ def kernel_of_hom_matrix(
     """
     if not grid or not sources or not targets:
         raise ValueError("grid, sources and targets must be nonempty")
-    _admit_depth(sources[0].p, sources[0].r, max_e)
+    _admit_sweep(sources[0].field, sources[0].r, max_e)
     if len(grid) != len(targets) or any(len(row) != len(sources) for row in grid):
         raise ValueError("grid shape must be (targets) x (sources)")
     for i, row in enumerate(grid):
@@ -143,7 +142,7 @@ def endotrivial_check(m: ModuleRep, max_e: int = 1) -> tuple[bool, EndoEvidence]
     closure, so a finite sweep may pass the local test on a module that is
     not endotrivial; only a global pass with a local failure is an error.
     """
-    _admit_depth(m.p, m.r, max_e)
+    _admit_sweep(m.field, m.r, max_e)
     endo = hom(m, m)
     free_rank = rank_array(m.field, _theta(endo))
     core_dim = endo.dim - free_rank * m.p**m.r

@@ -135,6 +135,19 @@ def restrict_to_point(m: ModuleRep, q: PiPoint) -> ModuleRep:
 # point sweeps
 # ---------------------------------------------------------------------------
 
+def _admit_sweep(m_field: Field, r: int, max_e: int) -> None:
+    """Refuse a sweep of levels 1..max_e in r coordinates before any level
+    is built: ``polymat._admit_depth``, and above level 1 a module over the
+    prime field."""
+    _admit_depth(m_field.p, r, max_e)
+    if max_e >= 2 and not m_field.is_prime_field:
+        raise ValueError(
+            f"a level-{max_e} sweep keeps one point per Frobenius orbit, which stands "
+            "for its orbit only on modules over the prime field; this module is "
+            f"over GF({m_field.p}^{m_field.e}), so sweep it at level 1 only"
+        )
+
+
 def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
     """Normalized linear points over GF(p^e) in sweep order.
 
@@ -144,12 +157,7 @@ def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
     types on any module defined over the prime field.  On a module over a
     proper extension they need not, so its sweeps stop at level 1.
     """
-    if e >= 2 and not m_field.is_prime_field:
-        raise ValueError(
-            f"a level-{e} sweep keeps one point per Frobenius orbit, which stands "
-            "for its orbit only on modules over the prime field; this module is "
-            f"over GF({m_field.p}^{m_field.e}), so sweep it at level 1 only"
-        )
+    _admit_sweep(m_field, r, e)
     field = make_field(m_field.p, e)
     return [
         PiPoint(field, tuple(coords))
@@ -298,7 +306,7 @@ def check_constant(m: ModuleRep, max_e: int = 2, exact: bool = False) -> CjtRepo
     a deviation is reported with witnesses after its extension level
     completes.  A max_e whose level cannot be swept is refused up front.
     """
-    _admit_depth(m.p, m.r, max_e)
+    _admit_sweep(m.field, m.r, max_e)
     if m.r == 1:
         q = PiPoint(m.field, (1,))
         return CjtReport("CONSTANT_EXACT", jordan_at(m, q), [], "SWEEP", [1])

@@ -88,16 +88,15 @@ STACK_CELLS = 1 << 13
 # and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).
 BATCH_DIM_CUTOFF = 32
 
-# jordan.power_ranks takes the sparse route (COO powers, ranks by peeling)
-# for a matrix with at most this many nonzeros per row.  Measured as sparse
-# over dense time of power_ranks on point matrices of random modules (p = 5,
-# r = 2, dim 40-320), at points over GF(5): 0.46-1.03 at 2.2-3.1 nonzeros
-# per row, 0.27-1.24 at 3.4-5.0 and 0.81-1.68 at 5.1-7.0, so the crossover
-# lies at 4-5 per row; at points over GF(25), 0.65-0.82 at 3.6-3.8 and
-# 0.59-1.10 at 4.9-5.9.  At 3 no measured matrix is slower by more than 3 %.
-# The point matrices of the Heller shifts of k at p = 5, r = 3 (dim 124-751)
-# hold 2.4-2.6 per row, and the 40 of one benchmark pass take 0.36 of the time.
-SPARSE_NNZ_PER_ROW = 3
+# jordan.power_ranks multiplies COO powers by A while a product joins at
+# most this many pairs per row, and hands the powers left to the dense
+# image chain.  Sparse over dense time of power_ranks against the pairs per
+# row that A^2 joins, on point matrices of random modules (p = 3, 5, 7,
+# r = 2, dim 40-320; medians): over GF(p) 0.67-0.77 below 16, 0.89 at
+# 16-20, 0.97 at 20-24 and 1.24-1.58 at 24-48; over GF(p^2) 0.58-0.98
+# below 32 and 1.04 at 32-48.  Rebased dense matrices join 700 and more per
+# row and run 6-33x slower sparse; Heller shifts of k join at most 11.5.
+SPARSE_JOIN_PER_ROW = 16
 
 # Rows per block of the triangular solve ``_back_substitute``: each block
 # costs one product for the update from the rows below it and a few
@@ -767,10 +766,7 @@ def _sparse_product(field: Field, left: tuple, right: tuple, n: int, limit: int)
     Every entry (i, k) of left joins the entries of row k of right, one
     ``Field.mul`` multiplies the joined values, and the products are sorted
     by position and summed there digit plane by digit plane, which is one
-    rule over GF(p) and GF(p^e).  Zero sums are dropped.  The join holds
-    about seven int64 arrays of its length at its peak (nine over GF(p^e));
-    the index arrays are dropped as soon as they are used, which lowers that
-    peak by a fifth.
+    rule over GF(p) and GF(p^e).  Zero sums are dropped.
     """
     lr, lc, lv = left
     rr, rc, rv = right
@@ -786,10 +782,8 @@ def _sparse_product(field: Field, left: tuple, right: tuple, n: int, limit: int)
     key = np.repeat(lr * n, cnt)
     key += rc[idx]
     prod = field.mul(np.repeat(lv, cnt), rv[idx])
-    del idx
     order = np.argsort(key, kind="stable")
     key, prod = key[order], prod[order]
-    del order
     heads = np.flatnonzero(np.diff(key, prepend=-1))
     codes = field._recompose([field._mod_p(np.add.reduceat(x, heads)) for x in field._planes(prod)])
     key = key[heads][codes != 0]

@@ -100,45 +100,35 @@ class JordanType:
 def power_ranks(m: Matrix, p: int) -> list[int]:
     """Ranks of m^0, m^1, ..., m^p; powers past the first zero one are zero.
 
-    A matrix with at most exactalg.SPARSE_NNZ_PER_ROW nonzeros per row takes
-    the sparse route: each power is the COO product of the previous one with
-    m, ranked by peeling and a dense elimination of what is left.  Once the
-    next product would join more than n^2 / 2 pairs (a join of that size
-    peaks at 0.7-0.9 of the memory of one dense n x n product), the powers
-    left go the dense route.  So do fields above exactalg.TABLE_CAP with
-    e >= 2, whose elementwise products need discrete-log tables that
-    Field.matmul does without.  The dense route is the image chain
-    im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks.
+    Every power A^j starts as COO triples.  While its product with A joins
+    at most exactalg.SPARSE_JOIN_PER_ROW * n pairs, that product is formed
+    and A^j is ranked by peeling and a dense elimination of what is left.
+    The first product refused hands A^j and every later power to the image
+    chain im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks.  Over
+    a field above exactalg.TABLE_CAP with e >= 2 every product is refused:
+    its elementwise products need discrete-log tables that Field.matmul
+    does without.
     """
     field, a, n = m.field, m.array, m.rows
+    limit = exactalg.SPARSE_JOIN_PER_ROW * n if field.e == 1 or field.q <= exactalg.TABLE_CAP else -1
     ranks = [n]
-    sparse = np.count_nonzero(a) <= exactalg.SPARSE_NNZ_PER_ROW * n and (
-        field.e == 1 or field.q <= exactalg.TABLE_CAP
-    )
-    # A^j as COO triples while the route stays sparse; on the dense route,
-    # the columns spanning im(A^(j-1))
-    power = first = _coo(a) if sparse else None
-    basis = None
-    for _ in range(p):
-        if power is not None:
-            if not power[2].size:
-                break
-            step = _sparse_product(field, power, first, n, n * n // 2)
-            if step is not None:
-                ranks.append(_sparse_rank(field, *power))
-                power = step
-                continue
-            work = np.zeros((n, n), dtype=np.int64)
-            work[power[1], power[0]] = power[2]
-            power = None
-        else:
-            img = a if basis is None else field.matmul(a, basis)
-            if not img.any():
-                break
-            work = img.T.copy()
+    power = first = _coo(a)
+    while len(ranks) <= p and power[2].size:
+        step = _sparse_product(field, power, first, n, limit)
+        if step is None:
+            break
+        ranks.append(_sparse_rank(field, *power))
+        power = step
+    else:
+        return ranks + [0] * (p + 1 - len(ranks))
+    # the rows of work span im(A^j) transposed; the next rows are v^T A^T = (A v)^T
+    work = np.zeros((n, n), dtype=np.int64)
+    work[power[1], power[0]] = power[2]
+    del power, first
+    while len(ranks) <= p and work.any():
         r = len(_echelonize(field, work, n))
-        basis = work[:r].T.copy()
         ranks.append(r)
+        work = field.matmul(work[:r], a.T)
     return ranks + [0] * (p + 1 - len(ranks))
 
 
@@ -159,8 +149,7 @@ def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     The ranks of A^1, ..., A^(p-1) come from one elimination per power that
     runs over every slice at once; a slice leaves the stack once its power
     is zero.  Matrices larger than exactalg.BATCH_DIM_CUTOFF go through
-    power_ranks one by one, which peels sparse powers and runs the shrinking
-    image chain on dense ones.  Like from_nilpotent, raises ValueError when
+    power_ranks one by one.  Like from_nilpotent, raises ValueError when
     some A^p != 0.
     """
     stack = np.asarray(stack, dtype=np.int64)

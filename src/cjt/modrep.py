@@ -513,6 +513,13 @@ class CoverData:
     omega: ModuleRep
 
 
+def _free_row(p: int, r: int, block: int, i: int, power: int) -> int:
+    """Row of t_i^power in rank block ``block`` of a free module: blocks of
+    p^r monomials, each indexed in mixed radix with the exponent of t_1
+    least significant, the order of ``_monomial_columns``."""
+    return block * p**r + power * p**i
+
+
 def _free_shift(p: int, r: int, i: int, mat: np.ndarray) -> np.ndarray:
     """t_i applied to the rows of a matrix on a free module: rows are rank
     blocks of p^r monomials, and t_i raises the exponent of t_i by one, so

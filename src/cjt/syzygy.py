@@ -23,6 +23,7 @@ from cjt.modrep import (
     ModuleHom,
     ModuleRep,
     _cover_kernel,
+    _free_row,
     _monomial_columns,
     _shift,
     _tower,
@@ -166,7 +167,7 @@ def factor_generator(
     if degree not in (1, 2):
         raise ValueError("factor generators are provided in degrees 1 and 2")
     p = field.p
-    col = p**i if degree == 1 else i * p**r + (p - 1) * p**i
+    col = _free_row(p, r, 0, i, 1) if degree == 1 else _free_row(p, r, i, i, p - 1)
     k = trivial_module(field, r, 1, convention)
     source = omega_k(field, r, degree, convention)
     free = _tower(k)[degree][1]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from witness_level_oracle import witness_level
 
-from cjt import constancy
+from cjt import carlson, constancy, syzygy
 from cjt.constancy import (
     PiPoint,
     check_constant,
@@ -16,7 +16,7 @@ from cjt.constancy import (
 )
 from cjt.exactalg import make_field
 from cjt.jordan import Dominance, JordanType, dominance_compare
-from cjt.modrep import ModuleRep, free_module, tensor, trivial_module
+from cjt.modrep import ModuleHom, ModuleRep, free_module, tensor, trivial_module
 from cjt.polymat import generic_rank
 from cjt.zoo import ke_mod_i2, random_module, truncated_module, v_module, w_module
 
@@ -467,6 +467,28 @@ class TestProperExtensionModules:
         with pytest.raises(ValueError, match="only on modules over the prime field"):
             sweep_points(m.field, 2, 2)
 
+    def test_deeper_sweeps_are_refused_before_any_point(self, monkeypatch):
+        # x acts as s and y as 0: type [2] at [1 : 0], 2[1] at [0 : 1], so a
+        # sweep would stop after level 1; every caller refuses max_e = 2 first
+        def untouched(*args):
+            raise AssertionError("work before the refusal")
+
+        for where in (constancy, syzygy):
+            monkeypatch.setattr(where, "evaluate", untouched)
+        monkeypatch.setattr(carlson, "hom", untouched)
+        f = make_field(3, 2)
+        s = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        m = ModuleRep(f, [s, np.zeros_like(s)])
+        identity = ModuleHom(m, m, np.eye(2, dtype=np.int64))
+        calls = [
+            lambda: check_constant(m, max_e=2),
+            lambda: carlson.endotrivial_check(m, max_e=2),
+            lambda: carlson.kernel_of_hom_matrix([[identity]], [m], [m], max_e=2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="a level-2 sweep .* only on modules over the prime field"):
+                call()
+
     def test_level_one_types_match_per_point(self):
         m = self._module()
         typed = level_types(m, 1)
@@ -495,3 +517,14 @@ class TestIsIsomorphic:
         m = ModuleRep(f, [np.zeros((3, 3), dtype=np.int64)] * 2)
         res = constancy.is_isomorphic(m, ke_mod_i2(f, 2))
         assert not res.isomorphic and not res.inconclusive and res.witness is None
+
+    def test_zero_dimensional_modules_are_isomorphic_untyped(self, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("typed or searched a zero-dimensional module")
+
+        monkeypatch.setattr(constancy, "level_types", untouched)
+        monkeypatch.setattr(constancy, "hom_space", untouched)
+        f = make_field(3, 1)
+        m, n = (ModuleRep(f, [np.zeros((0, 0), dtype=np.int64)] * 2) for _ in range(2))
+        res = constancy.is_isomorphic(m, n)
+        assert res.isomorphic and not res.inconclusive and res.witness is None

@@ -46,6 +46,12 @@ def rebased(m, seed):
             return g @ m @ solve_linear(g, Matrix.identity(f, n)).solution
 
 
+def join_size(a):
+    """Pairs that the COO product A @ A joins: every nonzero (i, k) of A
+    meets the nonzeros of row k."""
+    return int(np.count_nonzero(a, axis=0) @ np.count_nonzero(a, axis=1))
+
+
 def count_rank_steps(monkeypatch):
     """Count power_ranks' rank steps by route: a ``_sparse_rank`` call on the
     sparse route, an ``_echelonize`` call on the dense image chain."""
@@ -126,9 +132,12 @@ class TestFromNilpotent:
     def test_image_chain_eliminates_only_nonzero_images(self, monkeypatch, sizes):
         # the first zero power ends either route: one rank step per nonzero
         # power; a block-diagonal input takes the sparse route, its rebased
-        # (dense) conjugate the image chain
+        # (dense) conjugate the image chain.  Eight copies of each block make
+        # the conjugate's product join more than SPARSE_JOIN_PER_ROW pairs
+        # per row
         f = make_field(5, 1)
         steps = count_rank_steps(monkeypatch)
+        sizes = sizes * 8
         m = block_diag_nilpotent(f, sizes)
         want = [jt(5, sizes).power_rank(j) for j in range(6)]
         assert power_ranks(m, 5) == want
@@ -137,7 +146,7 @@ class TestFromNilpotent:
         dense = rebased(m, 1)
         assert power_ranks(dense, 5) == want
         assert steps == {"sparse": 0, "dense": max(sizes) - 1}
-        assert np.count_nonzero(dense.array) > exactalg.SPARSE_NNZ_PER_ROW * dense.rows or not dense.array.any()
+        assert join_size(dense.array) > exactalg.SPARSE_JOIN_PER_ROW * dense.rows or not dense.array.any()
         assert from_nilpotent(m, 5) == jt(5, sizes)
         assert from_nilpotent(dense, 5) == jt(5, sizes)
 
@@ -154,8 +163,8 @@ class TestFromNilpotent:
 
 
 def dense_route_ranks(m, cap):
-    """power_ranks with the sparse route switched off: the image chain."""
-    with mock.patch.object(exactalg, "SPARSE_NNZ_PER_ROW", -1):
+    """power_ranks with every product refused: the image chain."""
+    with mock.patch.object(exactalg, "SPARSE_JOIN_PER_ROW", -1):
         return power_ranks(m, cap)
 
 
@@ -173,11 +182,12 @@ SPARSE_FIELDS = [make_field(2, 1), make_field(3, 1), make_field(3, 2), make_fiel
 
 @st.composite
 def sparse_matrices(draw):
-    """(field, matrix, cap) with at most SPARSE_NNZ_PER_ROW nonzeros per row:
-    scrambled nilpotent Jordan blocks, which peel completely; sums of two
-    scaled permutation matrices, whose rows and columns hold two nonzeros
-    each, so nothing peels; scattered entries with zero rows and columns;
-    and hubs whose squares fill in past the join limit."""
+    """(field, matrix, cap) with at most three nonzeros per row but for
+    hubs: scrambled nilpotent Jordan blocks, which peel completely; sums of
+    two scaled permutation matrices, whose rows and columns hold two
+    nonzeros each, so nothing peels; scattered entries with zero rows and
+    columns; and hubs, whose squares join n^2 + n - 1 pairs or more, past
+    the limit of 16n from n = 16 on."""
     f = draw(st.sampled_from(SPARSE_FIELDS))
     n = draw(st.integers(1, 30))
     cap = draw(st.integers(2, 6))
@@ -200,7 +210,7 @@ def sparse_matrices(draw):
         for _ in range(2):
             a[np.arange(n), rng.permutation(n)] = values(n)
     elif kind == "scattered":
-        k = int(rng.integers(0, exactalg.SPARSE_NNZ_PER_ROW * n + 1))
+        k = int(rng.integers(0, 3 * n + 1))
         a[rng.integers(0, n, k), rng.integers(0, n, k)] = values(k)
     else:
         a = hub(n, np.arange(n), np.arange(n), values(1)[0])
@@ -213,11 +223,20 @@ class TestSparseRoute:
     @settings(max_examples=150)
     @given(sparse_matrices())
     def test_sparse_route_matches_the_image_chain(self, drawn):
+        # A is ranked on the sparse route exactly when A @ A joins at most
+        # SPARSE_JOIN_PER_ROW pairs per row, and on the image chain otherwise
         f, m, cap = drawn
-        assert np.count_nonzero(m.array) <= exactalg.SPARSE_NNZ_PER_ROW * m.rows
-        with mock.patch.object(jordan, "_coo", wraps=jordan._coo) as sparse_route:
+        with (
+            mock.patch.object(jordan, "_sparse_rank", wraps=jordan._sparse_rank) as sparse,
+            mock.patch.object(jordan, "_echelonize", wraps=jordan._echelonize) as dense,
+        ):
             ranks = power_ranks(m, cap)
-        assert sparse_route.called
+        if not m.array.any():
+            assert not sparse.called and not dense.called
+        elif join_size(m.array) <= exactalg.SPARSE_JOIN_PER_ROW * m.rows:
+            assert sparse.called
+        else:
+            assert not sparse.called and dense.called
         want = dense_route_ranks(m, cap)
         assert ranks == want
         if want[cap]:
@@ -244,8 +263,8 @@ class TestSparseRoute:
                 assert ranks == dense_route_ranks(a, p), (n, q.linear)
 
     def test_fill_in_falls_back_to_the_image_chain(self, monkeypatch):
-        # A^2 of a hub joins n^2 pairs, past the limit of n^2 / 2, so A and
-        # every power after it are ranked by the image chain
+        # A^2 of a hub joins n^2 + n - 1 pairs, past the limit of 16n, so A
+        # and every power after it are ranked by the image chain
         f = make_field(5, 1)
         n = 40
         m = Matrix(f, hub(n, np.arange(n), np.arange(1, n), 2))
@@ -259,10 +278,10 @@ class TestSparseRoute:
         assert ranks == dense_route_ranks(m, 5)
 
     def test_join_at_its_limit_holds_no_more_than_a_dense_product(self, monkeypatch):
-        # the first hub's A^2 joins 149 * 299 + 149 = 44,700 pairs, just under
-        # the limit of n^2 / 2 = 45,000, and is made; the second's would join
-        # 89,700 and is refused.  No join made peaks higher than Field.matmul
-        # on n x n factors with entries in GF(p)
+        # the first hub's A^2 joins 16 * 300 = 4,800 pairs, the limit of 16n,
+        # and is made; the second's would join 17 * 300 = 5,100 and is
+        # refused.  No join made peaks higher than Field.matmul on n x n
+        # factors with entries in GF(p)
         n = 300
         peaks = []
         product = jordan._sparse_product
@@ -278,7 +297,7 @@ class TestSparseRoute:
 
         monkeypatch.setattr(jordan, "_sparse_product", measured)
         for f in (make_field(5, 1), make_field(3, 2)):
-            near, past = (hub(n, np.arange(1, stop), np.arange(1, n), f.p - 1) for stop in (n // 2, n))
+            near, past = (hub(n, np.arange(1, stop), np.arange(1, n), f.p - 1) for stop in (17, 18))
             f.mul(near, near)  # code tables outside the measurement
             tracemalloc.start()
             f.matmul(near, near)

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from cjt import polymat
 from cjt.exactalg import make_field
 from cjt.polymat import (
     CommonZeroNotFound,
@@ -51,6 +52,13 @@ def brute_minor_gcd_terms(m, k):
             acc = {e: c for e, c in acc.items() if c}
             minors.append(acc)
     return minors
+
+
+def test_adding_zero_returns_the_other_summand():
+    p = 5
+    x, z = var(p, 2, 0), HomPoly.zero(p, 2)
+    assert z.add(x) is x and x.add(z) is x
+    assert z.add(z).is_zero
 
 
 def test_hompoly_is_not_hashable():
@@ -252,6 +260,28 @@ class TestCommonZeroSearch:
         res = common_zero_search(m, 1, max_e=3)
         assert isinstance(res, CommonZeroWitness)
         assert res.extension == 2
+
+    def test_three_by_three_minors_exhaust_every_level(self, monkeypatch):
+        # a constant identity has rank 3 everywhere: minors of size 3 skip
+        # the sieve, so every point of both levels is ranked, and none hits
+        p = 3
+        one, z = HomPoly(p, 2, {(0, 0): 1}), HomPoly.zero(p, 2)
+        m = PolyMatrix(p, 2, [[one if i == j else z for j in range(3)] for i in range(3)])
+        ranked = []
+        stacked = polymat._stacked_ranks
+
+        def counted(m, field, blocks):
+            for points, ranks in stacked(m, field, blocks):
+                ranked.append(len(points))
+                yield points, ranks
+
+        monkeypatch.setattr(polymat, "_stacked_ranks", counted)
+        res = common_zero_search(m, 3, max_e=2)
+        assert isinstance(res, CommonZeroNotFound)
+        assert res.extensions_tested == [1, 2]
+        # P^1 has 4 points over GF(3), and the 6 over GF(9) alone make 3
+        # Frobenius orbits
+        assert sum(ranked) == 4 + 3
 
 
 class TestProjectivePoints:

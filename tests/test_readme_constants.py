@@ -1,0 +1,35 @@
+"""README quotes tuning constants of cjt.exactalg and cjt.modrep by name and
+often by value; every such quote must name a constant that exists and give
+its current value."""
+
+import re
+from pathlib import Path
+
+from cjt import exactalg, modrep
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = {"exactalg": exactalg, "modrep": modrep}
+
+# `exactalg.NAME`, `modrep.NAME` or `NAME`, optionally followed by (N) or = N
+QUOTE = re.compile(r"`(?:(exactalg|modrep)\.)?([A-Z][A-Z0-9_]*)`(?:\s*\((\d+)\)|\s*=\s*(\d+)\b)?")
+
+
+def test_readme_constants_exist_with_the_values_it_gives():
+    text = README.read_text()
+    checked, problems = 0, []
+    for match in QUOTE.finditer(text):
+        where, name, paren, equals = match.groups()
+        value = paren or equals
+        owners = [MODULES[where]] if where else [m for m in MODULES.values() if hasattr(m, name)]
+        # a bare name is a claim about these modules when it is given a value
+        # or when one of them has it
+        if not where and value is None and not owners:
+            continue
+        line = text.count("\n", 0, match.start()) + 1
+        checked += 1
+        if not owners or not hasattr(owners[0], name):
+            problems.append(f"line {line}: {match.group(0)!r} names no constant of {where or 'exactalg or modrep'}")
+        elif value is not None and getattr(owners[0], name) != int(value):
+            problems.append(f"line {line}: {match.group(0)!r}, but {name} = {getattr(owners[0], name)}")
+    assert checked >= 10
+    assert not problems, "\n".join(problems)

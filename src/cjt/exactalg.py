@@ -85,7 +85,11 @@ STACK_CELLS = 1 << 13
 # of level sweeps (against power_ranks) 0.84 at dim 32, 1.0-1.4 at dim
 # 40 and 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2);
 # ranks alone (against rank_array) 0.46-0.53 at dim 32, 0.65-0.79 at dim 40
-# and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).
+# and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).  _sparse_rank also hands
+# its core to _echelonize once the core's shorter side is at most this size:
+# on the shift-types and criterion-06 matrices, _sparse_rank takes the same
+# time with this size at 16-32, 7-10 % more at 64 and 2.7-2.8x as long with
+# no rounds at all; on sums of scaled permutations, 5 % less at 48.
 BATCH_DIM_CUTOFF = 32
 
 # jordan.power_ranks multiplies COO powers by A while a product joins at
@@ -96,6 +100,11 @@ BATCH_DIM_CUTOFF = 32
 # 16-20, 0.97 at 20-24 and 1.24-1.58 at 24-48; over GF(p^2) 0.58-0.98
 # below 32 and 1.04 at 32-48.  Rebased dense matrices join 700 and more per
 # row and run 6-33x slower sparse; Heller shifts of k join at most 11.5.
+# A Schur-complement round of _sparse_rank that would join more than this
+# many pairs per row left hands the core to _echelonize instead.  The rounds
+# on Heller-shift cores never reach it; on sums of 2-4 scaled permutations
+# (n = 64-400), whose powers fill in, they take 1.1-1.3x the time at 8 and
+# 64 pairs and 1.8x with no bound, against 16.
 SPARSE_JOIN_PER_ROW = 16
 
 # Rows per block of the triangular solve ``_back_substitute``: each block
@@ -754,19 +763,17 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
 # nonzero codes, sorted by row and then column
 # ---------------------------------------------------------------------------
 
-def _coo(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows, cols = np.nonzero(a)
-    return rows, cols, a[rows, cols]
-
-
-def _sparse_product(field: Field, left: tuple, right: tuple, n: int, limit: int) -> tuple | None:
-    """left @ right for n x n COO triples, or None when the join would take
-    more than ``limit`` products.
+def _sparse_product(
+    field: Field, left: tuple, right: tuple, n: int, limit: int, addend: tuple | None = None
+) -> tuple | None:
+    """left @ right for n x n COO triples, plus ``addend`` when given, or
+    None when the join would take more than ``limit`` products.
 
     Every entry (i, k) of left joins the entries of row k of right, one
-    ``Field.mul`` multiplies the joined values, and the products are sorted
-    by position and summed there digit plane by digit plane, which is one
-    rule over GF(p) and GF(p^e).  Zero sums are dropped.
+    ``Field.mul`` multiplies the joined values, and the products and the
+    addend's entries are sorted by position and summed there digit plane
+    by digit plane, which is one rule over GF(p) and GF(p^e).  Zero sums
+    are dropped.
     """
     lr, lc, lv = left
     rr, rc, rv = right
@@ -782,6 +789,9 @@ def _sparse_product(field: Field, left: tuple, right: tuple, n: int, limit: int)
     key = np.repeat(lr * n, cnt)
     key += rc[idx]
     prod = field.mul(np.repeat(lv, cnt), rv[idx])
+    if addend is not None:
+        key = np.concatenate([key, addend[0] * n + addend[1]])
+        prod = np.concatenate([prod, addend[2]])
     order = np.argsort(key, kind="stable")
     key, prod = key[order], prod[order]
     heads = np.flatnonzero(np.diff(key, prepend=-1))
@@ -790,15 +800,15 @@ def _sparse_product(field: Field, left: tuple, right: tuple, n: int, limit: int)
     return key // n, key % n, codes[codes != 0]
 
 
-def _sparse_rank(field: Field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> int:
-    """Rank of the matrix with the COO triples, by peeling and then ``_echelonize``.
+def _peel(rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> tuple:
+    """Delete lines with one nonzero until none is left; returns the COO
+    triples left and the rank that the deleted lines add.
 
     A column whose one nonzero lies in row i adds one to the rank of what
     is left once row i and the column are deleted, and so does a row with
     one nonzero, with the roles swapped.  Rounds delete every such column's
     row at once, then every such row's column, until neither is left; this
     reads only the pattern, so the entries left are those of a submatrix.
-    That core is eliminated densely.
     """
     lines, rank, idle, axis = [rows, cols], 0, 0, 1
     while idle < 2 and codes.size:
@@ -814,9 +824,80 @@ def _sparse_rank(field: Field, rows: np.ndarray, cols: np.ndarray, codes: np.nda
         else:
             idle += 1
         axis = 1 - axis
-    if not codes.size:
-        return rank
-    (_, r), (_, c) = (np.unique(x, return_inverse=True) for x in lines)
+    return lines[0], lines[1], codes, rank
+
+
+def _sparse_rank(field: Field, rows: np.ndarray, cols: np.ndarray, codes: np.ndarray) -> int:
+    """Rank of the matrix with the COO triples, by peeling (``_peel``),
+    Schur-complement rounds and ``_echelonize`` on what is left.
+
+    A round pivots on many entries at once (structured Gaussian
+    elimination).  An entry's key is (row weight - 1)(column weight - 1),
+    the products it joins as a pivot (its Markowitz cost), times nnz plus
+    its index, so keys are distinct.  An entry with the least key in its
+    row and in its column is a candidate, and a candidate is accepted when
+    its key is below that of every candidate it conflicts with: one whose
+    column its row meets, or whose row meets its column.  So the accepted
+    pivots form a diagonal block D, they add their number to the rank, and
+    the rest becomes the Schur complement S = A22 - A21 D^(-1) A12, a
+    ``_sparse_product``, which is peeled again.  What is left goes to
+    ``_echelonize`` once its shorter side is at most BATCH_DIM_CUTOFF, or
+    once a round would join more than SPARSE_JOIN_PER_ROW pairs per row
+    left, the bound that power_ranks puts on its products.
+    """
+    n = int(max(rows.max(initial=-1), cols.max(initial=-1))) + 1
+    rank = 0
+    while True:
+        rows, cols, codes, found = _peel(rows, cols, codes)
+        rank += found
+        if not codes.size:
+            return rank
+        row_nnz, col_nnz = np.bincount(rows), np.bincount(cols)
+        live = np.count_nonzero(row_nnz)
+        if min(live, np.count_nonzero(col_nnz)) <= BATCH_DIM_CUTOFF:
+            break
+        m = codes.size
+        key = (row_nnz[rows] - 1) * (col_nnz[cols] - 1) * m + np.arange(m)
+        least = [np.full(x.size, key.max() + 1) for x in (row_nnz, col_nnz)]
+        np.minimum.at(least[0], rows, key)
+        np.minimum.at(least[1], cols, key)
+        cand = np.flatnonzero((key == least[0][rows]) & (key == least[1][cols]))
+        # each entry's slot: the candidate in its row (column), or -1; rows
+        # are sorted, so slots follow the rows of their candidates
+        slots = []
+        for line, nnz in ((rows, row_nnz), (cols, col_nnz)):
+            slot = np.full(nnz.size, -1)
+            slot[line[cand]] = np.arange(cand.size)
+            slots.append(slot[line])
+        at_row, at_col = slots
+        clash = (at_row >= 0) & (at_col >= 0) & (at_row != at_col)
+        low = key[cand]
+        np.minimum.at(
+            low,
+            np.concatenate([at_row[clash], at_col[clash]]),
+            np.concatenate([low[at_col[clash]], low[at_row[clash]]]),
+        )
+        # slot -1 reads the appended False
+        accepted = np.append(low == key[cand], False)
+        in_row, in_col = accepted[at_row], accepted[at_col]
+        pivot = in_row & in_col
+        scale = np.zeros(cand.size, dtype=np.int64)
+        scale[at_row[pivot]] = field.neg(field.inv(codes[pivot]))
+        a21, a12, a22 = in_col & ~in_row, in_row & ~in_col, ~(in_row | in_col)
+        left = (rows[a21], at_col[a21], field.mul(codes[a21], scale[at_col[a21]]))
+        rest = _sparse_product(
+            field,
+            left,
+            (at_row[a12], cols[a12], codes[a12]),
+            n,
+            SPARSE_JOIN_PER_ROW * live,
+            (rows[a22], cols[a22], codes[a22]),
+        )
+        if rest is None:
+            break
+        rank += int(np.count_nonzero(pivot))
+        rows, cols, codes = rest
+    (_, r), (_, c) = (np.unique(x, return_inverse=True) for x in (rows, cols))
     core = np.zeros((r.max() + 1, c.max() + 1), dtype=np.int64)
     core[r, c] = codes
     if core.shape[1] > core.shape[0]:

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import Field, Matrix, _coo, _echelonize, _sparse_product, _sparse_rank, stack_ranks
+from cjt.exactalg import Field, Matrix, _echelonize, _sparse_product, _sparse_rank, stack_ranks
 
 __all__ = [
     "JordanType",
@@ -102,29 +102,38 @@ def power_ranks(m: Matrix, p: int) -> list[int]:
 
     Every power A^j starts as COO triples.  While its product with A joins
     at most exactalg.SPARSE_JOIN_PER_ROW * n pairs, that product is formed
-    and A^j is ranked by peeling and a dense elimination of what is left.
-    The first product refused hands A^j and every later power to the image
-    chain im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks.  Over
-    a field above exactalg.TABLE_CAP with e >= 2 every product is refused:
-    its elementwise products need discrete-log tables that Field.matmul
-    does without.
+    and A^j is ranked by ``exactalg._sparse_rank``: peeling, Schur-complement
+    rounds, and a dense elimination of the small core left.  The first
+    product refused hands A^j and every later power to the image chain
+    im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks.  A @ A is
+    refused from the nonzero counts of A's rows and columns, before any
+    triples are gathered, so a dense matrix goes to the image chain at
+    once.  Over a field above exactalg.TABLE_CAP with e >= 2 every product
+    is refused: its elementwise products need discrete-log tables that
+    Field.matmul does without.
     """
     field, a, n = m.field, m.array, m.rows
     limit = exactalg.SPARSE_JOIN_PER_ROW * n if field.e == 1 or field.q <= exactalg.TABLE_CAP else -1
     ranks = [n]
-    power = first = _coo(a)
-    while len(ranks) <= p and power[2].size:
-        step = _sparse_product(field, power, first, n, limit)
-        if step is None:
-            break
-        ranks.append(_sparse_rank(field, *power))
-        power = step
-    else:
-        return ranks + [0] * (p + 1 - len(ranks))
     # the rows of work span im(A^j) transposed; the next rows are v^T A^T = (A v)^T
     work = np.zeros((n, n), dtype=np.int64)
-    work[power[1], power[0]] = power[2]
-    del power, first
+    # np.nonzero scans a bool mask faster than int64 codes
+    rows, cols = np.nonzero(a != 0)
+    # A @ A joins every nonzero (i, k) with the nonzeros of row k
+    if np.bincount(cols, minlength=n) @ np.bincount(rows, minlength=n) > limit:
+        work[...] = a.T
+    else:
+        power = first = rows, cols, a[rows, cols]
+        while len(ranks) <= p and power[2].size:
+            step = _sparse_product(field, power, first, n, limit)
+            if step is None:
+                break
+            ranks.append(_sparse_rank(field, *power))
+            power = step
+        else:
+            return ranks + [0] * (p + 1 - len(ranks))
+        work[power[1], power[0]] = power[2]
+        del power, first
     while len(ranks) <= p and work.any():
         r = len(_echelonize(field, work, n))
         ranks.append(r)

@@ -311,14 +311,15 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleHom]:
             f"above the {limit}-byte limit"
         )
     f = m.field
-    blocks = []
-    i_n = np.eye(n.dim, dtype=np.int64)
-    i_m = np.eye(m.dim, dtype=np.int64)
-    for a, b in zip(m.gens, n.gens):
-        # row-major vec: vec(XA) = (I (x) A^T) vec X, vec(BX) = (B (x) I) vec X
-        blocks.append(f.sub(np.kron(i_n, a.T), np.kron(b, i_m)))
-    system = np.vstack(blocks)
-    basis = nullspace_array(f, system)
+    # row-major vec: vec(XA) = (I (x) A^T) vec X, vec(BX) = (B (x) I) vec X;
+    # block[k, s, l, t] is the coefficient of X[l, t] in row (k, s), written
+    # in place so that no Kronecker product is ever built
+    system = np.zeros((m.r, n.dim, m.dim, n.dim, m.dim), dtype=np.int64)
+    k, s = np.arange(n.dim), np.arange(m.dim)
+    for block, a, b in zip(system, m.gens, n.gens):
+        block[:, s, :, s] = f.neg(b)
+        block[k, :, k, :] = f.add(block[k, :, k, :], a.T)
+    basis = nullspace_array(f, system.reshape(m.r * n.dim * m.dim, n.dim * m.dim))
     out = []
     for j in range(basis.shape[1]):
         out.append(ModuleHom(m, n, basis[:, j].reshape(n.dim, m.dim)))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from cjt import exactalg, jordan
 from cjt.constancy import evaluate, sweep_points
@@ -264,7 +266,9 @@ class TestSparseRoute:
 
     def test_fill_in_falls_back_to_the_image_chain(self, monkeypatch):
         # A^2 of a hub joins n^2 + n - 1 pairs, past the limit of 16n, so A
-        # and every power after it are ranked by the image chain
+        # and every power after it are ranked by the image chain, and the
+        # join size, read off the nonzero counts, refuses A^2 before any
+        # product is formed
         f = make_field(5, 1)
         n = 40
         m = Matrix(f, hub(n, np.arange(n), np.arange(1, n), 2))
@@ -273,15 +277,15 @@ class TestSparseRoute:
         monkeypatch.setattr(jordan, "_sparse_product", lambda *a: results.append(product(*a)) or results[-1])
         steps = count_rank_steps(monkeypatch)
         ranks = power_ranks(m, 5)
-        assert results == [None]
+        assert results == []
         assert steps["dense"] == 5 and steps["sparse"] == 0
         assert ranks == dense_route_ranks(m, 5)
 
     def test_join_at_its_limit_holds_no_more_than_a_dense_product(self, monkeypatch):
         # the first hub's A^2 joins 16 * 300 = 4,800 pairs, the limit of 16n,
         # and is made; the second's would join 17 * 300 = 5,100 and is
-        # refused.  No join made peaks higher than Field.matmul on n x n
-        # factors with entries in GF(p)
+        # refused before any product.  No join made peaks higher than
+        # Field.matmul on n x n factors with entries in GF(p)
         n = 300
         peaks = []
         product = jordan._sparse_product
@@ -305,8 +309,9 @@ class TestSparseRoute:
             tracemalloc.stop()
             peaks.clear()
             power_ranks(Matrix(f, near), 2)
+            made = len(peaks)
             power_ranks(Matrix(f, past), 2)
-            assert peaks[0] is not None and peaks[-1] is None
+            assert made and len(peaks) == made
             assert max(x for x in peaks if x is not None) <= dense_peak
 
     def test_peeling_alternates_rows_and_columns(self, monkeypatch):
@@ -336,6 +341,98 @@ class TestSparseRoute:
         m = block_diag_nilpotent(f, [2, 1])
         assert power_ranks(m, 2) == [3, 1, 0]
         assert f._exp is None and f._log is None
+
+
+def core_matrix(f, n, kind, rng):
+    """An n x n matrix over f whose peeled core has more than
+    BATCH_DIM_CUTOFF rows and columns (for n >= 40): sums of 2-4 scaled
+    permutation matrices, which hardly peel; scattered entries, about three
+    per row, confined to three quarters of the rows and columns so that the
+    rest are zero; or a dense matrix with at most n zeros, whose first round
+    would join more than SPARSE_JOIN_PER_ROW pairs per row."""
+
+    def values(size):
+        return rng.integers(1, f.q, size)
+
+    a = np.zeros((n, n), dtype=np.int64)
+    if kind == "permutations":
+        for _ in range(int(rng.integers(2, 5))):
+            a[np.arange(n), rng.permutation(n)] = values(n)
+    elif kind == "scattered":
+        k = 3 * n
+        live_rows, live_cols = (rng.permutation(n)[: 3 * n // 4] for _ in range(2))
+        a[rng.choice(live_rows, k), rng.choice(live_cols, k)] = values(k)
+    else:
+        a = values((n, n))
+        k = int(rng.integers(0, n + 1))
+        a[rng.integers(0, n, k), rng.integers(0, n, k)] = 0
+    return a
+
+
+def coo(a):
+    """COO triples of a: rows, columns and codes of its nonzeros, in row
+    order."""
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def sparse_rank_rounds(f, a):
+    """exactalg._sparse_rank of a, and the result of every Schur-complement
+    round it formed (None for one refused by the join budget)."""
+    results = []
+    product = exactalg._sparse_product
+    with mock.patch.object(exactalg, "_sparse_product", lambda *x: results.append(product(*x)) or results[-1]):
+        r = exactalg._sparse_rank(f, *coo(a))
+    return r, results
+
+
+class TestSchurRounds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.sampled_from(SPARSE_FIELDS),
+        n=st.integers(40, 160),
+        kind=st.sampled_from(["permutations", "scattered", "dense"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rounds_match_the_dense_rank(self, f, n, kind, seed):
+        a = core_matrix(f, n, kind, np.random.default_rng(seed))
+        r, rounds = sparse_rank_rounds(f, a)
+        assert r == rank(Matrix(f, a))
+        if kind == "permutations":
+            assert rounds and rounds[0] is not None
+        if kind == "dense":
+            assert rounds == [None]
+
+    @pytest.mark.parametrize("p", [2, 3, 94906249])
+    @pytest.mark.parametrize("kind", ["permutations", "scattered"])
+    def test_rounds_match_sympy(self, p, kind):
+        f = make_field(p, 1)
+        for seed in range(2):
+            a = core_matrix(f, 64, kind, np.random.default_rng([p, seed]))
+            want = DomainMatrix.from_list(a.tolist(), GF(p)).rank()
+            assert exactalg._sparse_rank(f, *coo(a)) == want
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_complement_is_peeled_again(self, monkeypatch, singular):
+        # scrambled 2 x 2 blocks [[a, b], [c, d]] with a, b, c nonzero: one
+        # round pivots on one entry of every block peeling leaves, and the
+        # complement holds at most one entry per block (none when the block
+        # is singular), so peeling ends it with no second round and no core
+        f = make_field(5, 1)
+        n = 2 * (exactalg.BATCH_DIM_CUTOFF + 8)
+        rng = np.random.default_rng(3)
+        a = np.zeros((n, n), dtype=np.int64)
+        top, bottom = np.arange(0, n, 2), np.arange(1, n, 2)
+        for i, j in ((top, top), (top, bottom), (bottom, top)):
+            a[i, j] = rng.integers(1, 5, n // 2)
+        a[bottom, bottom] = f.mul(f.mul(a[bottom, top], a[top, bottom]), f.inv(a[top, top]))
+        if not singular:
+            a[bottom, bottom] = f.add(a[bottom, bottom], rng.integers(1, 5, n // 2))
+        perm_rows, perm_cols = rng.permutation(n), rng.permutation(n)
+        a = a[perm_rows][:, perm_cols]
+        monkeypatch.setattr(exactalg, "_echelonize", lambda *x: pytest.fail("a core was left"))
+        r, rounds = sparse_rank_rounds(f, a)
+        assert len(rounds) == 1 and r == (n if not singular else n // 2)
 
 
 class TestDominance:

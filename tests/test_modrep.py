@@ -7,7 +7,7 @@ import pytest
 from split_free_oracle import split_free_by_rows
 
 from cjt.constancy import is_isomorphic, restrict_to_point, sweep_points
-from cjt.exactalg import Field, Matrix, make_field, rank_array
+from cjt.exactalg import Field, Matrix, make_field, nullspace_array, rank_array
 from cjt.jordan import JordanType, from_nilpotent
 from cjt.modrep import (
     Convention,
@@ -33,6 +33,7 @@ from cjt.modrep import (
     validate,
 )
 from cjt.syzygy import omega_k
+from cjt.zoo import random_module
 
 
 def ke_mod_i2(field, r, convention=Convention.PRIMITIVE):
@@ -249,6 +250,25 @@ class TestHomSpace:
         m, n = ke_mod_i2(f, 2), free_module(f, 2, 1)
         for h in hom_space(m, n):
             assert h.is_intertwiner()
+
+    @pytest.mark.parametrize("q", [(3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_basis_matches_the_kronecker_system(self, q):
+        # the system written in place is the stacked I (x) A_i^T - B_i (x) I,
+        # so its nullspace basis is the same array, pair by pair, including
+        # pairs with a zero-dimensional module
+        f = make_field(*q)
+        zero = ModuleRep(f, [np.zeros((0, 0), dtype=np.int64)] * 2)
+        mods = [random_module(f, 2, d, seed=d) for d in (1, 3, 4)] + [zero]
+        for m, n in product(mods, repeat=2):
+            blocks = [
+                f.sub(np.kron(np.eye(n.dim, dtype=np.int64), a.T), np.kron(b, np.eye(m.dim, dtype=np.int64)))
+                for a, b in zip(m.gens, n.gens)
+            ]
+            want = nullspace_array(f, np.vstack(blocks))
+            got = hom_space(m, n)
+            assert len(got) == want.shape[1]
+            for h, column in zip(got, want.T):
+                assert np.array_equal(h.matrix, column.reshape(n.dim, m.dim))
 
     def test_oversized_system_is_refused_before_anything_is_built(self):
         # 8 * 108^4 bytes is the first r = 1 square system past 1 GiB

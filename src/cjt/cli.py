@@ -25,10 +25,11 @@ from cjt.jordan import from_nilpotent
 from cjt.modrep import Convention, tensor, validate
 from cjt.polymat import CommonZeroWitness, common_zero_search
 from cjt.serialize import (
-    cocycle_to_json,
+    cocycle_payload,
+    dumps,
     jordan_type_to_json,
     module_from_json,
-    module_to_json,
+    module_payload,
     polymatrix_from_json,
 )
 from cjt.syzygy import factor_generator, omega_k
@@ -84,10 +85,10 @@ def _parse_point(m, text: str, ext: int, tail_json: str | None):
 
 
 def _emit(payload: dict, pretty: bool) -> None:
+    text = dumps(payload)
     if pretty:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        text = json.dumps(json.loads(text), indent=2, sort_keys=True)
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_jordan(args) -> tuple[dict, int]:
@@ -132,13 +133,13 @@ def _cmd_tensor(args) -> tuple[dict, int]:
         else:
             t = generic_type(prod)
         return {"type": str(t), **jordan_type_to_json(t)}, 0
-    return module_to_json(prod), 0
+    return module_payload(prod), 0
 
 
 def _cmd_omega(args) -> tuple[dict, int]:
     field = make_field(args.p, 1)
     m = omega_k(field, args.rank, args.n)
-    return module_to_json(m), 0
+    return module_payload(m), 0
 
 
 def _cmd_carlson(args) -> tuple[dict, int]:
@@ -156,8 +157,8 @@ def _cmd_carlson(args) -> tuple[dict, int]:
     ]
     result = l_xi(classes, max_e=args.max_ext)
     payload = {
-        "module": module_to_json(result.kernel),
-        "classes": [cocycle_to_json(c) for c in classes],
+        "module": module_payload(result.kernel),
+        "classes": [cocycle_payload(c) for c in classes],
         "hypothesis": {
             "holds_everywhere": result.report.holds_everywhere,
             "points": [
@@ -197,7 +198,7 @@ def _cmd_ranks_search(args) -> tuple[dict, int]:
         payload = {
             "found": True,
             "extension": res.extension,
-            "point": res.field.serialize_codes(res.coords),
+            "point": res.field.code_digits(res.coords),
         }
         return payload, 0
     return {"found": False, "extensions_tested": res.extensions_tested}, 2
@@ -214,7 +215,7 @@ def _cmd_zoo(args) -> tuple[dict, int]:
         m = build_example(field, args.name, conv, **params)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"cannot build example: {exc}")
-    return module_to_json(m), 0
+    return module_payload(m), 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -557,10 +557,15 @@ class Field:
     def serialize_codes(self, array) -> list:
         """The JSON form of every entry of a code array, row-major: the code
         itself over GF(p), else its e coefficients, low degree first."""
-        flat = np.asarray(array).ravel()
+        return self.code_digits(array).tolist()
+
+    def code_digits(self, array) -> np.ndarray:
+        """``serialize_codes`` as an int64 array: the flat codes over GF(p),
+        else an (N, e) array of coefficients."""
+        flat = np.asarray(array, dtype=np.int64).ravel()
         if self.e == 1:
-            return flat.tolist()
-        return np.stack(self._planes(flat), axis=-1).tolist()
+            return flat
+        return np.stack(self._planes(flat), axis=-1)
 
     def ordered_codes(self) -> np.ndarray:
         """All element codes, sorted by serialized coefficient vectors
@@ -986,9 +991,12 @@ def nullspace(m: Matrix) -> Matrix:
 
 
 def nullspace_array(field: Field, arr: np.ndarray) -> np.ndarray:
-    a = np.array(arr, dtype=np.int64)
-    piv = _echelonize(field, a, a.shape[1])
-    return _kernel_from_echelon(field, a, piv, a.shape[1])
+    return _nullspace_in_place(field, np.array(arr, dtype=np.int64))
+
+
+def _nullspace_in_place(field: Field, a: np.ndarray) -> np.ndarray:
+    """``nullspace_array`` of an int64 array that it echelonizes in place."""
+    return _kernel_from_echelon(field, a, _echelonize(field, a, a.shape[1]), a.shape[1])
 
 
 @dataclass

@@ -22,6 +22,7 @@ from cjt.exactalg import (
     _back_substitute,
     _echelonize,
     _kernel_from_echelon,
+    _nullspace_in_place,
     _power,
     _unipotent_inverse,
     column_space,
@@ -300,7 +301,8 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleHom]:
 
     Solves the stacked intertwining system X A_i = B_i X over the field.
     That system is dense, r (dim m dim n)^2 int64 entries, and a pair whose
-    system would pass 1 GiB is refused before anything is built.
+    system would pass 1 GiB is refused before anything is built.  It is
+    echelonized in place, so it is held once.
     """
     if m.field != n.field or m.r != n.r:
         raise ValueError("hom_space requires matching field and r")
@@ -319,7 +321,7 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleHom]:
     for block, a, b in zip(system, m.gens, n.gens):
         block[:, s, :, s] = f.neg(b)
         block[k, :, k, :] = f.add(block[k, :, k, :], a.T)
-    basis = nullspace_array(f, system.reshape(m.r * n.dim * m.dim, n.dim * m.dim))
+    basis = _nullspace_in_place(f, system.reshape(m.r * n.dim * m.dim, n.dim * m.dim))
     out = []
     for j in range(basis.shape[1]):
         out.append(ModuleHom(m, n, basis[:, j].reshape(n.dim, m.dim)))

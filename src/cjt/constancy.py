@@ -16,9 +16,9 @@ from itertools import chain, product
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import Field, Matrix, make_field, rank_array
+from cjt.exactalg import CooMatrix, Field, Matrix, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
-from cjt.modrep import ModuleHom, ModuleRep, _module_memo, _monomial, hom_space
+from cjt.modrep import ModuleHom, ModuleRep, _generator_entries, _module_memo, _monomial, hom_space
 from cjt.polymat import PolyMatrix, _admit_depth, _chart_divisor, _orbit_blocks, generic_rank
 
 __all__ = [
@@ -90,7 +90,10 @@ class PiPoint:
 
 
 def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
-    """The field a point's matrix on m lives in: the larger of the two."""
+    """The field a point's matrix on m lives in: the larger of the two.
+    Raises if the point does not fit m."""
+    if len(q.linear) != m.r:
+        raise ValueError(f"point has {len(q.linear)} coefficients, module has r={m.r}")
     if q.field.p != m.field.p:
         raise ValueError("characteristic mismatch between module and point")
     if q.field == m.field or m.field.is_prime_field:
@@ -108,8 +111,6 @@ def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
 def evaluate(m: ModuleRep, q: PiPoint) -> Matrix:
     """Matrix of the point on the module: sum of scaled generators plus
     tail monomials in the commuting generator actions."""
-    if len(q.linear) != m.r:
-        raise ValueError(f"point has {len(q.linear)} coefficients, module has r={m.r}")
     f = _point_field_for(m, q)
     out = np.zeros((m.dim, m.dim), dtype=np.int64)
     for c, a in zip(q.linear, m.gens):
@@ -122,7 +123,32 @@ def evaluate(m: ModuleRep, q: PiPoint) -> Matrix:
 
 
 def jordan_at(m: ModuleRep, q: PiPoint) -> JordanType:
-    return from_nilpotent(evaluate(m, q), m.p)
+    """Jordan type of the point's matrix on m, the matrix of ``evaluate``,
+    built as COO triples and never as an n x n array.
+
+    Each generator's nonzeros, scaled by its coefficient with one
+    ``Field.mul``, and each tail monomial's, taken from its dense product,
+    are summed by position; ``power_ranks`` ranks the powers of the sum
+    sparsely while they stay sparse, as they do on Heller shifts, whose
+    generators hold under one nonzero per row.  The generators' nonzeros
+    are kept only on modules whose generators are frozen (every
+    Heller-tower level) and found anew on any other module, so a write
+    into a generator between two calls gives the new type.
+    """
+    f = _point_field_for(m, q)
+    keys, codes = [], []
+    for i, c in enumerate(q.linear):
+        if c:
+            positions, gen = _generator_entries(m, i)
+            keys.append(positions)
+            codes.append(f.mul(np.int64(c), gen))
+    for exps, coef in q.tail:
+        if coef:
+            mono = _monomial(f, m.gens, exps).ravel()
+            positions = np.flatnonzero(mono != 0)
+            keys.append(positions)
+            codes.append(f.mul(np.int64(coef), mono[positions]))
+    return from_nilpotent(CooMatrix.summed(f, m.dim, np.concatenate(keys), np.concatenate(codes)), m.p)
 
 
 def restrict_to_point(m: ModuleRep, q: PiPoint) -> ModuleRep:

@@ -768,6 +768,28 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
 # nonzero codes, sorted by row and then column
 # ---------------------------------------------------------------------------
 
+class CooMatrix:
+    """Square n x n matrix over a Field as COO triples; ``rows`` and
+    ``cols`` are n, as for Matrix."""
+
+    __slots__ = ("field", "rows", "triples")
+
+    def __init__(self, field: Field, n: int, triples: tuple):
+        self.field = field
+        self.rows = n
+        self.triples = triples
+
+    @classmethod
+    def summed(cls, field: Field, n: int, positions: np.ndarray, codes: np.ndarray) -> "CooMatrix":
+        """The matrix whose entry at row * n + col is the sum of the codes
+        at that position."""
+        return cls(field, n, _sum_by_position(field, positions, codes, n))
+
+    @property
+    def cols(self) -> int:
+        return self.rows
+
+
 def _sparse_product(
     field: Field, left: tuple, right: tuple, n: int, limit: int, addend: tuple | None = None
 ) -> tuple | None:
@@ -776,9 +798,7 @@ def _sparse_product(
 
     Every entry (i, k) of left joins the entries of row k of right, one
     ``Field.mul`` multiplies the joined values, and the products and the
-    addend's entries are sorted by position and summed there digit plane
-    by digit plane, which is one rule over GF(p) and GF(p^e).  Zero sums
-    are dropped.
+    addend's entries are summed by position (``_sum_by_position``).
     """
     lr, lc, lv = left
     rr, rc, rv = right
@@ -797,10 +817,20 @@ def _sparse_product(
     if addend is not None:
         key = np.concatenate([key, addend[0] * n + addend[1]])
         prod = np.concatenate([prod, addend[2]])
+    return _sum_by_position(field, key, prod, n)
+
+
+def _sum_by_position(field: Field, key: np.ndarray, codes: np.ndarray, n: int) -> tuple:
+    """COO triples of the n x n matrix whose entry at row * n + col is the
+    sum of the codes with that key.
+
+    The codes are sorted by key and summed there digit plane by digit
+    plane, which is one rule over GF(p) and GF(p^e); zero sums are dropped.
+    """
     order = np.argsort(key, kind="stable")
-    key, prod = key[order], prod[order]
+    key, codes = key[order], codes[order]
     heads = np.flatnonzero(np.diff(key, prepend=-1))
-    codes = field._recompose([field._mod_p(np.add.reduceat(x, heads)) for x in field._planes(prod)])
+    codes = field._recompose([field._mod_p(np.add.reduceat(x, heads)) for x in field._planes(codes)])
     key = key[heads][codes != 0]
     return key // n, key % n, codes[codes != 0]
 

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import Field, Matrix, _echelonize, _sparse_product, _sparse_rank, stack_ranks
+from cjt.exactalg import CooMatrix, Field, Matrix, _echelonize, _sparse_product, _sparse_rank, stack_ranks
 
 __all__ = [
     "JordanType",
@@ -97,33 +97,40 @@ class JordanType:
         return JordanType(self.p, tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
-def power_ranks(m: Matrix, p: int) -> list[int]:
+def power_ranks(m: Matrix | CooMatrix, p: int) -> list[int]:
     """Ranks of m^0, m^1, ..., m^p; powers past the first zero one are zero.
 
-    Every power A^j starts as COO triples.  While its product with A joins
-    at most exactalg.SPARSE_JOIN_PER_ROW * n pairs, that product is formed
-    and A^j is ranked by ``exactalg._sparse_rank``: peeling, Schur-complement
-    rounds, and a dense elimination of the small core left.  The first
-    product refused hands A^j and every later power to the image chain
-    im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks.  A @ A is
-    refused from the nonzero counts of A's rows and columns, before any
-    triples are gathered, so a dense matrix goes to the image chain at
-    once.  Over a field above exactalg.TABLE_CAP with e >= 2 every product
-    is refused: its elementwise products need discrete-log tables that
-    Field.matmul does without.
+    m is a dense Matrix, or a CooMatrix such as ``constancy.jordan_at``
+    builds: a point matrix of a Heller shift holds under three nonzeros
+    per row, and its triples come from the generators' without any n x n
+    array.  Every power A^j starts as COO triples.  While its product with
+    A joins at most exactalg.SPARSE_JOIN_PER_ROW * n pairs, that product is
+    formed and A^j is ranked by ``exactalg._sparse_rank``: peeling,
+    Schur-complement rounds, and a dense elimination of the small core
+    left.  The first product refused hands A^j and every later power to
+    the image chain im(A^(j+1)) = A im(A^j), whose bases shrink with the
+    ranks; its n x n arrays are allocated only then.  A @ A is refused from
+    the nonzero counts of A's rows and columns, before any codes are
+    gathered, so a dense matrix goes to the image chain at once.  Over a
+    field above exactalg.TABLE_CAP with e >= 2 every product is refused:
+    its elementwise products need discrete-log tables that Field.matmul
+    does without.
     """
-    field, a, n = m.field, m.array, m.rows
+    field, n = m.field, m.rows
     limit = exactalg.SPARSE_JOIN_PER_ROW * n if field.e == 1 or field.q <= exactalg.TABLE_CAP else -1
     ranks = [n]
-    # the rows of work span im(A^j) transposed; the next rows are v^T A^T = (A v)^T
-    work = np.zeros((n, n), dtype=np.int64)
-    # np.nonzero scans a bool mask faster than int64 codes
-    rows, cols = np.nonzero(a != 0)
+    if isinstance(m, CooMatrix):
+        a = None
+        rows, cols, codes = m.triples
+    else:
+        a = m.array
+        # np.nonzero scans a bool mask faster than int64 codes
+        rows, cols = np.nonzero(a != 0)
     # A @ A joins every nonzero (i, k) with the nonzeros of row k
     if np.bincount(cols, minlength=n) @ np.bincount(rows, minlength=n) > limit:
-        work[...] = a.T
+        power = None
     else:
-        power = first = rows, cols, a[rows, cols]
+        power = first = rows, cols, (a[rows, cols] if a is not None else codes)
         while len(ranks) <= p and power[2].size:
             step = _sparse_product(field, power, first, n, limit)
             if step is None:
@@ -132,8 +139,17 @@ def power_ranks(m: Matrix, p: int) -> list[int]:
             power = step
         else:
             return ranks + [0] * (p + 1 - len(ranks))
+        del first
+    if a is None:
+        a = np.zeros((n, n), dtype=np.int64)
+        a[rows, cols] = codes
+    # the rows of work span im(A^j) transposed; the next rows are v^T A^T = (A v)^T
+    work = np.zeros((n, n), dtype=np.int64)
+    if power is None:
+        work[...] = a.T
+    else:
         work[power[1], power[0]] = power[2]
-        del power, first
+        del power
     while len(ranks) <= p and work.any():
         r = len(_echelonize(field, work, n))
         ranks.append(r)
@@ -141,9 +157,9 @@ def power_ranks(m: Matrix, p: int) -> list[int]:
     return ranks + [0] * (p + 1 - len(ranks))
 
 
-def from_nilpotent(a: Matrix, p: int) -> JordanType:
-    """Jordan type of a nilpotent matrix, from the ranks of its powers;
-    raises if A^p != 0."""
+def from_nilpotent(a: Matrix | CooMatrix, p: int) -> JordanType:
+    """Jordan type of a nilpotent matrix, dense or COO, from the ranks of
+    its powers; raises if A^p != 0."""
     if a.rows != a.cols:
         raise ValueError("matrix must be square")
     ranks = power_ranks(a, p)

@@ -78,9 +78,18 @@ class Convention(Enum):
 
 
 class ModuleRep:
-    """r commuting nilpotent generator actions on a finite-dimensional space."""
+    """r commuting nilpotent generator actions on a finite-dimensional space.
 
-    __slots__ = ("field", "r", "dim", "gens", "convention")
+    ``_coo`` keeps each generator's nonzeros (positions and codes) for
+    ``_generator_entries`` once it has found them, and only on a module
+    frozen by ``_read_only`` (every Heller-tower level), whose generators
+    are read-only and referenced by nothing else; on any other module it is
+    None and the nonzeros are found on each call, so a write into a
+    generator is never read stale.
+    They are few: Heller shifts' generators hold under one nonzero per row.
+    """
+
+    __slots__ = ("field", "r", "dim", "gens", "convention", "_coo")
 
     def __init__(
         self,
@@ -107,6 +116,7 @@ class ModuleRep:
         self.dim = dim
         self.gens = tuple(arrays)
         self.convention = convention
+        self._coo: list[tuple[np.ndarray, np.ndarray] | None] | None = None
 
     def gen(self, i: int) -> Matrix:
         return Matrix(self.field, self.gens[i])
@@ -261,10 +271,24 @@ def direct_sum(mods: Sequence[ModuleRep]) -> ModuleRep:
 # tensor, dual, hom
 # ---------------------------------------------------------------------------
 
+def _admit_dense(what: str, entries: int) -> None:
+    """Refuse a build of this many int64 entries above 1 GiB, before any of
+    it is made: ``tensor``'s generators and ``hom_space``'s system."""
+    size, limit = 8 * entries, 1 << 30
+    if size > limit:
+        raise ValueError(f"{what} of {size} bytes, above the {limit}-byte limit")
+
+
 def tensor(m: ModuleRep, n: ModuleRep) -> ModuleRep:
-    """Tensor product; the generator action depends on the convention."""
+    """Tensor product; the generator action depends on the convention.
+
+    Its r generators are dense, r (dim m dim n)^2 int64 entries, and a
+    product whose generators would pass 1 GiB is refused before any is
+    built.
+    """
     if not m.same_category(n):
         raise ValueError("tensor requires matching field, r and convention")
+    _admit_dense(f"tensor({m.dim}-dim, {n.dim}-dim) needs generators", m.r * (m.dim * n.dim) ** 2)
     f = m.field
     im = np.eye(m.dim, dtype=np.int64)
     in_ = np.eye(n.dim, dtype=np.int64)
@@ -306,12 +330,7 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleHom]:
     """
     if m.field != n.field or m.r != n.r:
         raise ValueError("hom_space requires matching field and r")
-    size, limit = 8 * m.r * (m.dim * n.dim) ** 2, 1 << 30
-    if size > limit:
-        raise ValueError(
-            f"hom_space({m.dim}-dim, {n.dim}-dim) needs a dense system of {size} bytes, "
-            f"above the {limit}-byte limit"
-        )
+    _admit_dense(f"hom_space({m.dim}-dim, {n.dim}-dim) needs a dense system", m.r * (m.dim * n.dim) ** 2)
     f = m.field
     # row-major vec: vec(XA) = (I (x) A^T) vec X, vec(BX) = (B (x) I) vec X;
     # block[k, s, l, t] is the coefficient of X[l, t] in row (k, s), written
@@ -611,9 +630,28 @@ def _module_memo(cache: OrderedDict, m: ModuleRep, extra: tuple, build: Callable
 
 
 def _read_only(m: ModuleRep) -> ModuleRep:
+    """Freeze m's generators, which lets m keep their nonzeros."""
     for a in m.gens:
         a.flags.writeable = False
+    m._coo = [None] * m.r
     return m
+
+
+def _generator_entries(m: ModuleRep, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of m.gens[i] as (positions row * dim + col, codes) in
+    row-major order; kept in ``m._coo`` when m is frozen, built anew
+    otherwise."""
+    if m._coo is not None and m._coo[i] is not None:
+        return m._coo[i]
+    a = m.gens[i].ravel()
+    # np.flatnonzero scans a bool mask faster than int64 codes
+    positions = np.flatnonzero(a != 0)
+    entries = positions, a[positions]
+    if m._coo is not None:
+        for x in entries:
+            x.flags.writeable = False
+        m._coo[i] = entries
+    return entries
 
 
 def _tower(core: ModuleRep) -> dict[int, tuple[ModuleRep, list[int]]]:

@@ -1,8 +1,14 @@
+import sys
+from collections import OrderedDict
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from witness_level_oracle import witness_level
 
-from cjt import carlson, constancy, syzygy
+from cjt import carlson, constancy, exactalg, jordan, modrep, syzygy
 from cjt.constancy import (
     PiPoint,
     check_constant,
@@ -14,8 +20,8 @@ from cjt.constancy import (
     pi_support,
     sweep_points,
 )
-from cjt.exactalg import make_field
-from cjt.jordan import Dominance, JordanType, dominance_compare
+from cjt.exactalg import CooMatrix, make_field
+from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, power_ranks
 from cjt.modrep import ModuleHom, ModuleRep, free_module, tensor, trivial_module
 from cjt.polymat import generic_rank
 from cjt.zoo import ke_mod_i2, random_module, truncated_module, v_module, w_module
@@ -528,3 +534,190 @@ class TestIsIsomorphic:
         m, n = (ModuleRep(f, [np.zeros((0, 0), dtype=np.int64)] * 2) for _ in range(2))
         res = constancy.is_isomorphic(m, n)
         assert res.isomorphic and not res.inconclusive and res.witness is None
+
+
+def coo_route(m, q):
+    """(the matrix jordan_at handed to power_ranks, its ranks, the type or
+    the ValueError jordan_at raised)."""
+    seen = []
+    original = jordan.power_ranks
+
+    def recorded(a, p):
+        seen.append(a)
+        seen.append(original(a, p))
+        return seen[-1]
+
+    with mock.patch.object(jordan, "power_ranks", recorded):
+        try:
+            out = jordan_at(m, q)
+        except ValueError as exc:
+            out = exc
+    a, ranks = seen
+    return a, ranks, out
+
+
+def dense_route(m, q):
+    """evaluate's matrix, its ranks, and from_nilpotent's type or error."""
+    mat = evaluate(m, q)
+    try:
+        out = from_nilpotent(mat, m.p)
+    except ValueError as exc:
+        out = exc
+    return mat, power_ranks(mat, m.p), out
+
+
+def assert_routes_agree(m, q):
+    """jordan_at's COO matrix is evaluate's matrix, entry for entry, with
+    distinct sorted positions and nonzero codes; ranks and types agree."""
+    a, ranks, out = coo_route(m, q)
+    mat, want_ranks, want = dense_route(m, q)
+    assert isinstance(a, CooMatrix) and a.field == mat.field and a.rows == a.cols == m.dim
+    rows, cols, codes = a.triples
+    keys = rows * m.dim + cols
+    assert np.all(np.diff(keys) > 0) and np.all(codes != 0)
+    dense = np.zeros((m.dim, m.dim), dtype=np.int64)
+    dense[rows, cols] = codes
+    assert np.array_equal(dense, mat.array)
+    assert ranks == want_ranks
+    if isinstance(want, ValueError):
+        assert isinstance(out, ValueError) and str(out) == str(want)
+    else:
+        assert out == want
+    return ranks
+
+
+@st.composite
+def modules_and_points(draw):
+    """A random module over GF(p) of dim 1-40 (both sides of
+    BATCH_DIM_CUTOFF), and a point over GF(p) or GF(p^2), with up to two
+    tail terms."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(1, 3))
+    dim = draw(st.one_of(st.integers(1, 12), st.integers(28, 40)))
+    m = random_module(make_field(p, 1), r, dim, draw(st.integers(0, 2**16)))
+    f = make_field(p, draw(st.integers(1, 2)))
+    linear = draw(st.lists(st.integers(0, f.q - 1), min_size=r, max_size=r))
+    linear[0] += not any(linear)
+    tail = []
+    if (p - 1) * r >= 2:
+        exps = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).filter(lambda x: sum(x) >= 2)
+        tail = draw(st.lists(st.tuples(exps, st.integers(0, f.q - 1)), max_size=2))
+    return m, PiPoint(f, tuple(linear), tuple((tuple(x), c) for x, c in tail))
+
+
+class TestSparsePointRoute:
+    """jordan_at builds the point matrix as COO triples from the generators'
+    nonzeros; it must be evaluate's matrix, with the same ranks and type."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(modules_and_points())
+    def test_matches_evaluate_on_random_modules(self, drawn):
+        assert_routes_agree(*drawn)
+
+    def test_dims_zero_and_one(self):
+        f, f9 = make_field(3, 1), make_field(3, 2)
+        for dim in (0, 1):
+            m = ModuleRep(f, [np.zeros((dim, dim), dtype=np.int64)] * 2)
+            for q in (PiPoint(f, (1, 2)), PiPoint(f9, (4, 0), (((1, 1), 5),))):
+                assert assert_routes_agree(m, q) == [dim] + [0] * 3
+
+    def test_sizes_around_the_batch_cutoff(self):
+        cut = exactalg.BATCH_DIM_CUTOFF
+        f, f25 = make_field(5, 1), make_field(5, 2)
+        for dim in (cut - 1, cut, cut + 1, 2 * cut):
+            m = random_module(f, 2, dim, dim)
+            for q in (PiPoint(f, (1, 3)), PiPoint(f25, (7, 1), (((2, 1), 3), ((0, 2), 11)))):
+                assert_routes_agree(m, q)
+
+    def test_extension_module_at_level_one_and_its_own_field(self):
+        # a GF(3) module in the basis diag(a^i) over GF(9): entries off GF(3)
+        f3, f9 = make_field(3, 1), make_field(3, 2)
+        for seed in range(3):
+            base = random_module(f3, 2, 14, seed)
+            d = np.array([f9.pow_scalar(4, i) for i in range(14)])
+            d_inv = np.array([f9.inv_scalar(int(x)) for x in d])
+            m = ModuleRep(f9, [f9.mul(f9.mul(d[:, None], a), d_inv[None, :]) for a in base.gens])
+            assert any(np.any(a >= 3) for a in m.gens)
+            for q in sweep_points(f9, 2, 1) + [PiPoint(f9, (1, 5), (((1, 1), 7),))]:
+                assert_routes_agree(m, q)
+
+    def test_large_extension_field_takes_the_image_chain(self):
+        # GF(2^11) is above TABLE_CAP with e >= 2: every product is refused
+        f2, f = make_field(2, 1), make_field(2, 11)
+        base = random_module(f2, 2, 40, 3)
+        m = ModuleRep(f, [base.gens[0], f.mul(np.int64(5), base.gens[1])])
+        with (
+            mock.patch.object(jordan, "_sparse_rank", wraps=jordan._sparse_rank) as sparse,
+            mock.patch.object(jordan, "_echelonize", wraps=jordan._echelonize) as dense,
+        ):
+            ranks = assert_routes_agree(m, PiPoint(f, (1, 1000)))
+        assert ranks[1] and dense.called and not sparse.called
+
+    def test_non_nilpotent_input_raises_the_same_error(self):
+        f = make_field(5, 1)
+        for n in (3, 40):
+            cycle = np.roll(np.eye(n, dtype=np.int64), 1, axis=1)
+            m = ModuleRep(f, [cycle, 2 * cycle])
+            _, _, out = coo_route(m, PiPoint(f, (1, 1)))
+            assert isinstance(out, ValueError) and "not nilpotent" in str(out)
+            assert_routes_agree(m, PiPoint(f, (1, 1)))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_criterion_06_shifts_at_first_and_last_points(self, p, r):
+        f = make_field(p, 1)
+        points = sweep_points(f, r, 1)
+        for n in range(-4, 5):
+            shift = syzygy.omega_k(f, r, n)
+            for q in (points[0], points[-1]):
+                ranks = assert_routes_agree(shift, q)
+                assert ranks[0] == shift.dim and ranks[p] == 0
+
+
+class TestPointEntryCache:
+    """Generator nonzeros are kept only on frozen (Heller-tower) modules."""
+
+    def test_tower_level_keeps_its_entries_across_calls(self, monkeypatch):
+        monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+        f = make_field(5, 1)
+        m = syzygy.omega_k(f, 3, 2)
+        assert m._coo == [None] * 3
+
+        class Stores(list):
+            def __setitem__(self, i, value):
+                stored.append(i)
+                super().__setitem__(i, value)
+
+        stored = []
+        m._coo = Stores(m._coo)
+        points = [PiPoint(f, c) for c in [(1, 1, 1), (1, 2, 0), (0, 3, 1), (4, 0, 2), (2, 2, 2)]]
+        types = [jordan_at(m, q) for q in points]
+        assert sorted(stored) == [0, 1, 2]
+        assert all(x is not None and not x[0].flags.writeable for x in m._coo)
+        assert types == [from_nilpotent(evaluate(m, q), 5) for q in points]
+
+        # the rule by which the benchmark empties caches before each pass
+        for name, mod in list(sys.modules.items()):
+            if name == "cjt" or name.startswith("cjt."):
+                for attr, obj in list(vars(mod).items()):
+                    if isinstance(obj, dict) and "cache" in attr.lower():
+                        obj.clear()
+                    elif callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+        again = syzygy.omega_k(f, 3, 2)
+        assert again is not m and again._coo == [None] * 3
+        assert [jordan_at(again, q) for q in points] == types
+        for kept, rebuilt in zip(m._coo, again._coo):
+            assert rebuilt is not kept
+            assert all(np.array_equal(x, y) for x, y in zip(kept, rebuilt))
+
+    def test_a_write_into_a_writable_generator_gives_the_new_type(self):
+        f = make_field(3, 1)
+        m = random_module(f, 2, 9, 4)
+        q = PiPoint(f, (1, 2))
+        before = jordan_at(m, q)
+        assert m._coo is None
+        m.gens[0][...] = 0
+        m.gens[1][...] = 0
+        assert before != jt(3, {1: 9})
+        assert jordan_at(m, q) == jt(3, {1: 9}) == from_nilpotent(evaluate(m, q), 3)

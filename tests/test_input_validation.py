@@ -17,6 +17,7 @@ from cjt.modrep import (
     jordan_block_module,
     quotient_module,
     submodule,
+    tensor,
     trivial_module,
 )
 from cjt.polymat import HomPoly, PolyMatrix, bivariate_minor_gcd, common_zero_search
@@ -40,6 +41,7 @@ X, Y = HomPoly.variable(3, 2, 0), HomPoly.variable(3, 2, 1)
 XX, XY = X.mul(X), X.mul(Y)
 BLOCK2 = jordan_block_module(F3, 2)  # e0 -> e1 -> 0
 E0 = np.array([[1], [0]])
+OMEGA_P5 = omega_k(make_field(5, 1), 3, 1)
 
 
 def _zeros(*shape):
@@ -120,6 +122,10 @@ CASES = [
     ("hom-space-system-size",
      lambda: hom_space(trivial_module(F3, 2, 200), trivial_module(F3, 2, 200)), ValueError,
      r"hom_space\(200-dim, 200-dim\) needs a dense system of 25600000000 bytes, "
+     r"above the 1073741824-byte limit"),
+    # 3 * (124 * 124)^2 * 8 bytes: tensor(Omega^1 k, Omega^1 k) at p = 5, r = 3
+    ("tensor-generator-size", lambda: tensor(OMEGA_P5, OMEGA_P5), ValueError,
+     r"tensor\(124-dim, 124-dim\) needs generators of 5674113024 bytes, "
      r"above the 1073741824-byte limit"),
     ("submodule-not-invariant", lambda: submodule(BLOCK2, E0), ValueError,
      r"subspace is not invariant under the generator actions"),

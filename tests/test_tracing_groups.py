@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from cjt import cli, constancy, modrep
+from cjt import cli, constancy, jordan, modrep
 from cjt.exactalg import Field, make_field
 from cjt.zoo import w_module
 
@@ -118,3 +118,26 @@ def test_stressed_layer_is_reached_by_its_route(workload, monkeypatch, capsys):
     probe()
     capsys.readouterr()
     assert calls, f"{workload}: no call to cjt.{layer}.{{{', '.join(names)}}}"
+
+
+def test_power_ranks_probe_sees_one_call_per_point(monkeypatch):
+    # _on_power_ranks reads args[0].rows on every jordan.power_ranks call;
+    # jordan_at hands it a COO matrix, whose rows must be the module's dim
+    assert _constant("GROUPS")["jordan.power_ranks"] == ("jordan", ("power_ranks",))
+    original = jordan.power_ranks
+    rows = []
+
+    def counted(*args, **kwargs):
+        rows.append(args[0].rows)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get("power_ranks") is original:
+            monkeypatch.setattr(mod, "power_ranks", counted)
+    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    f = make_field(5, 1)
+    m = modrep.omega_n(modrep.trivial_module(f, 3), 1)
+    points = [(1, 1, 1), (2, 3, 0), (0, 1, 4), (3, 0, 1), (4, 4, 4)]
+    for coords in points:
+        constancy.jordan_at(m, constancy.PiPoint(f, coords))
+    assert rows == [m.dim] * len(points) == [124] * 5

@@ -606,25 +606,53 @@ def projective_cover_omega(m: ModuleRep) -> CoverResult:
     return CoverResult(cover, data.omega, inclusion)
 
 
-# Module-keyed caches (the Heller towers below, the level types of
-# constancy.level_types) keep this many entries; past it the least recently
-# used one is dropped.
+class _MemoCache(OrderedDict):
+    """An LRU dict of ``_module_memo`` entries that keeps their summed
+    weight, so a miss need not weigh every entry again; ``clear`` (the
+    benchmark's per-pass reset calls it) zeroes the sum."""
+
+    weight = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.weight = 0
+
+
+# The Heller towers keep this many entries; past it the least recently used
+# one is dropped.  (The typed levels of constancy.level_types, each far
+# smaller than a tower, are bounded by bytes instead: LEVEL_CACHE_BYTES.)
 OMEGA_CACHE_TOWERS = 8
 # One tower {n: (Omega^n core, free rows)} per projective-free core.
-_shift_cache: OrderedDict[tuple, dict[int, tuple[ModuleRep, list[int]]]] = OrderedDict()
+_shift_cache: _MemoCache[tuple, dict[int, tuple[ModuleRep, list[int]]]] = _MemoCache()
 _T = TypeVar("_T")
 
 
-def _module_memo(cache: OrderedDict, m: ModuleRep, extra: tuple, build: Callable[[], _T]) -> _T:
+def _module_memo(
+    cache: _MemoCache,
+    m: ModuleRep,
+    extra: tuple,
+    build: Callable[[], _T],
+    budget: int = OMEGA_CACHE_TOWERS,
+    weight: Callable[[tuple, _T], int] = lambda key, entry: 1,
+) -> _T:
     """The entry of (m, *extra) in an LRU cache, built on a miss and marked
-    most recently used.  The key holds m's field, convention, dim and full
-    generator bytes, so a generator written in place after an entry was
-    made misses it; a dict lookup compares the whole bytes, not a hash alone."""
+    most recently used.  The key is (m.field, m.convention, m.dim, the bytes
+    of each generator) + extra, so a generator written in place after an
+    entry was made misses it; a dict lookup compares the whole bytes, not a
+    hash alone.
+
+    An entry weighs weight(key, entry), taken when it is added and again
+    when it is dropped, so it must not change while the entry is cached.
+    After a miss the least recently used entries are dropped until the
+    cache weighs at most ``budget``, but the new entry is always kept.  By
+    default every entry weighs 1, so the cache keeps ``OMEGA_CACHE_TOWERS``
+    entries."""
     key = (m.field, m.convention, m.dim, tuple(a.tobytes() for a in m.gens)) + extra
     if key not in cache:
         cache[key] = build()
-        if len(cache) > OMEGA_CACHE_TOWERS:
-            cache.popitem(last=False)
+        cache.weight += weight(key, cache[key])
+        while cache.weight > budget and len(cache) > 1:
+            cache.weight -= weight(*cache.popitem(last=False))
     cache.move_to_end(key)
     return cache[key]
 

@@ -1,5 +1,4 @@
 import sys
-from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -678,7 +677,7 @@ class TestPointEntryCache:
     """Generator nonzeros are kept only on frozen (Heller-tower) modules."""
 
     def test_tower_level_keeps_its_entries_across_calls(self, monkeypatch):
-        monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+        monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
         f = make_field(5, 1)
         m = syzygy.omega_k(f, 3, 2)
         assert m._coo == [None] * 3

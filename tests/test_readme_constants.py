@@ -1,17 +1,17 @@
-"""README quotes tuning constants of cjt.exactalg and cjt.modrep by name and
-often by value; every such quote must name a constant that exists and give
-its current value."""
+"""README quotes tuning constants of cjt.exactalg, cjt.modrep and
+cjt.constancy by name and often by value; every such quote must name a
+constant that exists and give its current value."""
 
 import re
 from pathlib import Path
 
-from cjt import exactalg, modrep
+from cjt import constancy, exactalg, modrep
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = {"exactalg": exactalg, "modrep": modrep}
+MODULES = {"exactalg": exactalg, "modrep": modrep, "constancy": constancy}
 
-# `exactalg.NAME`, `modrep.NAME` or `NAME`, optionally followed by (N) or = N
-QUOTE = re.compile(r"`(?:(exactalg|modrep)\.)?([A-Z][A-Z0-9_]*)`(?:\s*\((\d+)\)|\s*=\s*(\d+)\b)?")
+# `exactalg.NAME`, `modrep.NAME`, `constancy.NAME` or `NAME`, optionally followed by (N) or = N
+QUOTE = re.compile(r"`(?:(exactalg|modrep|constancy)\.)?([A-Z][A-Z0-9_]*)`(?:\s*\((\d+)\)|\s*=\s*(\d+)\b)?")
 
 
 def test_readme_constants_exist_with_the_values_it_gives():
@@ -28,7 +28,7 @@ def test_readme_constants_exist_with_the_values_it_gives():
         line = text.count("\n", 0, match.start()) + 1
         checked += 1
         if not owners or not hasattr(owners[0], name):
-            problems.append(f"line {line}: {match.group(0)!r} names no constant of {where or 'exactalg or modrep'}")
+            problems.append(f"line {line}: {match.group(0)!r} names no constant of {where or ', '.join(MODULES)}")
         elif value is not None and getattr(owners[0], name) != int(value):
             problems.append(f"line {line}: {match.group(0)!r}, but {name} = {getattr(owners[0], name)}")
     assert checked >= 10

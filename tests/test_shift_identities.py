@@ -8,7 +8,6 @@ every matrix must agree byte for byte.
 """
 
 import sys
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -83,7 +82,7 @@ def test_factor_generator_solves_nothing(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if (name == "cjt" or name.startswith("cjt.")) and getattr(mod, "solve_linear", None) is original:
             monkeypatch.setattr(mod, "solve_linear", counted)
-    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
     for f in (make_field(3, 1), make_field(3, 2)):
         for conv in Convention:
             for degree in (1, 2):
@@ -109,7 +108,7 @@ def _count_covers(monkeypatch):
     calls = []
     original = modrep._cover_kernel
     monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
-    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
     return calls
 
 

@@ -6,14 +6,14 @@ point) gives, on either side of ``exactalg.BATCH_DIM_CUTOFF``, and type a
 module at a level once while its memo holds it.
 """
 
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cjt import carlson, constancy, exactalg
+from cjt import carlson, constancy, exactalg, modrep
 from cjt.carlson import endotrivial_check, l_xi
 from cjt.constancy import (
     PiPoint,
@@ -28,7 +28,7 @@ from cjt.constancy import (
 )
 from cjt.exactalg import BATCH_DIM_CUTOFF, Field, Matrix, make_field
 from cjt.jordan import JordanType, from_nilpotent, jordan_types
-from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleRep, omega_n, trivial_module
+from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleRep, _MemoCache, omega_n, trivial_module
 from cjt.syzygy import factor_generator, omega_k
 from cjt.zoo import random_module, w_module
 
@@ -189,7 +189,7 @@ class TestLevelMemo:
     @pytest.fixture
     def evaluated(self, monkeypatch):
         """The points ``evaluate`` is called at, from an empty memo."""
-        monkeypatch.setattr(constancy, "_level_cache", OrderedDict())
+        monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
         points = []
         original = constancy.evaluate
         monkeypatch.setattr(constancy, "evaluate", lambda m, q: points.append(q) or original(m, q))
@@ -213,7 +213,7 @@ class TestLevelMemo:
         assert len(evaluated) == count
         assert hit == first and hit is not first
         hit.clear()
-        monkeypatch.setattr(constancy, "_level_cache", OrderedDict())
+        monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
         assert level_types(m, 2) == first == [(q, jordan_at(m, q)) for q, _ in first]
 
     def test_a_write_into_a_generator_retypes(self, evaluated):
@@ -240,18 +240,110 @@ class TestLevelMemo:
             assert level_types(m, 1) == [(q, jordan_at(m, q)) for q in sweep_points(m.field, m.r, 1)]
         assert len(constancy._level_cache) == len(modules)
 
-    def test_the_least_recently_used_level_is_evicted(self, evaluated):
+    @staticmethod
+    def _cached(*modules):
+        """Which of the modules have their level 1 in the memo, and a check
+        that its running weight is the sum of its entries' weights."""
+        cache = constancy._level_cache
+        assert cache.weight == sum(constancy._level_weight(k, v) for k, v in cache.items())
+        held = {k[3] for k in cache}
+        return [tuple(a.tobytes() for a in m.gens) in held for m in modules]
+
+    def test_the_least_recently_used_level_is_evicted(self, evaluated, monkeypatch):
         f = make_field(3, 1)
-        pairs = [(random_module(f, 2, 3, seed), 1) for seed in range(OMEGA_CACHE_TOWERS - 1)]
-        pairs.append((pairs[0][0], 2))
-        for m, e in pairs:
-            level_types(m, e)
-        level_types(*pairs[0])  # now pairs[1] is the least recently used
-        level_types(random_module(f, 2, 3, 99), 1)  # the ninth pair
-        assert len(constancy._level_cache) == OMEGA_CACHE_TOWERS
+        small = [random_module(f, 2, 3, seed) for seed in range(4)]
+        for m in small[:3]:
+            level_types(m, 1)
+        weights = [constancy._level_weight(k, v) for k, v in constancy._level_cache.items()]
+        assert len(set(weights)) == 1  # equal dims and points: equal weights
+        monkeypatch.setattr(constancy, "LEVEL_CACHE_BYTES", 3 * weights[0])
+        level_types(small[0], 1)  # now small[1] is the least recently used
+        level_types(small[3], 1)
+        assert self._cached(*small) == [True, False, True, True]
         count = len(evaluated)
-        for m, e in [pairs[0]] + pairs[2:]:
-            level_types(m, e)
+        for m in (small[0], small[2], small[3]):
+            level_types(m, 1)
         assert len(evaluated) == count
-        level_types(*pairs[1])
+        level_types(small[1], 1)  # retyped, and small[0] goes
         assert len(evaluated) == count + len(sweep_points(f, 2, 1))
+        assert self._cached(*small) == [False, True, True, True]
+
+    def test_the_key_bytes_are_weighed(self, evaluated, monkeypatch):
+        """A level of a dim-18 module has as many points as one of a dim-3
+        module, but its generators' bytes push out four small levels."""
+        f = make_field(3, 1)
+        small = [random_module(f, 2, 3, seed) for seed in range(5)]
+        large = random_module(f, 2, 18, 5)
+        for m in small + [large]:
+            level_types(m, 1)
+        w_small, *_, w_large = (constancy._level_weight(k, v) for k, v in constancy._level_cache.items())
+        assert 3 * w_small < w_large <= 4 * w_small
+        constancy._level_cache.clear()
+        monkeypatch.setattr(constancy, "LEVEL_CACHE_BYTES", 5 * w_small)
+        for m in small + [small[0]]:  # small[1] is now the least recently used
+            level_types(m, 1)
+        assert self._cached(*small, large) == [True] * 5 + [False]
+        count = len(evaluated)
+        level_types(large, 1)
+        assert len(evaluated) == count + len(sweep_points(f, 2, 1))
+        # counted by points, one small level would go
+        assert self._cached(*small, large) == [True, False, False, False, False, True]
+
+    def test_the_newest_level_is_kept_over_the_budget(self, evaluated, monkeypatch):
+        monkeypatch.setattr(constancy, "LEVEL_CACHE_BYTES", 1)
+        f = make_field(5, 1)
+        first, second = random_module(f, 2, 4, 1), random_module(f, 2, 4, 2)
+        typed = level_types(first, 2)
+        assert self._cached(first, second) == [True, False] and len(constancy._level_cache) == 1
+        count = len(evaluated)
+        assert level_types(first, 2) == typed and len(evaluated) == count
+        level_types(second, 2)
+        assert len(constancy._level_cache) == 1
+        assert [k[3] for k in constancy._level_cache] == [tuple(a.tobytes() for a in second.gens)]
+        level_types(first, 2)
+        assert len(evaluated) == count + 2 * len(sweep_points(f, 2, 2))
+
+    def test_a_session_types_each_level_once(self, monkeypatch):
+        """Interleaved check_constant, gamma_locus and pi_support over more
+        modules than the Heller-tower bound evaluate each point of each
+        (module, level) once."""
+        monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
+        calls = []
+        original = constancy.evaluate
+        monkeypatch.setattr(constancy, "evaluate", lambda m, q: calls.append((id(m), q)) or original(m, q))
+        modules = [omega_k(make_field(3, 1), 2, 1), omega_k(make_field(5, 1), 2, -1)]
+        modules += [random_module(make_field(3 + 2 * (i % 2), 1), 2, 3 + i % 4, i) for i in range(2 * OMEGA_CACHE_TOWERS - 1)]
+        swept = [check_constant(m, 2).extensions for m in modules]
+        # level 2 is typed first by check_constant on some modules, by gamma_locus on others
+        assert [1] in swept and [1, 2] in swept
+        for m in modules:
+            gamma_locus(m, 2)
+        for m in reversed(modules):
+            pi_support(m, 2)
+        for m in modules[::2]:
+            check_constant(m, 2)
+        expected = Counter((id(m), q) for m in modules for e in (1, 2) for q in sweep_points(m.field, m.r, e))
+        assert Counter(calls) == expected and set(expected.values()) == {1}
+
+    def test_unmemoized_calls_leave_the_caches_alone(self):
+        """generic_type, sweep_points and jordan_at add to no cache: the
+        benchmark's untimed output checks call them, and a memo filled there
+        would move timed work into those checks."""
+        f = make_field(3, 1)
+        tower_level = omega_n(trivial_module(f, 2), 2)
+        plain = random_module(f, 2, 5, 3)
+        level_types(plain, 1)
+
+        def state():
+            return [
+                ([(k, id(v), sorted(v) if isinstance(v, dict) else None) for k, v in cache.items()], cache.weight)
+                for cache in (constancy._level_cache, modrep._shift_cache)
+            ]
+
+        before = state()
+        for m in (tower_level, plain, random_module(f, 2, 4, 8)):
+            constancy.generic_type(m)
+            for e in (1, 2):
+                for q in sweep_points(m.field, m.r, e):
+                    jordan_at(m, q)
+        assert state() == before

@@ -1,5 +1,3 @@
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 
@@ -222,7 +220,7 @@ class TestShiftAndProducts:
 
 class TestOmegaCache:
     def test_towers_are_bounded_and_recent_ones_hit(self, monkeypatch):
-        monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+        monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
         f3, f5 = make_field(3, 1), make_field(5, 1)
         first = omega_k(f3, 2, 2)
         keys = [(f, r, conv) for r in range(1, 12) for f in (f3, f5) for conv in Convention]

@@ -24,7 +24,6 @@ import ast
 import importlib
 import inspect
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -113,8 +112,8 @@ def test_stressed_layer_is_reached_by_its_route(workload, monkeypatch, capsys):
             if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
     # a cached Heller-shift tower would build no cover, a cached level no point
-    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
-    monkeypatch.setattr(constancy, "_level_cache", OrderedDict())
+    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
+    monkeypatch.setattr(constancy, "_level_cache", modrep._MemoCache())
     probe()
     capsys.readouterr()
     assert calls, f"{workload}: no call to cjt.{layer}.{{{', '.join(names)}}}"
@@ -134,7 +133,7 @@ def test_power_ranks_probe_sees_one_call_per_point(monkeypatch):
     for modname, mod in list(sys.modules.items()):
         if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get("power_ranks") is original:
             monkeypatch.setattr(mod, "power_ranks", counted)
-    monkeypatch.setattr(modrep, "_shift_cache", OrderedDict())
+    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
     f = make_field(5, 1)
     m = modrep.omega_n(modrep.trivial_module(f, 3), 1)
     points = [(1, 1, 1), (2, 3, 0), (0, 1, 4), (3, 0, 1), (4, 4, 4)]

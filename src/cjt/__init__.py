@@ -20,8 +20,9 @@ from cjt.constancy import (
     is_isomorphic,
     jordan_at,
     pi_support,
+    point_field,
 )
-from cjt.exactalg import Field, Matrix, make_field, rank, solve_linear
+from cjt.exactalg import CooMatrix, Field, make_field, rank, solve_linear
 from cjt.jordan import (
     Dominance,
     JordanType,
@@ -56,7 +57,7 @@ from cjt.zoo import build_example
 
 __all__ = [
     "Field",
-    "Matrix",
+    "CooMatrix",
     "make_field",
     "rank",
     "solve_linear",
@@ -93,6 +94,7 @@ __all__ = [
     "PiPoint",
     "CjtReport",
     "GammaLocus",
+    "point_field",
     "evaluate",
     "jordan_at",
     "generic_type",

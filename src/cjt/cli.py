@@ -21,7 +21,6 @@ from cjt.constancy import (
     jordan_at,
 )
 from cjt.exactalg import make_field
-from cjt.jordan import from_nilpotent
 from cjt.modrep import Convention, tensor, validate
 from cjt.polymat import CommonZeroWitness, common_zero_search
 from cjt.serialize import (
@@ -129,7 +128,7 @@ def _cmd_tensor(args) -> tuple[dict, int]:
         raise UsageError(str(exc))
     if args.type_only:
         if a.r == 1:
-            t = from_nilpotent(prod.gen(0), prod.p)
+            t = jordan_at(prod, PiPoint(prod.field, (1,)))
         else:
             t = generic_type(prod)
         return {"type": str(t), **jordan_type_to_json(t)}, 0

@@ -15,7 +15,7 @@ from itertools import chain, product
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import CooMatrix, Field, Matrix, make_field, rank_array
+from cjt.exactalg import CooMatrix, Field, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
 from cjt.modrep import ModuleHom, ModuleRep, _generator_entries, _MemoCache, _module_memo, _monomial, hom_space
 from cjt.polymat import PolyMatrix, _admit_depth, _chart_divisor, _orbit_blocks, generic_rank
@@ -24,9 +24,9 @@ __all__ = [
     "PiPoint",
     "CjtReport",
     "GammaLocus",
+    "point_field",
     "evaluate",
     "jordan_at",
-    "restrict_to_point",
     "pencil",
     "generic_type",
     "check_constant",
@@ -88,7 +88,7 @@ class PiPoint:
         return f"[{inner}]" + (f"+tail({len(self.tail)})" if self.tail else "")
 
 
-def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
+def point_field(m: ModuleRep, q: PiPoint) -> Field:
     """The field a point's matrix on m lives in: the larger of the two.
     Raises if the point does not fit m."""
     if len(q.linear) != m.r:
@@ -107,10 +107,15 @@ def _point_field_for(m: ModuleRep, q: PiPoint) -> Field:
     )
 
 
-def evaluate(m: ModuleRep, q: PiPoint) -> Matrix:
-    """Matrix of the point on the module: sum of scaled generators plus
-    tail monomials in the commuting generator actions."""
-    f = _point_field_for(m, q)
+def evaluate(m: ModuleRep, q: PiPoint) -> np.ndarray:
+    """Matrix of the point on the module, as an array of codes: the sum of
+    scaled generators plus tail monomials in the commuting generator
+    actions.
+
+    The codes are over ``point_field(m, q)``: the point's field,
+    except for a point over the prime field on a module over a proper
+    extension, whose matrix is over the module's field."""
+    f = point_field(m, q)
     out = np.zeros((m.dim, m.dim), dtype=np.int64)
     for c, a in zip(q.linear, m.gens):
         if c:
@@ -118,7 +123,7 @@ def evaluate(m: ModuleRep, q: PiPoint) -> Matrix:
     for exps, coef in q.tail:
         if coef:
             out = f.add(out, f.mul(np.int64(coef), _monomial(f, m.gens, exps)))
-    return Matrix(f, out)
+    return out
 
 
 def jordan_at(m: ModuleRep, q: PiPoint) -> JordanType:
@@ -134,7 +139,7 @@ def jordan_at(m: ModuleRep, q: PiPoint) -> JordanType:
     Heller-tower level) and found anew on any other module, so a write
     into a generator between two calls gives the new type.
     """
-    f = _point_field_for(m, q)
+    f = point_field(m, q)
     keys, codes = [], []
     for i, c in enumerate(q.linear):
         if c:
@@ -148,12 +153,6 @@ def jordan_at(m: ModuleRep, q: PiPoint) -> JordanType:
             keys.append(positions)
             codes.append(f.mul(np.int64(coef), mono[positions]))
     return from_nilpotent(CooMatrix.summed(f, m.dim, np.concatenate(keys), np.concatenate(codes)), m.p)
-
-
-def restrict_to_point(m: ModuleRep, q: PiPoint) -> ModuleRep:
-    """The module viewed over a single generator acting as the point matrix."""
-    val = evaluate(m, q)
-    return ModuleRep(val.field, [val.array], m.convention, allow_large=True)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +213,11 @@ def _level_weight(key: tuple, typed: tuple[tuple[PiPoint, JordanType], ...]) -> 
 def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     """Jordan type at every sweep point of extension level e, in sweep order.
 
-    Each point's matrix comes from ``evaluate``, over the field it lives
-    in; the matrices are typed in stacks of at most ``exactalg.STACK_CELLS``
-    entries by the batched kernel ``jordan_types``, which falls back to one
-    matrix at a time above ``exactalg.BATCH_DIM_CUTOFF``.
+    A module of dim at most ``exactalg.BATCH_DIM_CUTOFF`` has each point's
+    matrix built by ``evaluate``, over the field it lives in, and typed in
+    stacks of at most ``exactalg.STACK_CELLS`` entries by the batched
+    kernel ``jordan_types``.  A larger module has each point typed by
+    ``jordan_at``, whose matrices stay COO triples.
 
     The typed level is kept in ``_level_cache``, keyed like a Heller tower
     (field, convention, dim and generator bytes of m) plus e, so the
@@ -229,11 +229,14 @@ def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
 
     def build():
         points = sweep_points(m.field, m.r, e)
+        if m.dim > exactalg.BATCH_DIM_CUTOFF:
+            return tuple((q, jordan_at(m, q)) for q in points)
         per_stack = max(1, exactalg.STACK_CELLS // max(1, m.dim * m.dim))
         types: list[JordanType] = []
         for i in range(0, len(points), per_stack):
-            mats = [evaluate(m, q) for q in points[i : i + per_stack]]
-            types += jordan_types(mats[0].field, np.stack([a.array for a in mats]), m.p)
+            chunk = points[i : i + per_stack]
+            stack = np.stack([evaluate(m, q) for q in chunk])
+            types += jordan_types(point_field(m, chunk[0]), stack, m.p)
         return tuple(zip(points, types))
 
     return list(_module_memo(_level_cache, m, (e,), build, LEVEL_CACHE_BYTES, _level_weight))

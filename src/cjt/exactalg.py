@@ -14,13 +14,13 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Field",
-    "Matrix",
+    "CooMatrix",
     "SolveResult",
     "make_field",
     "rank",
@@ -79,8 +79,10 @@ def _check_log_tables(p: int, e: int) -> None:
 STACK_CELLS = 1 << 13
 
 # Stacks of matrices with a side above this size are eliminated one slice at
-# a time.  Eliminating a whole stack pays a few numpy calls per column for
-# all slices at once, which wins while matrices are small.  Measured in
+# a time, and constancy.level_types types the points of a module above it
+# one by one with jordan_at.  Eliminating a whole stack pays a few numpy
+# calls per column for all slices at once, which wins while matrices are
+# small.  Measured in
 # stacks of STACK_CELLS entries, stacked over per-matrix time: Jordan types
 # of level sweeps (against power_ranks) 0.84 at dim 32, 1.0-1.4 at dim
 # 40 and 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2);
@@ -599,61 +601,6 @@ def make_field(p: int, e: int) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# matrices
-# ---------------------------------------------------------------------------
-
-class Matrix:
-    """Dense matrix over a Field; entries are element codes in an int64 array."""
-
-    __slots__ = ("field", "array")
-
-    def __init__(self, field: Field, array: np.ndarray):
-        array = np.ascontiguousarray(np.asarray(array, dtype=np.int64))
-        if array.ndim != 2:
-            raise ValueError("matrix array must be 2-dimensional")
-        self.field = field
-        self.array = array
-
-    @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Iterable]) -> "Matrix":
-        data = [[field.code_of(v) for v in row] for row in rows]
-        arr = np.array(data, dtype=np.int64) if data else np.zeros((0, 0), dtype=np.int64)
-        return cls(field, arr)
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        return Matrix(self.field, self.field.matmul(self.array, other.array))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.array.shape == other.array.shape
-            and bool(np.array_equal(self.array, other.array))
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols} over GF({self.field.p}^{self.field.e}))"
-
-
-# ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
@@ -711,14 +658,21 @@ def column_space(field: Field, arr: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return rows.T, piv
 
 
-def rank(m: Matrix) -> int:
-    """Rank over the matrix's field, by Gaussian elimination."""
-    return rank_array(m.field, m.array)
+def _codes_2d(arr: np.ndarray) -> np.ndarray:
+    """An int64 copy of a matrix of codes; refuses any other shape."""
+    a = np.array(arr, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError("matrix array must be 2-dimensional")
+    return a
 
 
 def rank_array(field: Field, arr: np.ndarray) -> int:
-    a = np.array(arr, dtype=np.int64)
+    """Rank of a matrix of codes over the field, by Gaussian elimination."""
+    a = _codes_2d(arr)
     return len(_echelonize(field, a, a.shape[1]))
+
+
+rank = rank_array
 
 
 def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
@@ -732,7 +686,8 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     Only rows with a nonzero entry under some pivot are touched.  A slice's
     rank is its number of closed rows.  Stacks whose matrices have a side
     above BATCH_DIM_CUTOFF are eliminated slice by slice with
-    ``rank_array``.
+    ``rank_array``, so ``jordan.jordan_types`` hands over stacks of any
+    size.
     """
     a = np.array(stack, dtype=np.int64)
     if a.ndim != 3:
@@ -769,8 +724,12 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CooMatrix:
-    """Square n x n matrix over a Field as COO triples; ``rows`` and
-    ``cols`` are n, as for Matrix."""
+    """Square n x n matrix over a Field as COO triples; ``rows`` is n.
+
+    The one matrix type of ``jordan.power_ranks`` and ``from_nilpotent``:
+    ``constancy.jordan_at`` sums a point's matrix straight into triples
+    (``summed``), and a dense matrix of codes enters by ``from_dense``.
+    """
 
     __slots__ = ("field", "rows", "triples")
 
@@ -785,9 +744,15 @@ class CooMatrix:
         at that position."""
         return cls(field, n, _sum_by_position(field, positions, codes, n))
 
-    @property
-    def cols(self) -> int:
-        return self.rows
+    @classmethod
+    def from_dense(cls, field: Field, a: np.ndarray) -> "CooMatrix":
+        """The nonzeros of a square matrix of codes; refuses any other shape."""
+        a = np.asarray(a, dtype=np.int64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("matrix must be square")
+        # np.nonzero scans a bool mask faster than int64 codes
+        rows, cols = np.nonzero(a != 0)
+        return cls(field, a.shape[0], (rows, cols, a[rows, cols]))
 
 
 def _sparse_product(
@@ -1015,13 +980,12 @@ def _kernel_from_echelon(
     return basis
 
 
-def nullspace(m: Matrix) -> Matrix:
-    """Basis of the right nullspace, as matrix columns (deterministic order)."""
-    return Matrix(m.field, nullspace_array(m.field, m.array))
-
-
 def nullspace_array(field: Field, arr: np.ndarray) -> np.ndarray:
-    return _nullspace_in_place(field, np.array(arr, dtype=np.int64))
+    """Basis of the right nullspace, as matrix columns (deterministic order)."""
+    return _nullspace_in_place(field, _codes_2d(arr))
+
+
+nullspace = nullspace_array
 
 
 def _nullspace_in_place(field: Field, a: np.ndarray) -> np.ndarray:
@@ -1031,39 +995,39 @@ def _nullspace_in_place(field: Field, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SolveResult:
-    """Outcome of solve_linear: particular solution plus nullspace basis.
+    """Outcome of solve_linear: particular solution plus nullspace basis,
+    as matrices of codes.
 
     ``consistent`` distinguishes an unsolvable system from one whose kernel
     happens to be trivial.
     """
 
     consistent: bool
-    solution: Matrix | None
-    kernel: Matrix
+    solution: np.ndarray | None
+    kernel: np.ndarray
 
 
-def solve_linear(a: Matrix, b: Matrix) -> SolveResult:
-    """Solve a X = b; returns one particular solution and a kernel basis.
+def solve_linear(field: Field, a: np.ndarray, b: np.ndarray) -> SolveResult:
+    """Solve a X = b over the field; returns one particular solution and a
+    kernel basis.
 
     Pivoting is deterministic (first nonzero in column order).  When the
     system is inconsistent the solution is None but the kernel of ``a`` is
     still reported.
     """
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.rows != b.rows:
-        raise ValueError(f"shape mismatch: a has {a.rows} rows, b has {b.rows}")
-    field = a.field
-    n = a.cols
-    aug = np.hstack([a.array, b.array]).astype(np.int64)
+    a, b = _codes_2d(a), _codes_2d(b)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"shape mismatch: a has {a.shape[0]} rows, b has {b.shape[0]}")
+    n = a.shape[1]
+    aug = np.hstack([a, b])
     piv = _echelonize(field, aug, n)
     k = len(piv)
     # rows below the pivot rows must have zero right-hand side
     consistent = not np.any(aug[k:, n:])
-    kernel = Matrix(field, _kernel_from_echelon(field, aug[:, :n], piv, n))
+    kernel = _kernel_from_echelon(field, aug[:, :n], piv, n)
     if not consistent:
         return SolveResult(False, None, kernel)
-    sol = np.zeros((n, b.cols), dtype=np.int64)
+    sol = np.zeros((n, b.shape[1]), dtype=np.int64)
     if k:
         sol[piv] = _back_substitute(field, aug[:k][:, piv], aug[:k, n:])
-    return SolveResult(True, Matrix(field, sol), kernel)
+    return SolveResult(True, sol, kernel)

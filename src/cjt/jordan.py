@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from cjt import exactalg
-from cjt.exactalg import CooMatrix, Field, Matrix, _echelonize, _sparse_product, _sparse_rank, stack_ranks
+from cjt.exactalg import CooMatrix, Field, _echelonize, _sparse_product, _sparse_rank, stack_ranks
 
 __all__ = [
     "JordanType",
@@ -97,40 +97,33 @@ class JordanType:
         return JordanType(self.p, tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
-def power_ranks(m: Matrix | CooMatrix, p: int) -> list[int]:
+def power_ranks(m: CooMatrix, p: int) -> list[int]:
     """Ranks of m^0, m^1, ..., m^p; powers past the first zero one are zero.
 
-    m is a dense Matrix, or a CooMatrix such as ``constancy.jordan_at``
-    builds: a point matrix of a Heller shift holds under three nonzeros
-    per row, and its triples come from the generators' without any n x n
-    array.  Every power A^j starts as COO triples.  While its product with
-    A joins at most exactalg.SPARSE_JOIN_PER_ROW * n pairs, that product is
-    formed and A^j is ranked by ``exactalg._sparse_rank``: peeling,
-    Schur-complement rounds, and a dense elimination of the small core
-    left.  The first product refused hands A^j and every later power to
-    the image chain im(A^(j+1)) = A im(A^j), whose bases shrink with the
-    ranks; its n x n arrays are allocated only then.  A @ A is refused from
-    the nonzero counts of A's rows and columns, before any codes are
-    gathered, so a dense matrix goes to the image chain at once.  Over a
-    field above exactalg.TABLE_CAP with e >= 2 every product is refused:
-    its elementwise products need discrete-log tables that Field.matmul
-    does without.
+    m comes as COO triples: ``constancy.jordan_at`` sums a point's matrix
+    into them from the generators' nonzeros without any n x n array (a
+    point matrix of a Heller shift holds under three nonzeros per row), and
+    a dense matrix enters by ``CooMatrix.from_dense``.  Every power A^j
+    starts as COO triples.  While its product with A joins at most
+    exactalg.SPARSE_JOIN_PER_ROW * n pairs, that product is formed and A^j
+    is ranked by ``exactalg._sparse_rank``: peeling, Schur-complement
+    rounds, and a dense elimination of the small core left.  The first
+    product refused hands A^j and every later power to the image chain
+    im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks; its n x n
+    arrays are allocated only then.  A @ A is refused from the nonzero
+    counts of A's rows and columns, before any codes are gathered, so a
+    dense matrix goes to the image chain at once.  Over a field above
+    exactalg.TABLE_CAP with e >= 2 every product is refused: its
+    elementwise products need discrete-log tables that Field.matmul does
+    without.
     """
     field, n = m.field, m.rows
     limit = exactalg.SPARSE_JOIN_PER_ROW * n if field.e == 1 or field.q <= exactalg.TABLE_CAP else -1
     ranks = [n]
-    if isinstance(m, CooMatrix):
-        a = None
-        rows, cols, codes = m.triples
-    else:
-        a = m.array
-        # np.nonzero scans a bool mask faster than int64 codes
-        rows, cols = np.nonzero(a != 0)
+    power = first = m.triples
+    rows, cols, codes = first
     # A @ A joins every nonzero (i, k) with the nonzeros of row k
-    if np.bincount(cols, minlength=n) @ np.bincount(rows, minlength=n) > limit:
-        power = None
-    else:
-        power = first = rows, cols, (a[rows, cols] if a is not None else codes)
+    if np.bincount(cols, minlength=n) @ np.bincount(rows, minlength=n) <= limit:
         while len(ranks) <= p and power[2].size:
             step = _sparse_product(field, power, first, n, limit)
             if step is None:
@@ -139,17 +132,12 @@ def power_ranks(m: Matrix | CooMatrix, p: int) -> list[int]:
             power = step
         else:
             return ranks + [0] * (p + 1 - len(ranks))
-        del first
-    if a is None:
-        a = np.zeros((n, n), dtype=np.int64)
-        a[rows, cols] = codes
+    a = np.zeros((n, n), dtype=np.int64)
+    a[rows, cols] = codes
     # the rows of work span im(A^j) transposed; the next rows are v^T A^T = (A v)^T
     work = np.zeros((n, n), dtype=np.int64)
-    if power is None:
-        work[...] = a.T
-    else:
-        work[power[1], power[0]] = power[2]
-        del power
+    work[power[1], power[0]] = power[2]
+    del power
     while len(ranks) <= p and work.any():
         r = len(_echelonize(field, work, n))
         ranks.append(r)
@@ -157,11 +145,10 @@ def power_ranks(m: Matrix | CooMatrix, p: int) -> list[int]:
     return ranks + [0] * (p + 1 - len(ranks))
 
 
-def from_nilpotent(a: Matrix | CooMatrix, p: int) -> JordanType:
-    """Jordan type of a nilpotent matrix, dense or COO, from the ranks of
-    its powers; raises if A^p != 0."""
-    if a.rows != a.cols:
-        raise ValueError("matrix must be square")
+def from_nilpotent(a: CooMatrix, p: int) -> JordanType:
+    """Jordan type of a nilpotent matrix, given as COO triples (see
+    ``CooMatrix.from_dense`` for a dense one), from the ranks of its
+    powers; raises if A^p != 0."""
     ranks = power_ranks(a, p)
     if ranks[p] != 0:
         raise ValueError(f"matrix is not nilpotent of order <= {p}")
@@ -171,33 +158,35 @@ def from_nilpotent(a: Matrix | CooMatrix, p: int) -> JordanType:
 def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     """Jordan types of a (points, n, n) stack of nilpotent matrices.
 
-    The ranks of A^1, ..., A^(p-1) come from one elimination per power that
-    runs over every slice at once; a slice leaves the stack once its power
-    is zero.  Matrices larger than exactalg.BATCH_DIM_CUTOFF go through
-    power_ranks one by one.  Like from_nilpotent, raises ValueError when
-    some A^p != 0.
+    The ranks of A^1, ..., A^(p-1) come from one ``stack_ranks`` call per
+    power over every slice at once, which eliminates slices above
+    exactalg.BATCH_DIM_CUTOFF one at a time; a slice leaves the stack once
+    its power is zero.  Like from_nilpotent, raises ValueError when some
+    A^p != 0.
+
+    Every power is a dense stack product, so above the cutoff this is the
+    slow route for sparse matrices: on the 31 level-1 points of Omega^2 k
+    at p = 5, r = 3 (dim 251) it takes about 4x as long as typing each
+    point by ``constancy.jordan_at``, whose powers stay COO triples while
+    they are sparse.  ``level_types`` therefore types modules above the
+    cutoff by ``jordan_at``.
     """
     stack = np.asarray(stack, dtype=np.int64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("need a (points, n, n) stack of square matrices")
     count, n = stack.shape[0], stack.shape[1]
-    # ranks[:, j] = rank of A^j, except that the stacked route only marks
-    # A^p != 0 in column p
+    # ranks[:, j] = rank of A^j, except that column p only marks A^p != 0
     ranks = np.zeros((count, p + 1), dtype=np.int64)
-    if n > exactalg.BATCH_DIM_CUTOFF:
-        for i, s in enumerate(stack):
-            ranks[i] = power_ranks(Matrix(field, s), p)
-    else:
-        ranks[:, 0] = n
-        live, power = np.arange(count), stack
-        for j in range(1, p + 1):
-            if live.size == 0:
-                break
-            if j > 1:
-                power = field.matmul(power, stack[live])
-            r = stack_ranks(field, power) if j < p else power.any(axis=(1, 2))
-            ranks[live, j] = r
-            live, power = live[r > 0], power[r > 0]
+    ranks[:, 0] = n
+    live, power = np.arange(count), stack
+    for j in range(1, p + 1):
+        if live.size == 0:
+            break
+        if j > 1:
+            power = field.matmul(power, stack[live])
+        r = stack_ranks(field, power) if j < p else power.any(axis=(1, 2))
+        ranks[live, j] = r
+        live, power = live[r > 0], power[r > 0]
     if ranks[:, p].any():
         raise ValueError(f"matrix is not nilpotent of order <= {p}")
     distinct, which = np.unique(ranks, axis=0, return_inverse=True)

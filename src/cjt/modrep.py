@@ -18,7 +18,6 @@ import numpy as np
 
 from cjt.exactalg import (
     Field,
-    Matrix,
     _back_substitute,
     _echelonize,
     _kernel_from_echelon,
@@ -94,7 +93,7 @@ class ModuleRep:
     def __init__(
         self,
         field: Field,
-        gens: Sequence[np.ndarray | Matrix],
+        gens: Sequence[np.ndarray],
         convention: Convention = Convention.PRIMITIVE,
         allow_large: bool = False,
     ):
@@ -102,7 +101,7 @@ class ModuleRep:
             raise ValueError("need at least one generator action")
         arrays = []
         for g in gens:
-            a = g.array if isinstance(g, Matrix) else np.asarray(g, dtype=np.int64)
+            a = np.asarray(g, dtype=np.int64)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError("generator actions must be square matrices")
             arrays.append(np.ascontiguousarray(a, dtype=np.int64))
@@ -117,9 +116,6 @@ class ModuleRep:
         self.gens = tuple(arrays)
         self.convention = convention
         self._coo: list[tuple[np.ndarray, np.ndarray] | None] | None = None
-
-    def gen(self, i: int) -> Matrix:
-        return Matrix(self.field, self.gens[i])
 
     @property
     def p(self) -> int:
@@ -351,13 +347,14 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> list[ModuleHom]:
 # radical, socle, submodules and quotients
 # ---------------------------------------------------------------------------
 
-def radical_socle(m: ModuleRep) -> tuple[Matrix, Matrix]:
-    """Bases of rad M = sum of generator images and soc M = joint kernel."""
+def radical_socle(m: ModuleRep) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of rad M = sum of generator images and soc M = joint kernel,
+    as matrix columns."""
     f = m.field
     stacked = np.hstack(m.gens)
     rad, _ = column_space(f, stacked)
     soc = nullspace_array(f, np.vstack(m.gens))
-    return Matrix(f, rad), Matrix(f, soc)
+    return rad, soc
 
 
 @dataclass

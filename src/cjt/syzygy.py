@@ -16,8 +16,8 @@ from math import comb
 
 import numpy as np
 
-from cjt.constancy import PiPoint, evaluate
-from cjt.exactalg import Field, Matrix, _echelonize, _power, rank_array, solve_linear
+from cjt.constancy import PiPoint, evaluate, point_field
+from cjt.exactalg import Field, _echelonize, _power, rank_array, solve_linear
 from cjt.modrep import (
     Convention,
     ModuleHom,
@@ -131,18 +131,19 @@ def _onto_on_cores(phi: ModuleHom, q: PiPoint) -> bool:
     has dimension dim T - rank B^(p-1).  A free target and p = 2 need no
     special case.
     """
+    field = point_field(phi.source, q)
     a = evaluate(phi.source, q)
     b = evaluate(phi.target, q)
-    field = a.field
-    top_a = _power(field.matmul, a.array, field.p - 1)
-    top_b = _power(field.matmul, b.array, field.p - 1)
+    s, t = phi.source.dim, phi.target.dim
+    top_a = _power(field.matmul, a, field.p - 1)
+    top_b = _power(field.matmul, b, field.p - 1)
     # reduced as codes of the modules' field: mod p over GF(p), and kept
     # whole over GF(p^e), where a residue mod p is another element
     codes = phi.matrix % phi.source.field.q
-    block = np.block([[top_a, np.zeros((a.rows, b.cols), dtype=np.int64)], [codes, b.array]])
+    block = np.block([[top_a, np.zeros((s, t), dtype=np.int64)], [codes, b]])
     # columns go in order: the pivots before column dim S count rank A^(p-1)
-    pivots = _echelonize(field, np.ascontiguousarray(block.T), a.rows + b.rows)
-    return sum(c >= a.rows for c in pivots) == b.rows - rank_array(field, top_b)
+    pivots = _echelonize(field, np.ascontiguousarray(block.T), s + t)
+    return sum(c >= s for c in pivots) == t - rank_array(field, top_b)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +191,12 @@ def shift_hom(fmap: ModuleHom) -> ModuleHom:
     data_t = _cover_kernel(tgt)
     count = src.p**src.r
     rhs_all = f.matmul(fmap.matrix, data_s.cover_matrix)
-    sol = solve_linear(Matrix(f, data_t.cover_matrix), Matrix(f, rhs_all[:, ::count]))
+    sol = solve_linear(f, data_t.cover_matrix, rhs_all[:, ::count])
     if not sol.consistent:
         raise AssertionError("covers are surjective; generator images must lift")
     # extend to all monomial columns through the free-module action
     free = free_module(f, src.r, data_t.rank, src.convention)
-    lifted = _monomial_columns(free, sol.solution.array)
+    lifted = _monomial_columns(free, sol.solution)
     shifted = f.matmul(lifted, data_s.kernel_basis)[data_t.kernel_pivot_rows]
     return ModuleHom(data_s.omega, data_t.omega, shifted).require_intertwiner()
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cjt.exactalg import Matrix, rank_array, solve_linear
+from cjt.exactalg import rank_array, solve_linear
 from cjt.modrep import (
     ModuleHom,
     _cover_kernel,
@@ -54,6 +54,4 @@ def factors_through_projective(fmap: ModuleHom) -> bool:
         rhs_blocks.append(np.zeros((fdim * m.dim, 1), dtype=np.int64))
     blocks.append(np.kron(data.cover_matrix, np.eye(m.dim, dtype=np.int64)))
     rhs_blocks.append(fmap.matrix.reshape(-1, 1))
-    system = Matrix(f, np.vstack(blocks))
-    rhs = Matrix(f, np.vstack(rhs_blocks))
-    return solve_linear(system, rhs).consistent
+    return solve_linear(f, np.vstack(blocks), np.vstack(rhs_blocks)).consistent

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cjt.exactalg import Field, Matrix, solve_linear
+from cjt.exactalg import Field, solve_linear
 from cjt.modrep import (
     Convention,
     ModuleHom,
@@ -115,13 +115,13 @@ def factor_generator_by_lifts(
             tvecs[p**j, j] = 1
         coords = tvecs[data1.kernel_pivot_rows]  # t_j in shift coordinates
         rad, _ = radical_socle(omega1)
-        lhs = np.hstack([coords, rad.array])
-        rhs = np.zeros((r + rad.cols, 1), dtype=np.int64)
+        lhs = np.hstack([coords, rad])
+        rhs = np.zeros((r + rad.shape[1], 1), dtype=np.int64)
         rhs[i, 0] = 1
-        sol = solve_linear(Matrix(field, lhs.T), Matrix(field, rhs))
+        sol = solve_linear(field, lhs.T, rhs)
         if not sol.consistent:
             raise AssertionError("dual functional of a generator direction must exist")
-        carrier = ModuleHom(omega1, k, sol.solution.array.T).require_intertwiner()
+        carrier = ModuleHom(omega1, k, sol.solution.T).require_intertwiner()
         return CocycleClass(1, carrier, tag=f"factor-{i+1} degree-1 generator")
     if degree == 2:
         v, proj = _rank_one_quotient(field, r, i, convention)
@@ -133,10 +133,10 @@ def factor_generator_by_lifts(
         count = p**r
         # lift the generator images through the shift, then extend the lifts
         # to every monomial column through the quotient's action
-        sol = solve_linear(Matrix(field, v.gens[i]), Matrix(field, psi[:, ::count]))
+        sol = solve_linear(field, v.gens[i], psi[:, ::count])
         if not sol.consistent:
             raise AssertionError("chain lift must exist: image lies in the shift image")
-        g1 = _monomial_columns(v, sol.solution.array)
+        g1 = _monomial_columns(v, sol.solution)
         socle_row = field.matmul(g1, data2.kernel_basis)[p - 1].reshape(1, -1)
         if not np.any(socle_row):
             raise AssertionError("coordinate cocycle must be nonzero")

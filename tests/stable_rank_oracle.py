@@ -8,9 +8,15 @@ library decides the same question by the rank identity of
 
 from __future__ import annotations
 
-from cjt.constancy import PiPoint, restrict_to_point
+from cjt.constancy import PiPoint, evaluate, point_field
 from cjt.exactalg import rank_array
-from cjt.modrep import ModuleHom, split_free
+from cjt.modrep import ModuleHom, ModuleRep, split_free
+
+
+def restrict_to_point(m: ModuleRep, q: PiPoint) -> ModuleRep:
+    """The module viewed over a single generator acting as the point's
+    matrix."""
+    return ModuleRep(point_field(m, q), [evaluate(m, q)], m.convention, allow_large=True)
 
 
 def stable_rank_full(phi: ModuleHom, q: PiPoint) -> bool:

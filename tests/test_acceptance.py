@@ -18,7 +18,7 @@ from cjt.constancy import (
     pi_support,
     sweep_points,
 )
-from cjt.exactalg import make_field
+from cjt.exactalg import CooMatrix, make_field
 from cjt.jordan import (
     Dominance,
     JordanType,
@@ -64,7 +64,7 @@ def test_criterion_01_tensor_block_oracle():
             for i in range(1, p + 1):
                 for j in range(1, p + 1):
                     expected = tensor_type(jt(p, {i: 1}), jt(p, {j: 1}))
-                    measured = from_nilpotent(tensor(blocks[i], blocks[j]).gen(0), p)
+                    measured = from_nilpotent(CooMatrix.from_dense(f, tensor(blocks[i], blocks[j]).gens[0]), p)
                     assert measured == expected, (p, conv, i, j)
                     checked += 1
     done(1, f"tensor formula matches explicit modules ({checked} pairs, both conventions)")
@@ -396,7 +396,7 @@ def test_criterion_15_extension_with_vanishing_class():
     f = make_field(3, 1)
     k = trivial_module(f, 2, 1)
     omega1 = omega_k(f, 2, 1)
-    from cjt.constancy import restrict_to_point
+    from stable_rank_oracle import restrict_to_point
 
     candidates = hom_space(omega1, omega1)
     witness = None

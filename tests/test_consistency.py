@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from minor_scan_oracle import chart, minor_scan_gcd
 
 from cjt.constancy import PiPoint, is_isomorphic, jordan_at, sweep_points
-from cjt.exactalg import Matrix, make_field, rank_array, solve_linear
+from cjt.exactalg import make_field, rank_array, solve_linear
 from cjt.jordan import JordanType, stable
 from cjt.modrep import (
     Convention,
@@ -203,7 +203,7 @@ def _hide_free_summand(m, rng):
     lower = np.tril(rng.integers(0, f.p, (n, n)), -1) + np.eye(n, dtype=np.int64)
     upper = np.triu(rng.integers(0, f.p, (n, n)), 1) + np.eye(n, dtype=np.int64)
     g = f.matmul(lower, upper)
-    g_inv = solve_linear(Matrix(f, g), Matrix(f, np.eye(n, dtype=np.int64))).solution.array
+    g_inv = solve_linear(f, g, np.eye(n, dtype=np.int64)).solution
     gens = [f.matmul(g, f.matmul(a, g_inv)) for a in summed.gens]
     return ModuleRep(f, gens, m.convention)
 

@@ -82,7 +82,7 @@ class TestEvaluate:
         f = make_field(5, 1)
         m = w_module(f)
         q = PiPoint(f, (1, 0))
-        assert np.array_equal(evaluate(m, q).array, m.gens[0])
+        assert np.array_equal(evaluate(m, q), m.gens[0])
 
     def test_thirteen_dim_example_at_diagonal_point(self):
         f = make_field(7, 1)
@@ -556,27 +556,29 @@ def coo_route(m, q):
 
 
 def dense_route(m, q):
-    """evaluate's matrix, its ranks, and from_nilpotent's type or error."""
-    mat = evaluate(m, q)
+    """evaluate's matrix, its field, its ranks, and from_nilpotent's type
+    or error."""
+    field, mat = constancy.point_field(m, q), evaluate(m, q)
+    a = CooMatrix.from_dense(field, mat)
     try:
-        out = from_nilpotent(mat, m.p)
+        out = from_nilpotent(a, m.p)
     except ValueError as exc:
         out = exc
-    return mat, power_ranks(mat, m.p), out
+    return mat, field, power_ranks(a, m.p), out
 
 
 def assert_routes_agree(m, q):
     """jordan_at's COO matrix is evaluate's matrix, entry for entry, with
     distinct sorted positions and nonzero codes; ranks and types agree."""
     a, ranks, out = coo_route(m, q)
-    mat, want_ranks, want = dense_route(m, q)
-    assert isinstance(a, CooMatrix) and a.field == mat.field and a.rows == a.cols == m.dim
+    mat, field, want_ranks, want = dense_route(m, q)
+    assert isinstance(a, CooMatrix) and a.field == field and a.rows == m.dim
     rows, cols, codes = a.triples
     keys = rows * m.dim + cols
     assert np.all(np.diff(keys) > 0) and np.all(codes != 0)
     dense = np.zeros((m.dim, m.dim), dtype=np.int64)
     dense[rows, cols] = codes
-    assert np.array_equal(dense, mat.array)
+    assert np.array_equal(dense, mat)
     assert ranks == want_ranks
     if isinstance(want, ValueError):
         assert isinstance(out, ValueError) and str(out) == str(want)
@@ -693,7 +695,7 @@ class TestPointEntryCache:
         types = [jordan_at(m, q) for q in points]
         assert sorted(stored) == [0, 1, 2]
         assert all(x is not None and not x[0].flags.writeable for x in m._coo)
-        assert types == [from_nilpotent(evaluate(m, q), 5) for q in points]
+        assert types == [from_nilpotent(CooMatrix.from_dense(f, evaluate(m, q)), 5) for q in points]
 
         # the rule by which the benchmark empties caches before each pass
         for name, mod in list(sys.modules.items()):
@@ -719,4 +721,4 @@ class TestPointEntryCache:
         m.gens[0][...] = 0
         m.gens[1][...] = 0
         assert before != jt(3, {1: 9})
-        assert jordan_at(m, q) == jt(3, {1: 9}) == from_nilpotent(evaluate(m, q), 3)
+        assert jordan_at(m, q) == jt(3, {1: 9}) == from_nilpotent(CooMatrix.from_dense(f, evaluate(m, q)), 3)

@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from cjt import exactalg, jordan
 from cjt.constancy import evaluate, sweep_points
-from cjt.exactalg import Field, Matrix, make_field, rank, solve_linear
+from cjt.exactalg import CooMatrix, Field, make_field, rank, solve_linear
 from cjt.jordan import (
     Dominance,
     JordanType,
@@ -27,7 +27,7 @@ def jt(p, blocks):
     return JordanType.from_blocks(p, blocks)
 
 
-def block_diag_nilpotent(field, sizes):
+def block_diag_nilpotent(sizes):
     n = sum(sizes)
     a = np.zeros((n, n), dtype=np.int64)
     off = 0
@@ -35,17 +35,23 @@ def block_diag_nilpotent(field, sizes):
         for i in range(s - 1):
             a[off + i + 1, off + i] = 1
         off += s
-    return Matrix(field, a)
+    return a
 
 
-def rebased(m, seed):
-    """g m g^(-1) for a seeded random invertible g: the same type, dense."""
-    f, n = m.field, m.rows
+def rebased(f, a, seed):
+    """g a g^(-1) for a seeded random invertible g: the same type, dense."""
+    n = len(a)
     rng = np.random.default_rng(seed)
     while True:
-        g = Matrix(f, rng.integers(0, f.q, (n, n)))
-        if rank(g) == n:
-            return g @ m @ solve_linear(g, Matrix.identity(f, n)).solution
+        g = rng.integers(0, f.q, (n, n))
+        if rank(f, g) == n:
+            ginv = solve_linear(f, g, np.eye(n, dtype=np.int64)).solution
+            return f.matmul(f.matmul(g, a), ginv)
+
+
+def nilpotent_type(f, a, p):
+    """from_nilpotent of a dense matrix of codes."""
+    return from_nilpotent(CooMatrix.from_dense(f, a), p)
 
 
 def join_size(a):
@@ -95,40 +101,38 @@ def dominates_by_partial_sums(t1, t2):
 class TestFromNilpotent:
     def test_zero_matrix(self):
         f = make_field(5, 1)
-        assert from_nilpotent(Matrix.zeros(f, 4, 4), 5) == jt(5, {1: 4})
+        assert nilpotent_type(f, np.zeros((4, 4), dtype=np.int64), 5) == jt(5, {1: 4})
 
     def test_full_block(self):
         f = make_field(5, 1)
-        assert from_nilpotent(block_diag_nilpotent(f, [5]), 5) == jt(5, {5: 1})
+        assert nilpotent_type(f, block_diag_nilpotent([5]), 5) == jt(5, {5: 1})
 
     def test_mixed_blocks_scrambled_by_conjugation(self):
         f = make_field(7, 1)
-        a = block_diag_nilpotent(f, [3, 3, 2, 2, 3])
+        a = block_diag_nilpotent([3, 3, 2, 2, 3])
         rng = np.random.default_rng(5)
         # conjugate by a random invertible matrix; the type is invariant
         while True:
-            g = Matrix(f, rng.integers(0, 7, (13, 13)))
-            if rank(g) == 13:
+            g = rng.integers(0, 7, (13, 13))
+            if rank(f, g) == 13:
                 break
-        from cjt.exactalg import solve_linear
-
-        ginv = solve_linear(g, Matrix.identity(f, 13)).solution
-        conj = g @ a @ ginv
-        assert from_nilpotent(conj, 7) == jt(7, {3: 3, 2: 2})
+        ginv = solve_linear(f, g, np.eye(13, dtype=np.int64)).solution
+        conj = f.matmul(f.matmul(g, a), ginv)
+        assert nilpotent_type(f, conj, 7) == jt(7, {3: 3, 2: 2})
 
     def test_rejects_non_nilpotent(self):
         f = make_field(3, 1)
         with pytest.raises(ValueError):
-            from_nilpotent(Matrix.identity(f, 2), 3)
+            nilpotent_type(f, np.eye(2, dtype=np.int64), 3)
 
     def test_rank_consistency_with_counts(self):
         f = make_field(5, 1)
-        m = block_diag_nilpotent(f, [4, 2, 1, 5])
-        t = from_nilpotent(m, 5)
-        power = Matrix.identity(f, 12)
+        m = block_diag_nilpotent([4, 2, 1, 5])
+        t = nilpotent_type(f, m, 5)
+        power = np.eye(12, dtype=np.int64)
         for j in range(1, 6):
-            power = power @ m
-            assert rank(power) == t.power_rank(j)
+            power = f.matmul(power, m)
+            assert rank(f, power) == t.power_rank(j)
 
     @pytest.mark.parametrize("sizes", [[3, 1], [5], [2, 2, 1], [1, 1]])
     def test_image_chain_eliminates_only_nonzero_images(self, monkeypatch, sizes):
@@ -140,17 +144,17 @@ class TestFromNilpotent:
         f = make_field(5, 1)
         steps = count_rank_steps(monkeypatch)
         sizes = sizes * 8
-        m = block_diag_nilpotent(f, sizes)
+        m = block_diag_nilpotent(sizes)
         want = [jt(5, sizes).power_rank(j) for j in range(6)]
-        assert power_ranks(m, 5) == want
+        assert power_ranks(CooMatrix.from_dense(f, m), 5) == want
         assert steps == {"sparse": max(sizes) - 1, "dense": 0}
         steps.update(sparse=0, dense=0)
-        dense = rebased(m, 1)
-        assert power_ranks(dense, 5) == want
+        dense = rebased(f, m, 1)
+        assert power_ranks(CooMatrix.from_dense(f, dense), 5) == want
         assert steps == {"sparse": 0, "dense": max(sizes) - 1}
-        assert join_size(dense.array) > exactalg.SPARSE_JOIN_PER_ROW * dense.rows or not dense.array.any()
-        assert from_nilpotent(m, 5) == jt(5, sizes)
-        assert from_nilpotent(dense, 5) == jt(5, sizes)
+        assert join_size(dense) > exactalg.SPARSE_JOIN_PER_ROW * len(dense) or not dense.any()
+        assert nilpotent_type(f, m, 5) == jt(5, sizes)
+        assert nilpotent_type(f, dense, 5) == jt(5, sizes)
 
     def test_from_power_ranks_pads_with_zeros(self):
         t = jt(5, [4, 2, 1, 5])
@@ -164,10 +168,11 @@ class TestFromNilpotent:
             JordanType.from_power_ranks(2, [3, 2, 1])  # A^2 != 0 loses dimension
 
 
-def dense_route_ranks(m, cap):
-    """power_ranks with every product refused: the image chain."""
+def dense_route_ranks(f, a, cap):
+    """power_ranks of a dense matrix with every product refused: the image
+    chain."""
     with mock.patch.object(exactalg, "SPARSE_JOIN_PER_ROW", -1):
-        return power_ranks(m, cap)
+        return power_ranks(CooMatrix.from_dense(f, a), cap)
 
 
 def hub(n, rows, cols, value=1):
@@ -218,7 +223,7 @@ def sparse_matrices(draw):
         a = hub(n, np.arange(n), np.arange(n), values(1)[0])
         k = int(rng.integers(0, n // 2 + 1))
         a[rng.integers(0, n, k), rng.integers(0, n, k)] = values(k)
-    return f, Matrix(f, a), cap
+    return f, a, cap
 
 
 class TestSparseRoute:
@@ -232,20 +237,20 @@ class TestSparseRoute:
             mock.patch.object(jordan, "_sparse_rank", wraps=jordan._sparse_rank) as sparse,
             mock.patch.object(jordan, "_echelonize", wraps=jordan._echelonize) as dense,
         ):
-            ranks = power_ranks(m, cap)
-        if not m.array.any():
+            ranks = power_ranks(CooMatrix.from_dense(f, m), cap)
+        if not m.any():
             assert not sparse.called and not dense.called
-        elif join_size(m.array) <= exactalg.SPARSE_JOIN_PER_ROW * m.rows:
+        elif join_size(m) <= exactalg.SPARSE_JOIN_PER_ROW * len(m):
             assert sparse.called
         else:
             assert not sparse.called and dense.called
-        want = dense_route_ranks(m, cap)
+        want = dense_route_ranks(f, m, cap)
         assert ranks == want
         if want[cap]:
             with pytest.raises(ValueError, match="not nilpotent"):
-                from_nilpotent(m, cap)
+                nilpotent_type(f, m, cap)
         else:
-            assert from_nilpotent(m, cap) == JordanType.from_power_ranks(cap, want)
+            assert nilpotent_type(f, m, cap) == JordanType.from_power_ranks(cap, want)
 
     @pytest.mark.parametrize("p", [3, 5])
     @pytest.mark.parametrize("r", [2, 3])
@@ -260,9 +265,9 @@ class TestSparseRoute:
             for q in (points[0], points[-1]):
                 a = evaluate(shift, q)
                 steps.update(sparse=0, dense=0)
-                ranks = power_ranks(a, p)
+                ranks = power_ranks(CooMatrix.from_dense(f, a), p)
                 assert steps == {"sparse": sum(1 for x in ranks[1:] if x), "dense": 0}, (n, q.linear)
-                assert ranks == dense_route_ranks(a, p), (n, q.linear)
+                assert ranks == dense_route_ranks(f, a, p), (n, q.linear)
 
     def test_fill_in_falls_back_to_the_image_chain(self, monkeypatch):
         # A^2 of a hub joins n^2 + n - 1 pairs, past the limit of 16n, so A
@@ -271,15 +276,15 @@ class TestSparseRoute:
         # product is formed
         f = make_field(5, 1)
         n = 40
-        m = Matrix(f, hub(n, np.arange(n), np.arange(1, n), 2))
+        m = hub(n, np.arange(n), np.arange(1, n), 2)
         results = []
         product = jordan._sparse_product
         monkeypatch.setattr(jordan, "_sparse_product", lambda *a: results.append(product(*a)) or results[-1])
         steps = count_rank_steps(monkeypatch)
-        ranks = power_ranks(m, 5)
+        ranks = power_ranks(CooMatrix.from_dense(f, m), 5)
         assert results == []
         assert steps["dense"] == 5 and steps["sparse"] == 0
-        assert ranks == dense_route_ranks(m, 5)
+        assert ranks == dense_route_ranks(f, m, 5)
 
     def test_join_at_its_limit_holds_no_more_than_a_dense_product(self, monkeypatch):
         # the first hub's A^2 joins 16 * 300 = 4,800 pairs, the limit of 16n,
@@ -308,9 +313,9 @@ class TestSparseRoute:
             dense_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             peaks.clear()
-            power_ranks(Matrix(f, near), 2)
+            power_ranks(CooMatrix.from_dense(f, near), 2)
             made = len(peaks)
-            power_ranks(Matrix(f, past), 2)
+            power_ranks(CooMatrix.from_dense(f, past), 2)
             assert made and len(peaks) == made
             assert max(x for x in peaks if x is not None) <= dense_peak
 
@@ -329,16 +334,16 @@ class TestSparseRoute:
     def test_non_nilpotent_input_is_ranked_sparse_to_the_last_power(self, monkeypatch):
         f = make_field(5, 1)
         steps = count_rank_steps(monkeypatch)
-        m = Matrix(f, np.roll(np.eye(6, dtype=np.int64), 1, axis=1) * 3)
-        assert power_ranks(m, 5) == [6] * 6
+        m = np.roll(np.eye(6, dtype=np.int64), 1, axis=1) * 3
+        assert power_ranks(CooMatrix.from_dense(f, m), 5) == [6] * 6
         assert steps == {"sparse": 5, "dense": 0}
         with pytest.raises(ValueError, match="not nilpotent"):
-            from_nilpotent(m, 5)
+            nilpotent_type(f, m, 5)
 
     def test_large_extension_fields_build_no_log_tables(self):
         # GF(2^11) is above TABLE_CAP: a Jordan block keeps to Field.matmul
         f = Field(2, 11, make_field(2, 11).modulus)
-        m = block_diag_nilpotent(f, [2, 1])
+        m = CooMatrix.from_dense(f, block_diag_nilpotent([2, 1]))
         assert power_ranks(m, 2) == [3, 1, 0]
         assert f._exp is None and f._log is None
 
@@ -397,7 +402,7 @@ class TestSchurRounds:
     def test_rounds_match_the_dense_rank(self, f, n, kind, seed):
         a = core_matrix(f, n, kind, np.random.default_rng(seed))
         r, rounds = sparse_rank_rounds(f, a)
-        assert r == rank(Matrix(f, a))
+        assert r == rank(f, a)
         if kind == "permutations":
             assert rounds and rounds[0] is not None
         if kind == "dense":

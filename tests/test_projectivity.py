@@ -13,10 +13,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from projective_factor_oracle import factors_through_projective as factors_by_lifting
+from stable_rank_oracle import restrict_to_point
 
 from cjt import exactalg, modrep
 from cjt.carlson import endotrivial_check
-from cjt.constancy import restrict_to_point, sweep_points
+from cjt.constancy import sweep_points
 from cjt.exactalg import make_field
 from cjt.modrep import (
     Convention,

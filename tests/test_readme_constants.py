@@ -1,7 +1,11 @@
 """README quotes tuning constants of cjt.exactalg, cjt.modrep and
 cjt.constancy by name and often by value; every such quote must name a
-constant that exists and give its current value."""
+constant that exists and give its current value.  It also names functions,
+classes and attributes by module (`exactalg.CooMatrix`,
+`modrep.split_free(m)`); every such name must resolve, so a deletion cannot
+leave the README pointing at it."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -32,4 +36,29 @@ def test_readme_constants_exist_with_the_values_it_gives():
         elif value is not None and getattr(owners[0], name) != int(value):
             problems.append(f"line {line}: {match.group(0)!r}, but {name} = {getattr(owners[0], name)}")
     assert checked >= 10
+    assert not problems, "\n".join(problems)
+
+
+# `exactalg.NAME`, `cjt.modrep.NAME.ATTR`, `constancy.NAME(args)`: a module of
+# cjt, then one or more attributes, optionally called
+QUALIFIED = re.compile(
+    r"`(?:cjt\.)?(exactalg|jordan|modrep|polymat|constancy|syzygy|carlson|serialize|cli|zoo)"
+    r"((?:\.\w+)+)(?:\([^`]*\))?`"
+)
+
+
+def test_readme_module_qualified_names_resolve():
+    text = README.read_text()
+    checked, problems = 0, []
+    for match in QUALIFIED.finditer(text):
+        module, path = match.groups()
+        obj = importlib.import_module(f"cjt.{module}")
+        for name in path.split(".")[1:]:
+            if not hasattr(obj, name):
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(f"line {line}: {match.group(0)!r} does not resolve at {name!r}")
+                break
+            obj = getattr(obj, name)
+        checked += 1
+    assert checked >= 30
     assert not problems, "\n".join(problems)

@@ -26,7 +26,7 @@ from cjt.constancy import (
     pi_support,
     sweep_points,
 )
-from cjt.exactalg import BATCH_DIM_CUTOFF, Field, Matrix, make_field
+from cjt.exactalg import BATCH_DIM_CUTOFF, CooMatrix, Field, make_field
 from cjt.jordan import JordanType, from_nilpotent, jordan_types
 from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleRep, _MemoCache, omega_n, trivial_module
 from cjt.syzygy import factor_generator, omega_k
@@ -81,27 +81,104 @@ def test_engine_matches_per_point_types(p, r, e, dim, seed):
         assert [t for _, t in typed] == [jordan_at(m, q) for q, _ in typed]
     else:
         points = _random_points(make_field(p, e), r, 12, np.random.default_rng(seed))
-        stack = np.stack([evaluate(m, q).array for q in points])
+        stack = np.stack([evaluate(m, q) for q in points])
         got = jordan_types(make_field(p, e), stack, p)
         assert got == [jordan_at(m, q) for q in points]
 
 
+def _dense_stack(m, e):
+    """The sweep points of level e, the field of their matrices, and the
+    (points, dim, dim) stack of ``evaluate``."""
+    points = sweep_points(m.field, m.r, e)
+    field = make_field(m.p, e) if m.field.is_prime_field else m.field
+    stack = np.array([evaluate(m, q) for q in points], dtype=np.int64).reshape(len(points), m.dim, m.dim)
+    return points, field, stack
+
+
+def _per_point_types(field, stack, p):
+    """One ``from_nilpotent`` per dense ``evaluate`` matrix: neither the
+    COO sum of ``jordan_at`` nor the stacked kernel."""
+    return [from_nilpotent(CooMatrix.from_dense(field, a), p) for a in stack]
+
+
+def _level_against_independent_routes(m, e, monkeypatch):
+    """level_types(m, e) from an empty memo, and jordan_types on the dense
+    ``evaluate`` stack of the same points, against one ``from_nilpotent``
+    per dense matrix.  Above BATCH_DIM_CUTOFF level_types types each point
+    by ``jordan_at`` and calls ``evaluate`` at none; at or below it, it
+    types the ``evaluate`` stacks by jordan_types."""
+    monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
+    points, field, stack = _dense_stack(m, e)
+    expected = _per_point_types(field, stack, m.p)
+    evaluated = []
+    original = constancy.evaluate
+    monkeypatch.setattr(constancy, "evaluate", lambda m, q: evaluated.append(q) or original(m, q))
+    typed = level_types(m, e)
+    monkeypatch.setattr(constancy, "evaluate", original)
+    assert [q for q, _ in typed] == points
+    assert [t for _, t in typed] == expected
+    assert jordan_types(field, stack, m.p) == expected
+    assert len(evaluated) == (0 if m.dim > BATCH_DIM_CUTOFF else len(points))
+
+
+_CUTOFF_CASES = [
+    (lambda: omega_n(trivial_module(make_field(3, 1), 3, 1), -1), 1),  # dim 26
+    (lambda: omega_n(trivial_module(make_field(3, 1), 2, 1), 2), 2),  # dim 10
+    (lambda: random_module(make_field(5, 1), 3, 48, 7), 1),
+    (lambda: random_module(make_field(3, 1), 2, 40, 3), 2),
+]
+
+
 def test_stacked_elimination_above_the_cutoff(monkeypatch):
-    # force the stacked kernel on matrices the sweeps type one by one
+    # force the batched elimination of stack_ranks on slices that it
+    # otherwise eliminates one by one
     monkeypatch.setattr(exactalg, "BATCH_DIM_CUTOFF", 10**6)
-    f3 = make_field(3, 1)
-    cases = [
-        (omega_n(trivial_module(f3, 3, 1), -1), 1),  # dim 26
-        (omega_n(trivial_module(f3, 2, 1), 2), 2),
-        (random_module(make_field(5, 1), 3, 48, 7), 1),
-        (random_module(f3, 2, 40, 3), 2),
-    ]
-    for m, e in cases:
-        points = sweep_points(m.field, m.r, e)
-        field = make_field(m.p, e)
-        stack = np.stack([evaluate(m, q).array for q in points])
-        got = jordan_types(field, stack, m.p)
-        assert got == [from_nilpotent(evaluate(m, q), m.p) for q in points]
+    for build, e in _CUTOFF_CASES:
+        m = build()
+        _, field, stack = _dense_stack(m, e)
+        assert jordan_types(field, stack, m.p) == _per_point_types(field, stack, m.p)
+
+
+def _over_gf9(dim, seed):
+    """A random module conjugated by an invertible matrix over GF(9), so
+    that its generators hold codes outside GF(3)."""
+    f = make_field(3, 2)
+    m = random_module(f, 2, dim, seed)
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, f.q, (dim, dim))
+        if exactalg.rank(f, g) == dim:
+            break
+    ginv = exactalg.solve_linear(f, g, np.eye(dim, dtype=np.int64)).solution
+    return ModuleRep(f, [f.matmul(f.matmul(g, a), ginv) for a in m.gens])
+
+
+@pytest.mark.parametrize(
+    "build, e",
+    _CUTOFF_CASES
+    + [
+        (lambda: omega_k(make_field(5, 1), 3, 2), 1),  # dim 251, 31 points
+        (lambda: _over_gf9(40, 5), 1),
+        (lambda: random_module(make_field(3, 1), 2, BATCH_DIM_CUTOFF, 11), 2),
+        (lambda: random_module(make_field(3, 1), 2, BATCH_DIM_CUTOFF + 1, 11), 2),
+        (lambda: random_module(make_field(5, 1), 1, BATCH_DIM_CUTOFF + 1, 2), 2),  # no points
+    ],
+    ids=[
+        "omega-1-p3-r3",
+        "omega2-p3-r2",
+        "random-48",
+        "random-40",
+        "omega2-p5-r3",
+        "gf9-level1",
+        "at-cutoff",
+        "above-cutoff",
+        "empty-level",
+    ],
+)
+def test_level_types_match_the_stacked_kernel(build, e, monkeypatch):
+    m = build()
+    assert any((g >= m.p).any() for g in m.gens) == (not m.field.is_prime_field)
+    _level_against_independent_routes(m, e, monkeypatch)
 
 
 def test_kernel_checks_like_from_nilpotent():
@@ -119,10 +196,10 @@ def test_kernel_mixes_types_in_one_stack():
     f = make_field(7, 1)
     m = w_module(f)
     points = sweep_points(f, 2, 1)
-    stack = np.stack([evaluate(m, q).array for q in points])
+    stack = np.stack([evaluate(m, q) for q in points])
     types = jordan_types(f, stack, 7)
     assert len(set(types)) == 2
-    assert types == [from_nilpotent(Matrix(f, a), 7) for a in stack]
+    assert types == [from_nilpotent(CooMatrix.from_dense(f, a), 7) for a in stack]
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (7, 1), (7, 2)])

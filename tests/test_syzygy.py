@@ -182,7 +182,7 @@ class TestVanishingClass:
 class TestNegativeRestrictionProbe:
     def test_upward_maps_between_even_shifts_are_stably_zero_at_points(self):
         # maps from a lower even shift to a higher one restrict to zero
-        from cjt.constancy import restrict_to_point
+        from stable_rank_oracle import restrict_to_point
 
         f = make_field(3, 1)
         k = omega_k(f, 2, 0)

@@ -26,9 +26,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cjt import cli, constancy, jordan, modrep
+from cjt import cli, constancy, exactalg, jordan, modrep
 from cjt.exactalg import Field, make_field
 from cjt.zoo import w_module
 
@@ -140,3 +141,43 @@ def test_power_ranks_probe_sees_one_call_per_point(monkeypatch):
     for coords in points:
         constancy.jordan_at(m, constancy.PiPoint(f, coords))
     assert rows == [m.dim] * len(points) == [124] * 5
+
+
+def _elim_rule():
+    """The expression by which the tracer's ``_on_elim`` picks the matrix
+    out of an elimination call's positional arguments, as a function of
+    them."""
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "_on_elim":
+            first = node.body[0]
+            assert isinstance(first, ast.Assign) and ast.unparse(first.targets[0]) == "arr"
+            code = compile(ast.Expression(first.value), str(TRACING), "eval")
+            return lambda args: eval(code, {"hasattr": hasattr}, {"args": args})
+    raise AssertionError("_on_elim not found in tracing.py")
+
+
+def test_elimination_probe_reads_the_eliminated_matrix():
+    # rank and nullspace are the array functions under their short names,
+    # and every entry point of GROUPS["exactalg.elim"] takes the field first
+    # and the matrix it eliminates second, which _on_elim reads for its cells
+    assert exactalg.rank is exactalg.rank_array
+    assert exactalg.nullspace is exactalg.nullspace_array
+    f = make_field(3, 2)
+    a = np.arange(12, dtype=np.int64).reshape(3, 4) % f.q
+    b = np.ones((3, 1), dtype=np.int64)
+    calls = {
+        "rank": (f, a),
+        "rank_array": (f, a),
+        "nullspace": (f, a),
+        "nullspace_array": (f, a),
+        "rref_array": (f, a),
+        "column_space": (f, a),
+        "solve_linear": (f, a, b),
+    }
+    layer, names = _constant("GROUPS")["exactalg.elim"]
+    assert layer == "exactalg" and set(names) == set(calls)
+    read = _elim_rule()
+    for name in names:
+        getattr(exactalg, name)(*calls[name])
+        got = read(calls[name])
+        assert got is a and got.ndim == 2, name

@@ -17,7 +17,7 @@ import numpy as np
 from cjt import exactalg
 from cjt.exactalg import CooMatrix, Field, make_field, rank_array
 from cjt.jordan import Dominance, JordanType, dominance_compare, from_nilpotent, jordan_types
-from cjt.modrep import ModuleHom, ModuleRep, _generator_entries, _MemoCache, _module_memo, _monomial, hom_space
+from cjt.modrep import ModuleHom, ModuleRep, _generator_entries, _module_memo, _monomial, hom_space
 from cjt.polymat import PolyMatrix, _admit_depth, _chart_divisor, _orbit_blocks, generic_rank
 
 __all__ = [
@@ -190,24 +190,12 @@ def sweep_points(m_field: Field, r: int, e: int) -> list[PiPoint]:
     ]
 
 
-# The budget of _level_cache, in the bytes its entries weigh (see
-# _level_weight).  A session keeps every level it types up to it: the 17
-# modules of the zoo-sweep benchmark type 34 levels, 3,116 points, which
-# weigh 0.79 MiB (tracemalloc frees 0.65 MiB when they are cleared).  The
-# cache holds at most this much, or its newest entry alone if that is
-# larger: a level-1 entry of the dim-751 Omega^4 k at p = 5, r = 3 holds 31
-# points but 13.5 MB of key, so at most two such levels are kept.
-LEVEL_CACHE_BYTES = 32 << 20
-# The typed levels of level_types, least recently used first.
-_level_cache: _MemoCache[tuple, tuple[tuple[PiPoint, JordanType], ...]] = _MemoCache()
-
-
-def _level_weight(key: tuple, typed: tuple[tuple[PiPoint, JordanType], ...]) -> int:
-    """Bytes a typed level holds in ``_level_cache``: its key's generator
-    bytes, 1 KiB for the entry and 232 B per typed point.  tracemalloc
+def _level_weight(typed: tuple[tuple[PiPoint, JordanType], ...]) -> int:
+    """Bytes a typed level holds in ``modrep._module_cache`` besides its
+    key: 1 KiB for the entry and 232 B per typed point.  tracemalloc
     measured 860-1,050 B per entry and 184-232 B per point (Python 3.11;
     p = 3, 5, 7, r = 2-4, dims 4 and 12, 3 to 1,197 points)."""
-    return sum(map(len, key[3])) + 1024 + 232 * len(typed)
+    return 1024 + 232 * len(typed)
 
 
 def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
@@ -219,12 +207,12 @@ def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
     kernel ``jordan_types``.  A larger module has each point typed by
     ``jordan_at``, whose matrices stay COO triples.
 
-    The typed level is kept in ``_level_cache``, keyed like a Heller tower
-    (field, convention, dim and generator bytes of m) plus e, so the
-    sweeps of check_constant, gamma_locus, pi_support and is_isomorphic
-    type a module at a level once while the cache holds it: up to
-    ``LEVEL_CACHE_BYTES`` by ``_level_weight``, least recently used first
-    out.  Each call returns a new list; its points and types are frozen.
+    The typed level is the entry ("level", e) of m in
+    ``modrep._module_cache``, weighed by ``_level_weight``, which it
+    shares with the Heller-shift levels, so the sweeps of check_constant,
+    gamma_locus, pi_support and is_isomorphic type a module at a level
+    once while the cache holds it.  Each call returns a new list; its
+    points and types are frozen.
     """
 
     def build():
@@ -239,7 +227,7 @@ def level_types(m: ModuleRep, e: int) -> list[tuple[PiPoint, JordanType]]:
             types += jordan_types(point_field(m, chunk[0]), stack, m.p)
         return tuple(zip(points, types))
 
-    return list(_module_memo(_level_cache, m, (e,), build, LEVEL_CACHE_BYTES, _level_weight))
+    return list(_module_memo(m, ("level", e), build, _level_weight))
 
 
 # ---------------------------------------------------------------------------

@@ -112,13 +112,10 @@ def power_ranks(m: CooMatrix, p: int) -> list[int]:
     im(A^(j+1)) = A im(A^j), whose bases shrink with the ranks; its n x n
     arrays are allocated only then.  A @ A is refused from the nonzero
     counts of A's rows and columns, before any codes are gathered, so a
-    dense matrix goes to the image chain at once.  Over a field above
-    exactalg.TABLE_CAP with e >= 2 every product is refused: its
-    elementwise products need discrete-log tables that Field.matmul does
-    without.
+    dense matrix goes to the image chain at once.
     """
     field, n = m.field, m.rows
-    limit = exactalg.SPARSE_JOIN_PER_ROW * n if field.e == 1 or field.q <= exactalg.TABLE_CAP else -1
+    limit = exactalg.SPARSE_JOIN_PER_ROW * n
     ranks = [n]
     power = first = m.triples
     rows, cols, codes = first

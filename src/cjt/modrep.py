@@ -81,7 +81,7 @@ class ModuleRep:
 
     ``_coo`` keeps each generator's nonzeros (positions and codes) for
     ``_generator_entries`` once it has found them, and only on a module
-    frozen by ``_read_only`` (every Heller-tower level), whose generators
+    frozen by ``_read_only`` (every Heller-shift level), whose generators
     are read-only and referenced by nothing else; on any other module it is
     None and the nonzeros are found on each call, so a write into a
     generator is never read stale.
@@ -230,6 +230,7 @@ def jordan_block_module(
     """The r = 1 indecomposable [size], 1 <= size <= p."""
     if not 1 <= size <= field.p:
         raise ValueError(f"block size {size} out of range [1, {field.p}]")
+    _check_dim(size)
     a = np.zeros((size, size), dtype=np.int64)
     for i in range(size - 1):
         a[i + 1, i] = 1
@@ -604,9 +605,10 @@ def projective_cover_omega(m: ModuleRep) -> CoverResult:
 
 
 class _MemoCache(OrderedDict):
-    """An LRU dict of ``_module_memo`` entries that keeps their summed
-    weight, so a miss need not weigh every entry again; ``clear`` (the
-    benchmark's per-pass reset calls it) zeroes the sum."""
+    """An LRU dict of ``_module_memo`` entries, each kept as an (entry,
+    size) pair, that keeps their summed size in ``weight``, so a miss need
+    not weigh every entry again; ``clear`` (the benchmark's per-pass reset
+    calls it) zeroes the sum."""
 
     weight = 0
 
@@ -615,43 +617,49 @@ class _MemoCache(OrderedDict):
         self.weight = 0
 
 
-# The Heller towers keep this many entries; past it the least recently used
-# one is dropped.  (The typed levels of constancy.level_types, each far
-# smaller than a tower, are bounded by bytes instead: LEVEL_CACHE_BYTES.)
-OMEGA_CACHE_TOWERS = 8
-# One tower {n: (Omega^n core, free rows)} per projective-free core.
-_shift_cache: _MemoCache[tuple, dict[int, tuple[ModuleRep, list[int]]]] = _MemoCache()
+# The budget of _module_cache, in bytes.  One pass of each benchmark
+# workload fits (seed 7): shift-types keeps the 9 levels of Omega^n k at
+# p = 5, r = 3, 40.8 MiB of generators; cli-carlson 12 levels of 4 towers
+# (7.6 MiB) and 15 typed levels; zoo-sweep 34 typed levels (0.79 MiB).
+MODULE_CACHE_BYTES = 64 << 20
+# Heller-shift levels ("shift", n) and typed sweep levels ("level", e) of
+# modules, least recently used first.
+_module_cache: _MemoCache[tuple, tuple[object, int]] = _MemoCache()
 _T = TypeVar("_T")
 
 
-def _module_memo(
-    cache: _MemoCache,
-    m: ModuleRep,
-    extra: tuple,
-    build: Callable[[], _T],
-    budget: int = OMEGA_CACHE_TOWERS,
-    weight: Callable[[tuple, _T], int] = lambda key, entry: 1,
-) -> _T:
-    """The entry of (m, *extra) in an LRU cache, built on a miss and marked
-    most recently used.  The key is (m.field, m.convention, m.dim, the bytes
-    of each generator) + extra, so a generator written in place after an
-    entry was made misses it; a dict lookup compares the whole bytes, not a
-    hash alone.
+def _memo_key(m: ModuleRep, extra: tuple) -> tuple:
+    """The key of (m, *extra) in ``_module_cache``; see ``_module_memo``."""
+    return (m.field, m.convention, m.dim, tuple(a.tobytes() for a in m.gens)) + extra
 
-    An entry weighs weight(key, entry), taken when it is added and again
-    when it is dropped, so it must not change while the entry is cached.
-    After a miss the least recently used entries are dropped until the
-    cache weighs at most ``budget``, but the new entry is always kept.  By
-    default every entry weighs 1, so the cache keeps ``OMEGA_CACHE_TOWERS``
-    entries."""
-    key = (m.field, m.convention, m.dim, tuple(a.tobytes() for a in m.gens)) + extra
+
+def _module_memo(m: ModuleRep, extra: tuple, build: Callable[[], _T], weight: Callable[[_T], int]) -> _T:
+    """The entry of (m, *extra) in ``_module_cache``, built on a miss and
+    marked most recently used.  The key is (m.field, m.convention, m.dim,
+    the bytes of each generator) + extra, so a generator written in place
+    after an entry was made misses it; a dict lookup compares the whole
+    bytes, not a hash alone.  A new entry shares the generator bytes of the
+    most recently used entry when they are equal, so the levels of one
+    Heller tower, each built right after the one below, hold one copy.
+
+    An entry is kept with its size, the key's generator bytes plus
+    weight(entry), taken once when it is added.  After a miss the least
+    recently used entries are dropped until the cache holds at most
+    ``MODULE_CACHE_BYTES``, but the new entry is always kept."""
+    key = _memo_key(m, extra)
+    cache = _module_cache
     if key not in cache:
-        cache[key] = build()
-        cache.weight += weight(key, cache[key])
-        while cache.weight > budget and len(cache) > 1:
-            cache.weight -= weight(*cache.popitem(last=False))
+        entry = build()
+        last = next(reversed(cache), key)
+        if last[3] == key[3]:
+            key = key[:3] + (last[3],) + extra
+        size = sum(map(len, key[3])) + weight(entry)
+        cache[key] = entry, size
+        cache.weight += size
+        while cache.weight > MODULE_CACHE_BYTES and len(cache) > 1:
+            cache.weight -= cache.popitem(last=False)[1][1]
     cache.move_to_end(key)
-    return cache[key]
+    return cache[key][0]
 
 
 def _read_only(m: ModuleRep) -> ModuleRep:
@@ -679,34 +687,36 @@ def _generator_entries(m: ModuleRep, i: int) -> tuple[np.ndarray, np.ndarray]:
     return entries
 
 
-def _tower(core: ModuleRep) -> dict[int, tuple[ModuleRep, list[int]]]:
-    """The tower of a core in ``_shift_cache``.  Level 0 is a read-only copy
-    of the core; level n > 0 keeps the rows where its kernel basis in the
-    cover is the identity."""
+def _shift_level(core: ModuleRep, n: int) -> tuple[ModuleRep, list[int]]:
+    """Level n of the Heller tower of a projective-free core: (Omega^n
+    core, the rows where its kernel basis in the cover of level n - 1 is the
+    identity), one ``_module_cache`` entry keyed ("shift", n) and weighed by
+    its generator bytes.  Level 0 is a read-only copy of the core.  Level
+    -n is (Omega^n core*)*, built from the levels of the dual; k equals its
+    dual, so Omega^(-n) k reuses the covers of Omega^n k.  Levels other
+    than n > 0 have no rows.  Levels are shared, with read-only generators.
+    """
 
     def build():
-        copy = ModuleRep(core.field, [a.copy() for a in core.gens], core.convention, allow_large=True)
-        return {0: (_read_only(copy), [])}
+        if n == 0:
+            copy = ModuleRep(core.field, [a.copy() for a in core.gens], core.convention, allow_large=True)
+            return _read_only(copy), []
+        if n > 0:
+            # the missing levels below go first, bottom up from the highest
+            # one cached, so that no build recurses deeply
+            cached = (j for j in range(n - 1, 0, -1) if _memo_key(core, ("shift", j)) in _module_cache)
+            for j in range(next(cached, 0) + 1, n - 1):
+                _shift_level(core, j)
+            data = _cover_kernel(_shift_level(core, n - 1)[0])
+            return _read_only(data.omega), data.kernel_pivot_rows
+        return _read_only(dual(_shift(dual(core), -n))), []
 
-    return _module_memo(_shift_cache, core, (), build)
+    return _module_memo(core, ("shift", n), build, lambda level: sum(a.nbytes for a in level[0].gens))
 
 
 def _shift(core: ModuleRep, n: int) -> ModuleRep:
-    """Omega^n of a projective-free core: the only loop over minimal covers.
-
-    Omega^(-n) M = (Omega^n M*)* is built in the tower of M* and kept in
-    this one; k equals its dual, so Omega^(-n) k reuses the covers of
-    Omega^n k.  Levels are shared, with read-only generators.
-    """
-    tower = _tower(core)
-    if n not in tower:
-        if n > 0:
-            for j in range(max(j for j in tower if 0 <= j < n) + 1, n + 1):
-                data = _cover_kernel(tower[j - 1][0])
-                tower[j] = (_read_only(data.omega), data.kernel_pivot_rows)
-        else:
-            tower[n] = (_read_only(dual(_shift(dual(tower[0][0]), -n))), [])
-    return tower[n][0]
+    """Omega^n of a projective-free core: the only loop over minimal covers."""
+    return _shift_level(core, n)[0]
 
 
 def omega_n(m: ModuleRep, n: int) -> ModuleRep:

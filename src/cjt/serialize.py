@@ -7,8 +7,8 @@ Matrices are row-major entry lists.
 A payload builder per value type (``module_payload``, ``hom_payload``,
 ``cocycle_payload``) leaves each code matrix as the int64 array of
 ``Field.code_digits``: the flat codes over GF(p), an (N, e) array of
-coefficients over GF(p^e).  ``module_to_json``, ``hom_to_json`` and
-``cocycle_to_json`` turn the arrays into lists (``_plain``).
+coefficients over GF(p^e).  ``module_to_json`` turns the arrays into
+lists (``_plain``).
 
 ``dumps`` writes a payload exactly as ``json.dumps(plain, sort_keys=True,
 separators=(",", ":"))`` writes its plain form, and is what the CLI prints.
@@ -44,9 +44,7 @@ __all__ = [
     "polymatrix_to_json",
     "polymatrix_from_json",
     "hom_payload",
-    "hom_to_json",
     "cocycle_payload",
-    "cocycle_to_json",
     "field_for",
 ]
 
@@ -248,10 +246,6 @@ def hom_payload(h: ModuleHom) -> dict:
     }
 
 
-def hom_to_json(h: ModuleHom) -> dict:
-    return _plain(hom_payload(h))
-
-
 def cocycle_payload(c) -> dict:
     """Cocycle as degree, carrier matrix, source module and tag."""
     return {
@@ -260,7 +254,3 @@ def cocycle_payload(c) -> dict:
         "source": module_payload(c.carrier.source),
         "tag": c.tag,
     }
-
-
-def cocycle_to_json(c) -> dict:
-    return _plain(cocycle_payload(c))

@@ -26,7 +26,7 @@ from cjt.modrep import (
     _free_row,
     _monomial_columns,
     _shift,
-    _tower,
+    _shift_level,
     free_module,
     hom_space,
     trivial_module,
@@ -58,7 +58,7 @@ class CocycleClass:
 
 
 def omega_k(field: Field, r: int, n: int, convention: Convention = Convention.PRIMITIVE) -> ModuleRep:
-    """n-th Heller shift of the trivial module, from its cached tower;
+    """n-th Heller shift of the trivial module, from its cached levels;
     positive shifts are checked against the closed dimension formula."""
     if r < 1:
         raise ValueError("need r >= 1")
@@ -171,7 +171,7 @@ def factor_generator(
     col = _free_row(p, r, 0, i, 1) if degree == 1 else _free_row(p, r, i, i, p - 1)
     k = trivial_module(field, r, 1, convention)
     source = omega_k(field, r, degree, convention)
-    free = _tower(k)[degree][1]
+    free = _shift_level(k, degree)[1]
     if col not in free:
         raise AssertionError("a coordinate the cover kills must be a free row")
     row = np.eye(1, source.dim, free.index(col), dtype=np.int64)

@@ -84,6 +84,7 @@ def ke_mod_i2(field: Field, r: int, convention: Convention = Convention.PRIMITIV
     to the i-th radical basis line, and the radical to zero."""
     if r < 1:
         raise ValueError("need r >= 1")
+    _check_dim(r + 1)
     gens = []
     for i in range(r):
         a = np.zeros((r + 1, r + 1), dtype=np.int64)
@@ -119,6 +120,7 @@ def v_module(field: Field, n: int, convention: Convention = Convention.PRIMITIVE
     if n < 1:
         raise ValueError("need n >= 1")
     dim = 2 * n + 1
+    _check_dim(dim)
     x = np.zeros((dim, dim), dtype=np.int64)
     y = np.zeros((dim, dim), dtype=np.int64)
     for i in range(n):

@@ -642,17 +642,22 @@ class TestSparsePointRoute:
             for q in sweep_points(f9, 2, 1) + [PiPoint(f9, (1, 5), (((1, 1), 7),))]:
                 assert_routes_agree(m, q)
 
-    def test_large_extension_field_takes_the_image_chain(self):
-        # GF(2^11) is above TABLE_CAP with e >= 2: every product is refused
+    def test_large_extension_field_routes_by_the_join_count(self, monkeypatch):
+        # GF(2^11) is above TABLE_CAP, so its products use discrete logs; the
+        # sparse route and the image chain are chosen by the join count alone
         f2, f = make_field(2, 1), make_field(2, 11)
         base = random_module(f2, 2, 40, 3)
         m = ModuleRep(f, [base.gens[0], f.mul(np.int64(5), base.gens[1])])
-        with (
-            mock.patch.object(jordan, "_sparse_rank", wraps=jordan._sparse_rank) as sparse,
-            mock.patch.object(jordan, "_echelonize", wraps=jordan._echelonize) as dense,
-        ):
-            ranks = assert_routes_agree(m, PiPoint(f, (1, 1000)))
-        assert ranks[1] and dense.called and not sparse.called
+        ranks = []
+        for join in (exactalg.SPARSE_JOIN_PER_ROW, 0):
+            monkeypatch.setattr(exactalg, "SPARSE_JOIN_PER_ROW", join)
+            with (
+                mock.patch.object(jordan, "_sparse_rank", wraps=jordan._sparse_rank) as sparse,
+                mock.patch.object(jordan, "_echelonize", wraps=jordan._echelonize) as dense,
+            ):
+                ranks.append(assert_routes_agree(m, PiPoint(f, (1, 1000))))
+            assert (sparse.called, dense.called) == ((True, False) if join else (False, True))
+        assert ranks[0] == ranks[1] and ranks[0][1]
 
     def test_non_nilpotent_input_raises_the_same_error(self):
         f = make_field(5, 1)
@@ -679,7 +684,7 @@ class TestPointEntryCache:
     """Generator nonzeros are kept only on frozen (Heller-tower) modules."""
 
     def test_tower_level_keeps_its_entries_across_calls(self, monkeypatch):
-        monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
+        monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
         f = make_field(5, 1)
         m = syzygy.omega_k(f, 3, 2)
         assert m._coo == [None] * 3

@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from cjt import exactalg, jordan
 from cjt.constancy import evaluate, sweep_points
-from cjt.exactalg import CooMatrix, Field, make_field, rank, solve_linear
+from cjt.exactalg import CooMatrix, make_field, rank, solve_linear
 from cjt.jordan import (
     Dominance,
     JordanType,
@@ -340,12 +340,18 @@ class TestSparseRoute:
         with pytest.raises(ValueError, match="not nilpotent"):
             nilpotent_type(f, m, 5)
 
-    def test_large_extension_fields_build_no_log_tables(self):
-        # GF(2^11) is above TABLE_CAP: a Jordan block keeps to Field.matmul
-        f = Field(2, 11, make_field(2, 11).modulus)
-        m = CooMatrix.from_dense(f, block_diag_nilpotent([2, 1]))
-        assert power_ranks(m, 2) == [3, 1, 0]
-        assert f._exp is None and f._log is None
+    def test_large_extension_fields_take_the_sparse_route(self, monkeypatch):
+        # GF(2^11) is above TABLE_CAP, so the product A @ A multiplies codes by
+        # discrete logs; the route is still chosen by the join count alone
+        f = make_field(2, 11)
+        m = CooMatrix.from_dense(f, block_diag_nilpotent([3, 2, 1]) * 1000)
+        want = {}
+        for join in (exactalg.SPARSE_JOIN_PER_ROW, 0):
+            monkeypatch.setattr(exactalg, "SPARSE_JOIN_PER_ROW", join)
+            steps = count_rank_steps(monkeypatch)
+            want[join] = power_ranks(m, 3)
+            assert steps == ({"sparse": 2, "dense": 0} if join else {"sparse": 0, "dense": 2})
+        assert list(want.values()) == [[6, 3, 1, 0]] * 2
 
 
 def core_matrix(f, n, kind, rng):

@@ -82,7 +82,7 @@ def test_factor_generator_solves_nothing(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if (name == "cjt" or name.startswith("cjt.")) and getattr(mod, "solve_linear", None) is original:
             monkeypatch.setattr(mod, "solve_linear", counted)
-    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
+    monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
     for f in (make_field(3, 1), make_field(3, 2)):
         for conv in Convention:
             for degree in (1, 2):
@@ -108,7 +108,7 @@ def _count_covers(monkeypatch):
     calls = []
     original = modrep._cover_kernel
     monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
-    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
+    monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
     return calls
 
 
@@ -120,8 +120,9 @@ def test_omega_k_at_zero_builds_no_cover(monkeypatch):
     assert calls == []
     omega_k(f, 2, -2)
     assert calls == [1, 8]
-    k = modrep.trivial_module(f, 2, 1)
-    assert sorted(modrep._tower(k)) == [-2, 0, 1, 2]
+    # the cached levels of k at r = 2: level 0 and the levels -2 was built from
+    gens = tuple(a.tobytes() for a in modrep.trivial_module(f, 2, 1).gens)
+    assert sorted(key[5] for key in modrep._module_cache if key[3] == gens) == [-2, 0, 1, 2]
 
 
 @pytest.mark.parametrize("conv", list(Convention))

@@ -28,7 +28,7 @@ from cjt.constancy import (
 )
 from cjt.exactalg import BATCH_DIM_CUTOFF, CooMatrix, Field, make_field
 from cjt.jordan import JordanType, from_nilpotent, jordan_types
-from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleRep, _MemoCache, omega_n, trivial_module
+from cjt.modrep import Convention, ModuleRep, _MemoCache, omega_n, trivial_module
 from cjt.syzygy import factor_generator, omega_k
 from cjt.zoo import random_module, w_module
 
@@ -107,7 +107,7 @@ def _level_against_independent_routes(m, e, monkeypatch):
     per dense matrix.  Above BATCH_DIM_CUTOFF level_types types each point
     by ``jordan_at`` and calls ``evaluate`` at none; at or below it, it
     types the ``evaluate`` stacks by jordan_types."""
-    monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
+    monkeypatch.setattr(modrep, "_module_cache", _MemoCache())
     points, field, stack = _dense_stack(m, e)
     expected = _per_point_types(field, stack, m.p)
     evaluated = []
@@ -259,14 +259,14 @@ class TestDepthAdmission:
 
 
 class TestLevelMemo:
-    """``level_types`` keeps each typed (module, level) in ``_level_cache``,
-    a bounded LRU keyed by the module's field, convention, dim and
-    generator bytes plus the level."""
+    """``level_types`` keeps each typed (module, level) in
+    ``modrep._module_cache``, an LRU bounded by bytes and keyed by the
+    module's field, convention, dim and generator bytes plus ("level", e)."""
 
     @pytest.fixture
     def evaluated(self, monkeypatch):
         """The points ``evaluate`` is called at, from an empty memo."""
-        monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
+        monkeypatch.setattr(modrep, "_module_cache", _MemoCache())
         points = []
         original = constancy.evaluate
         monkeypatch.setattr(constancy, "evaluate", lambda m, q: points.append(q) or original(m, q))
@@ -290,7 +290,7 @@ class TestLevelMemo:
         assert len(evaluated) == count
         assert hit == first and hit is not first
         hit.clear()
-        monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
+        monkeypatch.setattr(modrep, "_module_cache", _MemoCache())
         assert level_types(m, 2) == first == [(q, jordan_at(m, q)) for q, _ in first]
 
     def test_a_write_into_a_generator_retypes(self, evaluated):
@@ -315,25 +315,31 @@ class TestLevelMemo:
         ]
         for m in modules:
             assert level_types(m, 1) == [(q, jordan_at(m, q)) for q in sweep_points(m.field, m.r, 1)]
-        assert len(constancy._level_cache) == len(modules)
+        assert len(modrep._module_cache) == len(modules)
 
     @staticmethod
     def _cached(*modules):
-        """Which of the modules have their level 1 in the memo, and a check
-        that its running weight is the sum of its entries' weights."""
-        cache = constancy._level_cache
-        assert cache.weight == sum(constancy._level_weight(k, v) for k, v in cache.items())
-        held = {k[3] for k in cache}
+        """Which of the modules have a typed level in the memo, and a check
+        that its running weight is the sum of its entries' sizes, each the
+        key's generator bytes and the entry's weight."""
+        cache = modrep._module_cache
+        assert all(size == sum(map(len, k[3])) + constancy._level_weight(v) for k, (v, size) in cache.items())
+        assert cache.weight == sum(size for _, size in cache.values())
+        held = {k[3] for k in cache if k[4] == "level"}
         return [tuple(a.tobytes() for a in m.gens) in held for m in modules]
+
+    @staticmethod
+    def _sizes():
+        return [size for _, size in modrep._module_cache.values()]
 
     def test_the_least_recently_used_level_is_evicted(self, evaluated, monkeypatch):
         f = make_field(3, 1)
         small = [random_module(f, 2, 3, seed) for seed in range(4)]
         for m in small[:3]:
             level_types(m, 1)
-        weights = [constancy._level_weight(k, v) for k, v in constancy._level_cache.items()]
+        weights = self._sizes()
         assert len(set(weights)) == 1  # equal dims and points: equal weights
-        monkeypatch.setattr(constancy, "LEVEL_CACHE_BYTES", 3 * weights[0])
+        monkeypatch.setattr(modrep, "MODULE_CACHE_BYTES", 3 * weights[0])
         level_types(small[0], 1)  # now small[1] is the least recently used
         level_types(small[3], 1)
         assert self._cached(*small) == [True, False, True, True]
@@ -353,10 +359,10 @@ class TestLevelMemo:
         large = random_module(f, 2, 18, 5)
         for m in small + [large]:
             level_types(m, 1)
-        w_small, *_, w_large = (constancy._level_weight(k, v) for k, v in constancy._level_cache.items())
+        w_small, *_, w_large = self._sizes()
         assert 3 * w_small < w_large <= 4 * w_small
-        constancy._level_cache.clear()
-        monkeypatch.setattr(constancy, "LEVEL_CACHE_BYTES", 5 * w_small)
+        modrep._module_cache.clear()
+        monkeypatch.setattr(modrep, "MODULE_CACHE_BYTES", 5 * w_small)
         for m in small + [small[0]]:  # small[1] is now the least recently used
             level_types(m, 1)
         assert self._cached(*small, large) == [True] * 5 + [False]
@@ -367,29 +373,29 @@ class TestLevelMemo:
         assert self._cached(*small, large) == [True, False, False, False, False, True]
 
     def test_the_newest_level_is_kept_over_the_budget(self, evaluated, monkeypatch):
-        monkeypatch.setattr(constancy, "LEVEL_CACHE_BYTES", 1)
+        monkeypatch.setattr(modrep, "MODULE_CACHE_BYTES", 1)
         f = make_field(5, 1)
         first, second = random_module(f, 2, 4, 1), random_module(f, 2, 4, 2)
         typed = level_types(first, 2)
-        assert self._cached(first, second) == [True, False] and len(constancy._level_cache) == 1
+        assert self._cached(first, second) == [True, False] and len(modrep._module_cache) == 1
         count = len(evaluated)
         assert level_types(first, 2) == typed and len(evaluated) == count
         level_types(second, 2)
-        assert len(constancy._level_cache) == 1
-        assert [k[3] for k in constancy._level_cache] == [tuple(a.tobytes() for a in second.gens)]
+        assert len(modrep._module_cache) == 1
+        assert [k[3] for k in modrep._module_cache] == [tuple(a.tobytes() for a in second.gens)]
         level_types(first, 2)
         assert len(evaluated) == count + 2 * len(sweep_points(f, 2, 2))
 
     def test_a_session_types_each_level_once(self, monkeypatch):
-        """Interleaved check_constant, gamma_locus and pi_support over more
-        modules than the Heller-tower bound evaluate each point of each
-        (module, level) once."""
-        monkeypatch.setattr(constancy, "_level_cache", _MemoCache())
+        """Interleaved check_constant, gamma_locus and pi_support over 17
+        modules, two of them Heller shifts whose levels share the cache,
+        evaluate each point of each (module, level) once."""
+        monkeypatch.setattr(modrep, "_module_cache", _MemoCache())
         calls = []
         original = constancy.evaluate
         monkeypatch.setattr(constancy, "evaluate", lambda m, q: calls.append((id(m), q)) or original(m, q))
         modules = [omega_k(make_field(3, 1), 2, 1), omega_k(make_field(5, 1), 2, -1)]
-        modules += [random_module(make_field(3 + 2 * (i % 2), 1), 2, 3 + i % 4, i) for i in range(2 * OMEGA_CACHE_TOWERS - 1)]
+        modules += [random_module(make_field(3 + 2 * (i % 2), 1), 2, 3 + i % 4, i) for i in range(15)]
         swept = [check_constant(m, 2).extensions for m in modules]
         # level 2 is typed first by check_constant on some modules, by gamma_locus on others
         assert [1] in swept and [1, 2] in swept
@@ -413,8 +419,8 @@ class TestLevelMemo:
 
         def state():
             return [
-                ([(k, id(v), sorted(v) if isinstance(v, dict) else None) for k, v in cache.items()], cache.weight)
-                for cache in (constancy._level_cache, modrep._shift_cache)
+                [(k, id(v)) for k, v in modrep._module_cache.items()],
+                modrep._module_cache.weight,
             ]
 
         before = state()

@@ -5,7 +5,7 @@ from cjt import modrep
 from cjt.constancy import PiPoint, jordan_at, sweep_points
 from cjt.exactalg import make_field
 from cjt.jordan import JordanType, stable
-from cjt.modrep import OMEGA_CACHE_TOWERS, Convention, ModuleHom, factors_through_projective, hom_space
+from cjt.modrep import Convention, ModuleHom, factors_through_projective, hom_space
 from cjt.syzygy import (
     CocycleClass,
     cocycle_product,
@@ -219,19 +219,92 @@ class TestShiftAndProducts:
 
 
 class TestOmegaCache:
+    """Heller-shift levels are entries ("shift", n) of ``modrep._module_cache``,
+    an LRU that holds at most ``MODULE_CACHE_BYTES`` or its newest entry."""
+
+    @staticmethod
+    def _within_budget():
+        cache = modrep._module_cache
+        assert cache.weight == sum(size for _, size in cache.values())
+        return cache.weight <= modrep.MODULE_CACHE_BYTES or len(cache) == 1
+
+    @staticmethod
+    def _levels(m):
+        gens = tuple(a.tobytes() for a in m.gens)
+        return sorted(key[5] for key in modrep._module_cache if key[3] == gens and key[4] == "shift")
+
     def test_towers_are_bounded_and_recent_ones_hit(self, monkeypatch):
-        monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
+        monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
         f3, f5 = make_field(3, 1), make_field(5, 1)
         first = omega_k(f3, 2, 2)
+        # room for the levels of first and a few small level-0 entries
+        monkeypatch.setattr(modrep, "MODULE_CACHE_BYTES", modrep._module_cache.weight + 500)
         keys = [(f, r, conv) for r in range(1, 12) for f in (f3, f5) for conv in Convention]
-        assert len(keys) > 4 * OMEGA_CACHE_TOWERS
         zeros = {}
         for f, r, conv in keys:
             zeros[f, r, conv] = omega_k(f, r, 0, conv)
-            assert len(modrep._shift_cache) <= OMEGA_CACHE_TOWERS
+            assert self._within_budget()
             # a tower in use stays cached: the same module, not a rebuilt one
             assert omega_k(f3, 2, 2) is first
-        assert len(modrep._shift_cache) == OMEGA_CACHE_TOWERS
-        # the least recently used towers were dropped, and rebuild on demand
+        assert len(modrep._module_cache) < len(keys)
+        # the least recently used levels were dropped, and rebuild on demand
         rebuilt = omega_k(f5, 1, 0)
         assert rebuilt is not zeros[f5, 1, Convention.PRIMITIVE] and rebuilt.dim == 1
+
+    def test_the_default_budget_keeps_a_shift_types_pass(self, monkeypatch):
+        """The shift-types benchmark's pass, Omega^n k for n = 1, -1, ...,
+        4, -4 at p = 5, r = 3, builds each cover once and then hits."""
+        monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
+        calls = []
+        original = modrep._cover_kernel
+        monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
+        f = make_field(5, 1)
+        for _ in range(2):
+            shifts = [omega_k(f, 3, s * n) for n in range(1, 5) for s in (1, -1)]
+            assert [m.dim for m in shifts] == [124, 124, 251, 251, 499, 499, 751, 751]
+        assert calls == [1, 124, 251, 499]
+        assert modrep._module_cache.weight <= modrep.MODULE_CACHE_BYTES
+        # k equals its dual, so all 9 levels are keyed by one copy of its bytes
+        assert len(modrep._module_cache) == 9
+        assert len({id(key[3]) for key in modrep._module_cache}) == 1
+
+    def test_a_small_budget_rebuilds_dropped_levels_alike(self, monkeypatch):
+        monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
+        f = make_field(3, 1)
+        k = modrep.trivial_module(f, 2, 1)
+        want = {n: omega_k(f, 2, n) for n in range(1, 6)}
+        carriers = {(i, d): factor_generator(f, 2, i, d).carrier.matrix for i in range(2) for d in (1, 2)}
+        sizes = {key[5]: size for key, (_, size) in modrep._module_cache.items()}
+        for budget in (sizes[4] + sizes[5], sizes[5] // 2):
+            monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
+            monkeypatch.setattr(modrep, "MODULE_CACHE_BYTES", budget)
+            for n in range(1, 6):
+                top = omega_k(f, 2, n)
+                assert _same_gens(top, want[n]) and self._within_budget()
+            assert self._levels(k) == ([4, 5] if budget > sizes[5] else [5])
+            # the top level is a hit even with the levels below it dropped
+            assert omega_k(f, 2, 5) is top
+            # level 2 was dropped from the middle: it is built again, alike
+            again = omega_k(f, 2, 2)
+            assert again is not want[2] and _same_gens(again, want[2])
+            assert 2 in self._levels(k) and self._within_budget()
+            for (i, d), matrix in carriers.items():
+                c = factor_generator(f, 2, i, d)
+                assert np.array_equal(c.carrier.matrix, matrix) and _same_gens(c.carrier.source, want[d])
+                assert self._within_budget()
+
+    def test_a_tall_tower_builds_without_deep_recursion(self, monkeypatch):
+        # at r = 1 every level has dim 1 or p - 1, so a tower can be tall;
+        # its missing levels are built bottom up, each cover once
+        monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
+        calls = []
+        original = modrep._cover_kernel
+        monkeypatch.setattr(modrep, "_cover_kernel", lambda m: calls.append(m.dim) or original(m))
+        f = make_field(3, 1)
+        assert omega_k(f, 1, 800).dim == 1 and omega_k(f, 1, -801).dim == 2
+        assert omega_k(f, 1, 1601).dim == 2
+        assert len(calls) == 1601
+
+
+def _same_gens(a, b):
+    return a.dim == b.dim and all(x.tobytes() == y.tobytes() for x, y in zip(a.gens, b.gens))

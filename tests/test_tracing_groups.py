@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -113,8 +114,7 @@ def test_stressed_layer_is_reached_by_its_route(workload, monkeypatch, capsys):
             if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counted)
     # a cached Heller-shift tower would build no cover, a cached level no point
-    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
-    monkeypatch.setattr(constancy, "_level_cache", modrep._MemoCache())
+    monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
     probe()
     capsys.readouterr()
     assert calls, f"{workload}: no call to cjt.{layer}.{{{', '.join(names)}}}"
@@ -134,7 +134,7 @@ def test_power_ranks_probe_sees_one_call_per_point(monkeypatch):
     for modname, mod in list(sys.modules.items()):
         if (modname == "cjt" or modname.startswith("cjt.")) and vars(mod).get("power_ranks") is original:
             monkeypatch.setattr(mod, "power_ranks", counted)
-    monkeypatch.setattr(modrep, "_shift_cache", modrep._MemoCache())
+    monkeypatch.setattr(modrep, "_module_cache", modrep._MemoCache())
     f = make_field(5, 1)
     m = modrep.omega_n(modrep.trivial_module(f, 3), 1)
     points = [(1, 1, 1), (2, 3, 0), (0, 1, 4), (3, 0, 1), (4, 4, 4)]
@@ -181,3 +181,59 @@ def test_elimination_probe_reads_the_eliminated_matrix():
         getattr(exactalg, name)(*calls[name])
         got = read(calls[name])
         assert got is a and got.ndim == 2, name
+
+
+def _reset_caches():
+    """The benchmark's per-pass reset, ``reset_caches`` of
+    ``perfbench/workloads.py``, compiled from its source."""
+    tree = ast.parse(WORKLOADS.read_text())
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "reset_caches")
+    namespace = {"sys": sys}
+    exec(compile(ast.Module([node], type_ignores=[]), str(WORKLOADS), "exec"), namespace)
+    return namespace["reset_caches"]
+
+
+def _module_containers() -> dict[tuple[str, str], object]:
+    """Every module-level dict, list and set of cjt, by (module, name)."""
+    return {
+        (modname, attr): obj
+        for modname, mod in list(sys.modules.items())
+        if modname == "cjt" or modname.startswith("cjt.")
+        for attr, obj in vars(mod).items()
+        if isinstance(obj, (dict, list, set)) and not attr.startswith("__")
+    }
+
+
+def test_the_per_pass_reset_empties_what_the_entry_points_grow(tmp_path, capsys):
+    """omega_n, level_types, check_constant, generic_type and cli.execute
+    keep their state only where the benchmark's reset finds it: in
+    module-level dicts with "cache" in their names (or functools caches).
+    State kept anywhere else would carry work from one pass to the next."""
+    from cjt.serialize import module_to_json
+
+    reset = _reset_caches()
+    reset()
+    before = {key: len(obj) for key, obj in _module_containers().items()}
+    f = make_field(3, 1)
+    w = w_module(f)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(module_to_json(w)))
+    modrep.omega_n(w, 2)
+    modrep.omega_n(w, -1)
+    constancy.level_types(modrep.omega_n(modrep.trivial_module(f, 2), 1), 2)
+    constancy.check_constant(w, 2)
+    constancy.generic_type(w)
+    for argv in (
+        ["omega", "--p", "3", "--rank", "2", "--n", "-2"],
+        ["carlson", "--p", "3", "--rank", "2", "--degrees", "1,1"],
+        ["check", "--module", str(path), "--max-ext", "2"],
+    ):
+        assert cli.execute(argv) in (0, 2), argv
+    capsys.readouterr()
+    after = _module_containers()
+    grown = sorted(key for key, obj in after.items() if len(obj) > before.get(key, 0))
+    assert ("cjt.modrep", "_module_cache") in grown
+    assert all("cache" in attr.lower() for _, attr in grown), grown
+    reset()
+    assert all(len(after[key]) == 0 for key in grown)
+    assert modrep._module_cache.weight == 0

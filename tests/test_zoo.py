@@ -117,12 +117,14 @@ class TestSoftCapBeforeBuilding:
     def tiny_cap(self, monkeypatch):
         from cjt import modrep, zoo
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("built before the cap was checked")
 
         monkeypatch.setattr(modrep, "DIM_SOFT_CAP", 3)
         monkeypatch.setattr(zoo, "_random_staircase", refuse)
         monkeypatch.setattr(zoo, "_shift_operators", refuse)
+        # KE_MOD_I2, V and JBLOCK build their generators with np.zeros
+        monkeypatch.setattr(np, "zeros", refuse)
 
     def test_random_module(self, tiny_cap):
         with pytest.raises(ValueError, match="dimension 5 exceeds the soft cap 3"):
@@ -131,6 +133,25 @@ class TestSoftCapBeforeBuilding:
     def test_truncated_module(self, tiny_cap):
         with pytest.raises(ValueError, match="dimension 6 exceeds the soft cap 3"):
             truncated_module(make_field(3, 1), 2, 0, 3)
+
+    def test_ke_mod_i2(self, tiny_cap):
+        with pytest.raises(ValueError, match="dimension 5 exceeds the soft cap 3"):
+            ke_mod_i2(make_field(3, 1), 4)
+
+    def test_v_module(self, tiny_cap):
+        with pytest.raises(ValueError, match="dimension 5 exceeds the soft cap 3"):
+            v_module(make_field(3, 1), 2)
+
+    def test_jordan_block_module(self, tiny_cap):
+        with pytest.raises(ValueError, match="dimension 4 exceeds the soft cap 3"):
+            build_example(make_field(5, 1), "JBLOCK", i=4)
+
+    def test_fixtures_at_the_cap_are_built(self, monkeypatch):
+        from cjt import modrep
+
+        monkeypatch.setattr(modrep, "DIM_SOFT_CAP", 3)
+        f = make_field(3, 1)
+        assert [ke_mod_i2(f, 2).dim, v_module(f, 1).dim, build_example(f, "JBLOCK", i=3).dim] == [3, 3, 3]
 
 
 class TestMonomialsOfDegrees:

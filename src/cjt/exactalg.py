@@ -78,18 +78,18 @@ def _check_log_tables(p: int, e: int) -> None:
 # the sweeps; bounds the kernel's working memory.
 STACK_CELLS = 1 << 13
 
-# Stacks of matrices with a side above this size are eliminated one slice at
-# a time, and constancy.level_types types the points of a module above it
-# one by one with jordan_at.  Eliminating a whole stack pays a few numpy
-# calls per column for all slices at once, which wins while matrices are
-# small.  Measured in
-# stacks of STACK_CELLS entries, stacked over per-matrix time: Jordan types
-# of level sweeps (against power_ranks) 0.84 at dim 32, 1.0-1.4 at dim
-# 40 and 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2);
-# ranks alone (against rank_array) 0.46-0.53 at dim 32, 0.65-0.79 at dim 40
-# and 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).  _sparse_rank also hands
-# its core to _echelonize once the core's shorter side is at most this size:
-# on the shift-types and criterion-06 matrices, _sparse_rank takes the same
+# The size rule: matrices with no side above this size are eliminated many
+# at a time (stack_ranks, jordan.jordan_types); larger ones go one at a
+# time to rank_array, jordan.power_ranks or constancy.jordan_at.
+# Eliminating a whole stack pays a few numpy calls per column for all
+# slices at once, which wins while matrices are small.  Measured in stacks
+# of STACK_CELLS entries, stacked over per-matrix time: Jordan types of
+# level sweeps (against power_ranks) 0.84 at dim 32, 1.0-1.4 at dim 40 and
+# 2.7 at dim 48 (random modules, p = 3 and 5, r = 3, e = 1 and 2); ranks
+# alone (against rank_array) 0.46-0.53 at dim 32, 0.65-0.79 at dim 40 and
+# 0.89-1.04 at dim 48 (GF(3), GF(5), GF(25)).  _sparse_rank also hands its
+# core to _echelonize once the core's shorter side is at most this size: on
+# the shift-types and criterion-06 matrices, _sparse_rank takes the same
 # time with this size at 16-32, 7-10 % more at 64 and 2.7-2.8x as long with
 # no rounds at all; on sums of scaled permutations, 5 % less at 48.
 BATCH_DIM_CUTOFF = 32
@@ -686,8 +686,8 @@ def stack_ranks(field: Field, stack: np.ndarray) -> np.ndarray:
     Only rows with a nonzero entry under some pivot are touched.  A slice's
     rank is its number of closed rows.  Stacks whose matrices have a side
     above BATCH_DIM_CUTOFF are eliminated slice by slice with
-    ``rank_array``, so ``jordan.jordan_types`` hands over stacks of any
-    size.
+    ``rank_array``; only polymat's pencil sweeps (``polymat.generic_rank``,
+    ``polymat.common_zero_search``) hand over such stacks.
     """
     a = np.array(stack, dtype=np.int64)
     if a.ndim != 3:

@@ -155,23 +155,19 @@ def from_nilpotent(a: CooMatrix, p: int) -> JordanType:
 def jordan_types(field: Field, stack: np.ndarray, p: int) -> list[JordanType]:
     """Jordan types of a (points, n, n) stack of nilpotent matrices.
 
-    The ranks of A^1, ..., A^(p-1) come from one ``stack_ranks`` call per
-    power over every slice at once, which eliminates slices above
-    exactalg.BATCH_DIM_CUTOFF one at a time; a slice leaves the stack once
-    its power is zero.  Like from_nilpotent, raises ValueError when some
-    A^p != 0.
-
-    Every power is a dense stack product, so above the cutoff this is the
-    slow route for sparse matrices: on the 31 level-1 points of Omega^2 k
-    at p = 5, r = 3 (dim 251) it takes about 4x as long as typing each
-    point by ``constancy.jordan_at``, whose powers stay COO triples while
-    they are sparse.  ``level_types`` therefore types modules above the
-    cutoff by ``jordan_at``.
+    At or below exactalg.BATCH_DIM_CUTOFF, the ranks of A^1, ..., A^(p-1)
+    come from one ``stack_ranks`` call per power over every slice at once,
+    and a slice leaves the stack once its power is zero.  Above it, each
+    slice goes to ``from_nilpotent`` by ``CooMatrix.from_dense``, so
+    ``power_ranks`` types it as it types a ``jordan_at`` matrix.  Like
+    from_nilpotent, raises ValueError when some A^p != 0.
     """
     stack = np.asarray(stack, dtype=np.int64)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise ValueError("need a (points, n, n) stack of square matrices")
     count, n = stack.shape[0], stack.shape[1]
+    if n > exactalg.BATCH_DIM_CUTOFF:
+        return [from_nilpotent(CooMatrix.from_dense(field, a), p) for a in stack]
     # ranks[:, j] = rank of A^j, except that column p only marks A^p != 0
     ranks = np.zeros((count, p + 1), dtype=np.int64)
     ranks[:, 0] = n

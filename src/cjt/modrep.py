@@ -64,6 +64,16 @@ def _check_dim(dim: int) -> None:
         )
 
 
+def _check_codes(field: Field, a: np.ndarray, what: str) -> None:
+    """Refuse entries of the int64 array a that are not element codes of
+    field, in [0, q).  Viewed as uint64 a negative entry reads as at least
+    2^63, so one max finds both kinds."""
+    if a.size and int(a.view(np.uint64).max()) >= field.q:
+        raise ValueError(
+            f"{what} codes must lie in [0, {field.q}) for GF({field.p}^{field.e})"
+        )
+
+
 class Convention(Enum):
     """Coproduct convention for the generator elements t_i.
 
@@ -104,7 +114,9 @@ class ModuleRep:
             a = np.asarray(g, dtype=np.int64)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError("generator actions must be square matrices")
-            arrays.append(np.ascontiguousarray(a, dtype=np.int64))
+            a = np.ascontiguousarray(a, dtype=np.int64)
+            _check_codes(field, a, "generator")
+            arrays.append(a)
         dim = arrays[0].shape[0]
         if any(a.shape[0] != dim for a in arrays):
             raise ValueError("generator actions must share one dimension")
@@ -150,6 +162,7 @@ class ModuleHom:
                 f"hom matrix must be {self.target.dim} x {self.source.dim}, "
                 f"got {self.matrix.shape}"
             )
+        _check_codes(self.source.field, self.matrix, "hom matrix")
 
     def is_intertwiner(self) -> bool:
         f = self.source.field
@@ -505,7 +518,7 @@ def split_free(m: ModuleRep) -> SplitResult:
     if core_basis.shape[1] != m.dim - n:
         raise AssertionError("free splitting lost dimensions")
     sub = submodule(m, core_basis)
-    if rank_array(f, _theta(sub.module)) != 0:
+    if _theta(sub.module).any():
         raise AssertionError("core still contains a free summand")
     # core coordinates of id - retraction: a module projection onto the core
     complement_proj = np.eye(m.dim, dtype=np.int64)
@@ -599,7 +612,7 @@ def projective_cover_omega(m: ModuleRep) -> CoverResult:
     source = free_module(m.field, m.r, data.rank, m.convention)
     cover = ModuleHom(source, m, data.cover_matrix)
     inclusion = ModuleHom(data.omega, source, data.kernel_basis)
-    if rank_array(m.field, _theta(data.omega)) != 0:
+    if _theta(data.omega).any():
         raise AssertionError("Heller shift of a minimal cover must be projective-free")
     return CoverResult(cover, data.omega, inclusion)
 

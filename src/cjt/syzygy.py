@@ -137,10 +137,7 @@ def _onto_on_cores(phi: ModuleHom, q: PiPoint) -> bool:
     s, t = phi.source.dim, phi.target.dim
     top_a = _power(field.matmul, a, field.p - 1)
     top_b = _power(field.matmul, b, field.p - 1)
-    # reduced as codes of the modules' field: mod p over GF(p), and kept
-    # whole over GF(p^e), where a residue mod p is another element
-    codes = phi.matrix % phi.source.field.q
-    block = np.block([[top_a, np.zeros((s, t), dtype=np.int64)], [codes, b]])
+    block = np.block([[top_a, np.zeros((s, t), dtype=np.int64)], [phi.matrix, b]])
     # columns go in order: the pivots before column dim S count rank A^(p-1)
     pivots = _echelonize(field, np.ascontiguousarray(block.T), s + t)
     return sum(c >= s for c in pivots) == t - rank_array(field, top_b)

@@ -1,10 +1,11 @@
 import json
+import sys
 
 import pytest
 from test_carlson import LOCAL_ONLY
 
 from cjt import PiPoint, jordan_at
-from cjt.cli import execute
+from cjt.cli import execute, main
 from cjt.exactalg import make_field
 from cjt.serialize import (
     field_for,
@@ -422,3 +423,11 @@ class TestJordanTypeJson:
         t = JordanType(5, (1, 0, 3, 0, 0))
         assert jordan_type_from_json({"p": 5, "counts": [1, 0, 3, 0, 0]}) == t
         assert str(t) == "3[3] + 1[1]"
+
+
+def test_console_entry_point_exits_with_the_command_code(capsys, monkeypatch, w7_file):
+    monkeypatch.setattr(sys, "argv", ["cjt", "check", "--module", w7_file, "--exact-rank2"])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert exit_.value.code == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "NOT_CONSTANT"

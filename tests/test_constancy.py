@@ -30,6 +30,12 @@ def jt(p, blocks):
     return JordanType.from_blocks(p, blocks)
 
 
+def test_point_str_writes_coordinates_and_tail_length():
+    f9 = make_field(3, 2)
+    assert str(PiPoint(f9, (1, 5))) == "[[1, 0]:[2, 1]]"  # code 5 = 2 + x
+    assert str(PiPoint(make_field(3, 1), (1, 2), (((2, 0), 1),))) == "[1:2]+tail(1)"
+
+
 def half_supported_module(field):
     """Trivial along the first generator, a free shift along the second."""
     p = field.p

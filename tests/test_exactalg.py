@@ -109,6 +109,9 @@ class TestMakeField:
         f = make_field(2, 2)
         assert f.modulus == (1, 1, 1)
 
+    def test_repr_names_the_characteristic_and_degree(self):
+        assert repr(make_field(5, 3)) == "Field(p=5, e=3)"
+
     def test_gf25_modulus_matches_exhaustive_search(self):
         assert make_field(5, 2).modulus == brute_force_smallest_irreducible(5, 2)
 

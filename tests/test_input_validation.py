@@ -103,6 +103,17 @@ CASES = [
      r"generator actions must be square matrices"),
     ("module-generator-dims", lambda: ModuleRep(F3, [_zeros(2, 2), _zeros(3, 3)]), ValueError,
      r"generator actions must share one dimension"),
+    ("module-code-negative", lambda: ModuleRep(F3, [[[0, -1], [0, 0]]]), ValueError,
+     r"generator codes must lie in \[0, 3\) for GF\(3\^1\)"),
+    # BLOCK2 with its zeros written as 3
+    ("module-code-q", lambda: ModuleRep(F3, [np.where(BLOCK2.gens[0] == 0, 3, BLOCK2.gens[0])]),
+     ValueError, r"generator codes must lie in \[0, 3\) for GF\(3\^1\)"),
+    ("module-code-q-extension", lambda: ModuleRep(F9, [[[0, 9], [0, 0]]]), ValueError,
+     r"generator codes must lie in \[0, 9\) for GF\(3\^2\)"),
+    ("module-code-beyond-q-extension", lambda: ModuleRep(F9, [[[0, 10], [0, 0]]]), ValueError,
+     r"generator codes must lie in \[0, 9\) for GF\(3\^2\)"),
+    ("hom-code-negative", lambda: ModuleHom(K, K, [[-1]]), ValueError,
+     r"hom matrix codes must lie in \[0, 3\) for GF\(3\^1\)"),
     ("hom-matrix-shape", lambda: ModuleHom(K, K, _zeros(2, 1)), ValueError,
      r"hom matrix must be 1 x 1, got \(2, 1\)"),
     ("hom-compose-shape", lambda: ModuleHom(K2, K, _zeros(1, 2)).compose(ONE), ValueError,
@@ -183,3 +194,8 @@ CASES = [
 def test_invalid_input_is_refused(call, exc, message):
     with pytest.raises(exc, match=message):
         call()
+
+
+def test_json_codes_are_reduced_before_the_module_is_built():
+    m = module_from_json({"p": 3, "r": 1, "dim": 2, "generators": [[0, -1, 3, 0]]})
+    assert m.gens[0].tolist() == [[0, 2], [0, 0]]

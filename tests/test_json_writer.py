@@ -102,6 +102,15 @@ def test_dumps_matches_json_dumps(payload):
     assert serialize.dumps(payload) == reference(payload)
 
 
+def test_an_unserializable_object_raises_like_json_dumps():
+    payload = {"codes": np.arange(3), "points": {1, 2}}
+    with pytest.raises(TypeError) as expected:
+        reference(payload)
+    with pytest.raises(TypeError, match=r"^Object of type set is not JSON serializable$") as got:
+        serialize.dumps(payload)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f"GF({f.q})")
 def test_every_width_and_boundary(f):
     near = [c for k in range(19) for c in (10**k - 1, 10**k, 10**k + 1) if 0 <= c < f.q]

@@ -61,6 +61,13 @@ def test_adding_zero_returns_the_other_summand():
     assert z.add(z).is_zero
 
 
+def test_hompoly_repr_lists_terms_by_descending_exponents():
+    x, y = var(3, 2, 0), var(3, 2, 1)
+    assert repr(x.mul(x).add(HomPoly(3, 2, {(1, 1): 2}))) == "1*x1^2 + 2*x1*x2"
+    assert repr(x.mul(y).mul(y)) == "1*x1*x2^2"
+    assert repr(HomPoly.zero(3, 2)) == "0"
+
+
 def test_hompoly_is_not_hashable():
     # HomPoly defines __eq__ and no __hash__, so Python sets __hash__ = None
     assert HomPoly.__hash__ is None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cjt import carlson, constancy, exactalg, modrep
+from cjt import carlson, constancy, exactalg, jordan, modrep
 from cjt.carlson import endotrivial_check, l_xi
 from cjt.constancy import (
     PiPoint,
@@ -137,6 +137,50 @@ def test_stacked_elimination_above_the_cutoff(monkeypatch):
         m = build()
         _, field, stack = _dense_stack(m, e)
         assert jordan_types(field, stack, m.p) == _per_point_types(field, stack, m.p)
+
+
+@pytest.mark.parametrize(
+    "build, e",
+    [
+        (lambda: omega_k(make_field(5, 1), 3, 2), 1),  # dim 251, 31 points
+        (lambda: random_module(make_field(3, 1), 2, BATCH_DIM_CUTOFF + 1, 4), 2),  # GF(9) codes
+    ],
+    ids=["omega2-p5-r3", "random-33-level2"],
+)
+def test_stacks_above_the_cutoff_go_to_power_ranks_slice_by_slice(build, e, monkeypatch):
+    m = build()
+    points, field, stack = _dense_stack(m, e)
+    assert m.dim > BATCH_DIM_CUTOFF and (stack >= m.p).any() == (e > 1)
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(exactalg, "stack_ranks", counted("stack_ranks", exactalg.stack_ranks))
+    monkeypatch.setattr(jordan, "stack_ranks", counted("stack_ranks", jordan.stack_ranks))
+    monkeypatch.setattr(jordan, "power_ranks", counted("power_ranks", jordan.power_ranks))
+    types = jordan_types(field, stack, m.p)
+    assert calls == {"power_ranks": len(points)}
+    monkeypatch.undo()
+    assert types == [jordan_at(m, q) for q in points]
+    monkeypatch.setattr(exactalg, "BATCH_DIM_CUTOFF", 10**6)
+    assert jordan_types(field, stack, m.p) == types
+
+
+def test_a_slice_above_the_cutoff_that_is_not_nilpotent_is_refused(monkeypatch):
+    m = random_module(make_field(3, 1), 2, BATCH_DIM_CUTOFF + 1, 4)
+    _, field, stack = _dense_stack(m, 1)
+    stack[2] = np.eye(m.dim, dtype=np.int64)
+    with pytest.raises(ValueError) as per_slice:
+        jordan_types(field, stack, m.p)
+    monkeypatch.setattr(exactalg, "BATCH_DIM_CUTOFF", 10**6)
+    with pytest.raises(ValueError) as batched:
+        jordan_types(field, stack, m.p)
+    assert str(per_slice.value) == str(batched.value) == "matrix is not nilpotent of order <= 3"
 
 
 def _over_gf9(dim, seed):
